@@ -104,6 +104,8 @@ class FaultInjectionRun {
   /// Runs the workload with `fault` armed (or no fault for a profiling run).
   RunResult execute(const std::optional<inject::FaultSpec>& fault);
 
+  const RunConfig& config() const { return cfg_; }
+
   /// Injectable functions the target image called during the run — the
   /// paper's "activated functions" (Table 1).
   const std::set<nt::Fn>& activated_functions() const;

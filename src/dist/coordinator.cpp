@@ -6,12 +6,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <iostream>
 
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -22,12 +20,9 @@
 #include "dist/protocol.h"
 #include "dist/socket.h"
 #include "dist/wire.h"
-#include "exec/journal.h"
+#include "exec/sink.h"
 #include "fault/model.h"
-#include "forensics/signature.h"
 #include "obs/fleet/events.h"
-#include "obs/fleet/span.h"
-#include "obs/fleet/stall.h"
 #include "obs/fleet/status.h"
 #include "obs/fleet/telemetry.h"
 #include "plan/plan.h"
@@ -42,32 +37,6 @@ int ms_between(Clock::time_point from, Clock::time_point to) {
   return static_cast<int>(
       std::chrono::duration_cast<std::chrono::milliseconds>(to - from).count());
 }
-
-// fn -> lowest fault index whose executed run proved the function uncalled;
-// the same induction the in-process executor uses (a lease may elide fault i
-// only given a proof at index j < i), single-threaded here.
-class Proofs {
- public:
-  void record(nt::Fn fn, std::size_t index) {
-    auto [it, inserted] = proofs_.emplace(fn, index);
-    if (!inserted && index < it->second) it->second = index;
-  }
-  bool proven_before(nt::Fn fn, std::size_t index) const {
-    auto it = proofs_.find(fn);
-    return it != proofs_.end() && it->second < index;
-  }
-
- private:
-  std::map<nt::Fn, std::size_t> proofs_;
-};
-
-enum class SlotState : std::uint8_t { kPending, kExecuted, kElided };
-
-struct Slot {
-  core::RunResult result;
-  bool fn_called = false;
-  SlotState state = SlotState::kPending;
-};
 
 struct ActiveLease {
   std::uint64_t id = 0;
@@ -105,18 +74,16 @@ struct Coordinator::Impl {
   std::string welcome_line;  // identical for every worker; rendered once
   std::string welcome_config;  // serialize_config text, journal v4 header
 
-  std::vector<Slot> slots;
+  std::vector<exec::CompletedRun> slots;
   std::vector<std::string> fault_ids;  // pre-rendered, reused everywhere
   std::deque<std::size_t> pending;     // ascending fault indices awaiting a lease
-  Proofs proofs;
-  exec::RunJournal journal;
-  std::unique_ptr<exec::ProgressTracker> tracker;
+  exec::UncalledProofs proofs;
+  std::unique_ptr<exec::RunSink> sink;
 
   std::vector<std::unique_ptr<Conn>> conns;
   std::uint64_t next_lease_id = 0;
   int next_worker_id = 0;
   std::size_t outstanding_total = 0;  // leased indices with no result yet
-  std::size_t executed_fresh = 0;
   std::size_t reused = 0;
 
   std::vector<pid_t> children;  // spawned local workers not yet reaped
@@ -139,22 +106,6 @@ struct Coordinator::Impl {
              std::string detail) {
     if (options.events != nullptr) {
       options.events->record(kind, worker_id, lease_id, std::move(detail));
-    }
-  }
-
-  void progress(bool fresh) {
-    const exec::ProgressSnapshot s = tracker->completed(fresh);
-    if (options.on_progress) options.on_progress(s);
-    if (options.status != nullptr) {
-      obs::fleet::CampaignStatus cs;
-      cs.done = s.done;
-      cs.total = s.total;
-      cs.executed = s.executed;
-      cs.reused = s.reused;
-      cs.elapsed_s = s.elapsed_s;
-      cs.runs_per_sec = s.runs_per_sec;
-      cs.eta_s = s.eta_s;
-      options.status->update_campaign(cs);
     }
   }
 
@@ -243,8 +194,7 @@ struct Coordinator::Impl {
       const std::size_t i = pending.front();
       pending.pop_front();
       if (options.skip_uncalled && proofs.proven_before(list.faults[i].fn, i)) {
-        slots[i].state = SlotState::kElided;
-        progress(/*fresh=*/false);
+        sink->skipped();
         continue;
       }
       lease.indices.push_back(i);
@@ -281,77 +231,20 @@ struct Coordinator::Impl {
           .inc();
     }
 
-    Slot& slot = slots[r.index];
-    if (slot.state != SlotState::kPending) return;  // at-most-once: first wins
-    if (!core::parse_run_line(base.workload.target_image, r.run_line, &slot.result,
-                              nullptr)) {
+    exec::CompletedRun& slot = slots[r.index];
+    if (slot.executed) return;  // at-most-once: first wins
+    if (!exec::result_from_record(r, base.workload.target_image, &slot.result)) {
       c.dead = true;
       return;
     }
-    // The run line round-trips the journal fields; the wire additionally
-    // carries what results.csv renders but the journal elides.
-    slot.result.detail = r.detail;
-    slot.result.requests = decode_requests(r.requests);
-    slot.result.sim_elapsed = sim::Duration::micros(static_cast<std::int64_t>(r.sim_us));
     slot.fn_called = r.fn_called;
-    slot.state = SlotState::kExecuted;
+    slot.executed = true;
     if (!slot.result.activated && !slot.fn_called) {
       proofs.record(list.faults[r.index].fn, r.index);
     }
-    ++executed_fresh;
-
-    // The run's causal name: which campaign, which lease, which fault — the
-    // same identifier the worker's journal-v3 twin record would carry.
-    const std::string exec_index =
-        obs::fleet::ExecutionIndex{digest, r.lease_id, r.index}.to_string();
-
-    if (journal.is_open()) {
-      exec::JournalRecord rec;
-      rec.index = r.index;
-      rec.fault_id = r.fault_id;
-      rec.fn_called = r.fn_called;
-      rec.run_line = r.run_line;
-      rec.wall_us = r.wall_us;
-      rec.sim_us = r.sim_us;
-      rec.exec_index = exec_index;
-      rec.trace_digest = r.trace_digest;
-      rec.call_context = r.call_context;
-      rec.model = fault::model_annotation(list.faults[r.index]);
-      journal.append(rec);
-    }
-
-    if (options.stall != nullptr) {
-      options.stall->observe(
-          plan::StratumKey{list.faults[r.index].fn, list.faults[r.index].type},
-          static_cast<double>(r.wall_us) / 1e6, r.fault_id, exec_index);
-    }
-    if (options.status != nullptr) {
-      obs::fleet::RunEntry entry;
-      entry.index = r.index;
-      entry.fault_id = r.fault_id;
-      entry.outcome = std::string(exec::outcome_label(slot.result.outcome));
-      entry.wall_us = r.wall_us;
-      entry.worker_id = c.worker_id;
-      entry.lease_id = r.lease_id;
-      entry.exec_index = exec_index;
-      options.status->record_run(std::move(entry));
-      const forensics::SignatureKey sig_key =
-          forensics::signature_of(slot.result, r.call_context);
-      obs::fleet::SignatureEntry sig;
-      sig.id = forensics::signature_id(sig_key);
-      sig.fault_class = sig_key.fault_class;
-      sig.call_context = sig_key.call_context;
-      sig.outcome = sig_key.outcome;
-      sig.span = sig_key.span;
-      sig.example_fault = r.fault_id;
-      sig.example_xi = exec_index;
-      options.status->record_signature(sig);
-      if (slot.result.topo) {
-        options.status->record_topology(slot.result.topo->tier,
-                                        slot.result.topo->user_outcome);
-      }
-    }
-    progress(/*fresh=*/true);
+    // The record carries the run's causal name (campaign, lease, fault) as
+    // the worker minted it; it reaches the sink unchanged.
+    sink->record(r, slot.result, c.worker_id, r.lease_id);
   }
 
   void record_telemetry(Conn& c, const std::string& line) {
@@ -697,76 +590,39 @@ std::uint16_t Coordinator::port() const { return impl_->listener.port(); }
 exec::CampaignResult Coordinator::run() {
   Impl& im = *impl_;
   const std::size_t n = im.list.faults.size();
-  im.slots.assign(n, Slot{});
+  im.slots.assign(n, exec::CompletedRun{});
 
-  exec::JournalKey key;
-  key.workload = im.base.workload.name;
-  key.middleware = static_cast<int>(im.base.middleware);
-  key.watchd_version = static_cast<int>(im.base.watchd_version);
-  key.seed = im.seed;
-  key.fault_count = n;
-
-  if (!im.options.journal_path.empty() && im.options.resume) {
-    std::string error;
-    auto records = exec::read_journal(im.options.journal_path, key, &error);
-    if (!records) throw std::runtime_error(error);
-    std::size_t foreign = 0;
-    for (const auto& rec : *records) {
-      if (rec.index >= n) continue;
-      if (im.fault_ids[rec.index] != rec.fault_id) continue;
-      if (!rec.exec_index.empty()) {
-        const auto ei = obs::fleet::ExecutionIndex::parse(rec.exec_index);
-        if (ei && ei->campaign_digest != im.digest) {
-          // A foreign campaign digest: merging the record would silently mix
-          // another campaign's results into this one.
-          ++foreign;
-          continue;
-        }
-      }
-      Slot& slot = im.slots[rec.index];
-      if (slot.state != SlotState::kPending) continue;  // duplicate record
-      if (!core::parse_run_line(im.base.workload.target_image, rec.run_line,
-                                &slot.result, nullptr)) {
-        continue;
-      }
-      slot.fn_called = rec.fn_called;
-      slot.state = SlotState::kExecuted;
-      if (!slot.result.activated && !slot.fn_called) {
-        im.proofs.record(im.list.faults[rec.index].fn, rec.index);
-      }
-      ++im.reused;
-    }
-    if (foreign > 0) {
-      std::cerr << "warning: " << im.options.journal_path << ": skipped "
-                << foreign
-                << " journal record(s) whose execution index names a foreign "
-                   "campaign digest\n";
-      if (im.options.metrics != nullptr) {
-        im.options.metrics
-            ->counter("dts_report_foreign_records_total", {},
-                      "journal records skipped for carrying a foreign campaign "
-                      "digest in their execution index")
-            .inc(foreign);
-      }
-    }
-  }
-
-  if (!im.options.journal_path.empty()) {
-    std::string error;
-    if (!im.journal.open(im.options.journal_path, key, im.options.resume, &error,
-                         im.welcome_config, im.base.topo.empty() ? 5 : 6)) {
-      throw std::runtime_error(error);
-    }
-  }
-
+  exec::ExecOptions sink_options;
+  sink_options.journal_path = im.options.journal_path;
+  sink_options.resume = im.options.resume;
+  sink_options.config_text = im.welcome_config;
+  sink_options.metrics = im.options.metrics;
+  sink_options.stall = im.options.stall;
+  sink_options.status = im.options.status;
+  sink_options.on_progress = im.options.on_progress;
+  auto resumed = exec::load_resumed_runs(
+      sink_options, im.base, im.seed, im.digest, n,
+      [&im](std::size_t i, const std::string& id) { return im.fault_ids[i] == id; });
+  im.reused = resumed.size();
+  for (auto& [i, run] : resumed) im.slots[i] = std::move(run);
   for (std::size_t i = 0; i < n; ++i) {
-    if (im.slots[i].state == SlotState::kPending) im.pending.push_back(i);
+    const exec::CompletedRun& slot = im.slots[i];
+    if (!slot.executed) {
+      im.pending.push_back(i);
+    } else if (!slot.result.activated && !slot.fn_called) {
+      im.proofs.record(im.list.faults[i].fn, i);
+    }
   }
-  im.tracker = std::make_unique<exec::ProgressTracker>(n, im.reused);
+  // Per-run metrics arrive with the workers' telemetry, labelled by worker;
+  // the coordinator's sink journals, feeds stall detector and status board,
+  // and reports progress.
+  sink_options.metrics = nullptr;
+  im.sink = std::make_unique<exec::RunSink>(im.base, sink_options, im.seed, n);
+  im.sink->start(n, im.reused);
 
   if (im.pending.empty()) {
     // Fully resumed (or an empty sweep): nothing to distribute.
-    if (im.options.on_progress) im.options.on_progress(im.tracker->snapshot());
+    im.sink->report();
   } else {
     im.respawns_left = im.options.spawn_workers;
     for (int w = 0; w < im.options.spawn_workers; ++w) im.spawn_one();
@@ -776,15 +632,9 @@ exec::CampaignResult Coordinator::run() {
 
   // Same merge as the in-process executor: replay the skip rule serially so
   // the distributed output is byte-identical to --jobs=1.
-  std::vector<exec::CompletedRun> completed(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    completed[i].result = std::move(im.slots[i].result);
-    completed[i].fn_called = im.slots[i].fn_called;
-    completed[i].executed = im.slots[i].state == SlotState::kExecuted;
-  }
   exec::CampaignResult out = exec::merge_completed_runs(
-      im.base, im.list, im.seed, im.options.skip_uncalled, std::move(completed));
-  out.executed += im.executed_fresh;
+      im.base, im.list, im.seed, im.options.skip_uncalled, std::move(im.slots));
+  out.executed += im.sink->executed();
   out.reused = im.reused;
   return out;
 }

@@ -1,7 +1,5 @@
 #include "dist/protocol.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/jsonl.h"
@@ -137,76 +135,19 @@ std::optional<Lease> decode_lease(const std::string& line) {
 }
 
 std::string encode_result(const WireResult& m) {
-  std::ostringstream out;
-  out << type_field("result") << ",\"lease\":" << m.lease_id << ",\"i\":" << m.index
-      << ",\"fault\":\"" << json_escape(m.fault_id)
-      << "\",\"called\":" << (m.fn_called ? 1 : 0) << ",\"run\":\""
-      << json_escape(m.run_line) << "\",\"wall_us\":" << m.wall_us
-      << ",\"sim_us\":" << m.sim_us << ",\"req\":\"" << json_escape(m.requests)
-      << "\",\"detail\":\"" << json_escape(m.detail) << "\"";
-  // v4 forensics fields, omitted when empty (see WireResult).
-  if (m.trace_digest != 0) {
-    char td[24];
-    std::snprintf(td, sizeof td, "%016llx",
-                  static_cast<unsigned long long>(m.trace_digest));
-    out << ",\"td\":\"" << td << "\"";
-  }
-  if (!m.call_context.empty()) {
-    out << ",\"cc\":\"" << json_escape(m.call_context) << "\"";
-  }
-  out << "}";
-  return out.str();
+  std::string out = type_field("result") + ",\"lease\":" + std::to_string(m.lease_id) + ",";
+  exec::write_record_fields(&out, m, /*wire=*/true);
+  out += '}';
+  return out;
 }
 
 std::optional<WireResult> decode_result(const std::string& line) {
   WireResult m;
   if (message_type(line) != MsgType::kResult) return std::nullopt;
-  std::uint64_t called = 0;
-  if (!json_uint_field(line, "lease", &m.lease_id) ||
-      !json_uint_field(line, "i", &m.index) ||
-      !json_string_field(line, "fault", &m.fault_id) ||
-      !json_uint_field(line, "called", &called) ||
-      !json_string_field(line, "run", &m.run_line) ||
-      !json_uint_field(line, "wall_us", &m.wall_us) ||
-      !json_uint_field(line, "sim_us", &m.sim_us) ||
-      !json_string_field(line, "req", &m.requests) ||
-      !json_string_field(line, "detail", &m.detail)) {
+  if (!json_uint_field(line, "lease", &m.lease_id) || !exec::read_record_fields(line, &m)) {
     return std::nullopt;
   }
-  m.fn_called = called != 0;
-  std::string td;
-  if (json_string_field(line, "td", &td)) {
-    m.trace_digest = std::strtoull(td.c_str(), nullptr, 16);
-  }
-  (void)json_string_field(line, "cc", &m.call_context);
   return m;
-}
-
-std::string encode_requests(const std::vector<core::RequestResult>& requests) {
-  std::string out;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (i > 0) out += '|';
-    out += requests[i].ok ? 'o' : 'x';
-    out += std::to_string(requests[i].attempts);
-  }
-  return out;
-}
-
-std::vector<core::RequestResult> decode_requests(const std::string& text) {
-  std::vector<core::RequestResult> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('|', pos);
-    if (end == std::string::npos) end = text.size();
-    if (end > pos) {
-      core::RequestResult r;
-      r.ok = text[pos] == 'o';
-      r.attempts = std::atoi(text.substr(pos + 1, end - pos - 1).c_str());
-      out.push_back(r);
-    }
-    pos = end + 1;
-  }
-  return out;
 }
 
 std::string encode_heartbeat(const Heartbeat& m) {

@@ -9,7 +9,7 @@
 //                            <-   WELCOME {campaign identity + digest}
 //   READY {digest}           ->        (worker accepted the campaign)
 //                            <-   LEASE {lease, indices, fault ids, digest}
-//   RESULT {lease, i, run}   ->        (one per executed fault, streamed)
+//   RESULT {lease, record}   ->        (one per executed fault, streamed)
 //   HEARTBEAT {lease}        ->        (liveness while a lease is open)
 //   TELEMETRY {seq, metrics} ->        (periodic metric snapshot, optional)
 //   READY {digest}           ->        (lease complete, next please)
@@ -36,13 +36,15 @@
 #include <string>
 #include <vector>
 
-#include "core/outcome.h"
+#include "exec/journal.h"
+#include "exec/sink.h"
 
 namespace dts::dist {
 
 /// Protocol revision; bumped on any incompatible message change. v2 adds
-/// the TELEMETRY message and Welcome.telemetry_ms.
-constexpr std::uint64_t kProtocolVersion = 2;
+/// the TELEMETRY message and Welcome.telemetry_ms; v3 makes RESULT carry the
+/// whole run record (a v2 worker's results lack tier, rt, fm and spans).
+constexpr std::uint64_t kProtocolVersion = 3;
 
 enum class MsgType {
   kHello,
@@ -107,33 +109,19 @@ struct Lease {
 std::string encode_lease(const Lease& m);
 std::optional<Lease> decode_lease(const std::string& line);
 
-/// One executed run, streamed back as it completes. Carries the journal-v2
-/// record fields (run line, fn_called, timings) plus the per-request results
-/// and detail string that the journal elides but results.csv renders — so a
-/// distributed campaign's outputs are byte-identical to an in-process run's.
-/// The journal-v4 forensics fields (trace digest, corrupted-call context)
-/// travel as optional fields: a v2 peer that never sends them decodes fine
-/// and its records simply lack them, exactly like a pre-v4 journal.
-struct WireResult {
+/// One executed run, streamed back as it completes: the worker's run record
+/// (exec::finish_run) unchanged, in the journal's field codec, wire-only
+/// fields included — so the coordinator journals exactly what an in-process
+/// run journals, and results.csv renders the per-request results and detail
+/// the journal elides.
+struct WireResult : exec::JournalRecord {
   std::uint64_t lease_id = 0;
-  std::uint64_t index = 0;
-  std::string fault_id;
-  bool fn_called = false;
-  std::string run_line;  // core::serialize_run_line payload
-  std::uint64_t wall_us = 0;
-  std::uint64_t sim_us = 0;
-  std::string requests;  // encode_requests() of the per-request results
-  std::string detail;
-  std::uint64_t trace_digest = 0;  // interceptor trajectory fingerprint
-  std::string call_context;        // corrupted-call context ("" = not fired)
 };
 std::string encode_result(const WireResult& m);
 std::optional<WireResult> decode_result(const std::string& line);
 
-/// "o1|x3" — ok/fail flag + attempt count per workload request, the two
-/// per-request fields campaign outputs render.
-std::string encode_requests(const std::vector<core::RequestResult>& requests);
-std::vector<core::RequestResult> decode_requests(const std::string& text);
+using exec::decode_requests;
+using exec::encode_requests;
 
 struct Heartbeat {
   std::uint64_t lease_id = 0;

@@ -228,67 +228,4 @@ RecvStatus recv_some(int fd, std::string* out, std::size_t cap, int timeout_ms) 
   return RecvStatus::kData;
 }
 
-void SocketTransport::fail(const std::string& why) {
-  if (error_.empty()) error_ = why;
-  sock_.close();
-}
-
-void SocketTransport::send(const std::string& message) {
-  if (!ok()) return;
-  std::string frame;
-  try {
-    frame = encode_frame(message);
-  } catch (const std::length_error& e) {
-    fail(e.what());
-    return;
-  }
-  if (!send_all(sock_.fd(), frame, options_.io_timeout_ms)) {
-    fail("write failed or timed out");
-    return;
-  }
-  bytes_sent_ += frame.size();
-  if (options_.sync_request) {
-    // Request/reply mode: the reply frame is part of this send from the
-    // caller's point of view (core::Controller reads it right after).
-    serve_one(options_.io_timeout_ms);
-  }
-}
-
-bool SocketTransport::serve_one(int timeout_ms) {
-  if (!ok()) return false;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    if (auto frame = decoder_.next()) {
-      if (receiver_) receiver_(*frame);
-      return true;
-    }
-    if (!decoder_.error().empty()) {
-      fail("protocol violation: " + decoder_.error());
-      return false;
-    }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - std::chrono::steady_clock::now())
-                          .count();
-    if (left <= 0) return false;  // timeout: connection stays usable
-    std::string chunk;
-    const std::size_t before = chunk.size();
-    switch (recv_some(sock_.fd(), &chunk, 64 * 1024, static_cast<int>(left))) {
-      case RecvStatus::kData:
-        bytes_received_ += chunk.size() - before;
-        decoder_.feed(chunk);
-        break;
-      case RecvStatus::kClosed:
-        fail(decoder_.at_frame_boundary() ? "peer closed connection"
-                                          : "peer closed connection mid-frame");
-        return false;
-      case RecvStatus::kTimeout:
-        return false;
-      case RecvStatus::kError:
-        fail("read error");
-        return false;
-    }
-  }
-}
-
 }  // namespace dts::dist

@@ -1,8 +1,6 @@
 // POSIX TCP plumbing for distributed campaigns: a move-only fd wrapper,
-// connect with timeout and bounded retry, a listener, timed whole-buffer
-// writes / single reads, and SocketTransport — a framed socket channel that
-// implements the existing core::Transport interface, so the paper's
-// Controller / TargetAgent protocol runs across machines unchanged.
+// connect with timeout and bounded retry, a listener, and timed
+// whole-buffer writes / single reads.
 //
 // Everything here is loopback-friendly and test-driven: ports default to
 // ephemeral (bind port 0, ask the kernel), reads and writes carry explicit
@@ -10,12 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
-
-#include "core/controller.h"
-#include "dist/wire.h"
+#include <string_view>
 
 namespace dts::dist {
 
@@ -81,55 +76,5 @@ bool send_all(int fd, std::string_view data, int timeout_ms);
 /// timeout_ms for readability.
 enum class RecvStatus { kData, kClosed, kTimeout, kError };
 RecvStatus recv_some(int fd, std::string* out, std::size_t cap, int timeout_ms);
-
-/// core::Transport over a framed TCP socket.
-///
-/// Two usage modes cover the two ends of the paper's control/target split:
-///  - sync_request=true (controller end): send() writes the frame and then
-///    blocks until the peer's reply frame arrives and is dispatched to the
-///    receiver — core::Controller's send-then-read-reply pattern works
-///    unchanged.
-///  - sync_request=false (agent end): send() only writes; the owner pumps
-///    incoming frames explicitly with serve_one() (the agent's serve loop).
-///
-/// The base interface has no error channel, so failures latch into error()
-/// and the transport goes silent — the controller observes a missing reply
-/// and counts a protocol error, exactly as for a garbled one.
-class SocketTransport final : public core::Transport {
- public:
-  struct Options {
-    int io_timeout_ms = 30000;  // per send() / serve_one() deadline
-    bool sync_request = false;
-  };
-
-  SocketTransport(Socket sock, Options options)
-      : sock_(std::move(sock)), options_(options) {}
-
-  void send(const std::string& message) override;
-  void set_receiver(std::function<void(const std::string&)> on_message) override {
-    receiver_ = std::move(on_message);
-  }
-
-  /// Reads until one complete frame is dispatched to the receiver. False on
-  /// timeout, peer close, or protocol violation (see error()).
-  bool serve_one(int timeout_ms);
-
-  bool ok() const { return error_.empty() && sock_.valid(); }
-  const std::string& error() const { return error_; }
-
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-  std::uint64_t bytes_received() const { return bytes_received_; }
-
- private:
-  void fail(const std::string& why);
-
-  Socket sock_;
-  Options options_;
-  FrameDecoder decoder_;
-  std::function<void(const std::string&)> receiver_;
-  std::string error_;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t bytes_received_ = 0;
-};
 
 }  // namespace dts::dist

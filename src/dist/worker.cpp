@@ -4,19 +4,16 @@
 
 #include <chrono>
 #include <deque>
-#include <map>
 #include <optional>
 
 #include "core/config.h"
-#include "core/run.h"
 #include "dist/protocol.h"
 #include "dist/socket.h"
 #include "dist/wire.h"
-#include "exec/executor.h"
+#include "exec/sink.h"
 #include "inject/fault.h"
 #include "obs/fleet/telemetry.h"
 #include "obs/metrics.h"
-#include "sim/rng.h"
 
 namespace dts::dist {
 
@@ -114,27 +111,15 @@ int run_worker(const WorkerOptions& options, std::string* error) {
     return fail(error, 2, "campaign identity mismatch between config and welcome");
   }
 
-  // Worker-local observability: the same per-run metrics the in-process
-  // executor records, shipped to the coordinator as cumulative snapshots
-  // when the welcome asked for telemetry. Purely additive — a worker whose
-  // frames never arrive still streams byte-identical results.
+  // Worker-local observability: the run sink records the same per-run
+  // metrics the in-process executor records, shipped to the coordinator as
+  // cumulative snapshots when the welcome asked for telemetry. Purely
+  // additive — a worker whose frames never arrive still streams
+  // byte-identical results.
   obs::MetricsRegistry registry;
-  const obs::Labels set_labels = {
-      {"workload", cfg->run.workload.name},
-      {"middleware", exec::middleware_label(cfg->run)}};
-  obs::Histogram& resp_hist = registry.histogram(
-      "dts_response_time_seconds", set_labels, obs::response_time_buckets(),
-      "client response time per run (seconds)");
-  obs::Histogram& wall_hist = registry.histogram(
-      "dts_run_wall_seconds", set_labels, obs::wall_time_buckets(),
-      "host wall-clock time per executed run (seconds)");
-  std::map<core::Outcome, obs::Counter*> outcome_counters;
-  for (core::Outcome o : core::kAllOutcomes) {
-    obs::Labels run_labels = set_labels;
-    run_labels.emplace_back("outcome", std::string(exec::outcome_label(o)));
-    outcome_counters[o] =
-        &registry.counter("dts_runs_total", run_labels, "executed runs by outcome");
-  }
+  exec::ExecOptions sink_options;
+  sink_options.metrics = &registry;
+  exec::RunSink sink(cfg->run, sink_options, welcome->seed, welcome->fault_count);
 
   std::uint64_t failures = 0;
   std::deque<std::string> recent_failures;
@@ -212,37 +197,18 @@ int run_worker(const WorkerOptions& options, std::string* error) {
         last_send = now;
       }
 
-      // Seed derivation identical to the in-process executor: the result is
+      // Seed derivation identical to the in-process executor: the record is
       // bit-for-bit what a serial sweep computes for this fault.
-      core::RunConfig rc = cfg->run;
-      rc.seed = sim::Rng::mix(welcome->seed, sim::Rng::hash(fault_id));
-      const auto wall_start = std::chrono::steady_clock::now();
-      core::FaultInjectionRun run(rc);
-      const core::RunResult r = run.execute(*spec);
-      const double wall_s = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - wall_start)
-                                .count();
-
       WireResult res;
       res.lease_id = lease->lease_id;
-      res.index = lease->indices[k];
-      res.fault_id = fault_id;
-      res.fn_called = run.interceptor().target_function_called();
-      res.run_line = core::serialize_run_line(r);
-      res.wall_us = static_cast<std::uint64_t>(wall_s * 1e6);
-      res.sim_us = static_cast<std::uint64_t>(r.sim_elapsed.count_micros());
-      res.requests = encode_requests(r.requests);
-      res.detail = r.detail;
-      res.trace_digest = run.interceptor().trace_digest();
-      const auto& inj_ctx = run.interceptor().injection_context();
-      res.call_context = inj_ctx ? inj_ctx->to_string() : "";
-
-      outcome_counters.at(r.outcome)->inc();
-      resp_hist.observe(r.response_time.to_seconds());
-      wall_hist.observe(wall_s);
-      if (r.outcome == core::Outcome::kFailure) {
+      exec::ExecutedRun run = exec::execute_fault(
+          cfg->run, welcome->seed, *spec,
+          {welcome->digest, lease->lease_id, lease->indices[k]});
+      static_cast<exec::JournalRecord&>(res) = std::move(run.record);
+      sink.record(res, run.result, /*worker=*/0, res.lease_id);
+      if (run.result.outcome == core::Outcome::kFailure) {
         ++failures;
-        recent_failures.push_back(fault_id);
+        recent_failures.push_back(res.fault_id);
         if (recent_failures.size() > 8) recent_failures.pop_front();
       }
 

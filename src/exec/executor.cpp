@@ -1,26 +1,13 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <exception>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
-#include <stdexcept>
 #include <thread>
 
-#include "core/campaign.h"
-#include "exec/journal.h"
-#include "fault/model.h"
-#include "forensics/signature.h"
-#include "obs/fleet/span.h"
-#include "obs/fleet/stall.h"
-#include "obs/fleet/status.h"
+#include "exec/sink.h"
 #include "plan/checkpoints.h"
 #include "sim/rng.h"
 #include "snap/fork_runner.h"
@@ -29,146 +16,12 @@ namespace dts::exec {
 
 namespace {
 
-// Per-fault completion state. kElided marks faults a worker proved safe to
-// skip (an already-executed earlier fault showed the function uncalled); the
-// merge step synthesizes their serial skip records.
-enum class SlotState : std::uint8_t { kPending, kExecuted, kElided };
-
-struct Slot {
-  core::RunResult result;
-  bool fn_called = false;
-  SlotState state = SlotState::kPending;
-};
-
 core::RunResult skipped_result(const inject::FaultSpec& fault) {
   core::RunResult r;
   r.fault = fault;
   r.activated = false;
   r.detail = "skipped: function not called by this workload";
   return r;
-}
-
-bool forensics_wanted(obs::TraceMode mode, const core::RunResult& r) {
-  switch (mode) {
-    case obs::TraceMode::kOff: return false;
-    case obs::TraceMode::kAll: return true;
-    case obs::TraceMode::kFailures:
-      return r.outcome == core::Outcome::kFailure || r.restarts > 0;
-  }
-  return false;
-}
-
-/// Journal schema version for this campaign: classic campaigns stay v5
-/// byte-for-byte, untraced topology campaigns stay v6 byte-for-byte, and only
-/// topology campaigns with request tracing enabled mint v7 (the "rt" trailer).
-std::uint64_t journal_version(const core::RunConfig& base) {
-  if (base.topo.empty()) return 5;
-  return base.rtrace == obs::rtrace::RtraceMode::kOff ? 6 : 7;
-}
-
-/// Whether this run's trace is journaled. kFailures keeps the journal lean:
-/// only runs that failed outright or whose users saw degraded service carry
-/// their span tree (masked runs still contributed to the path digest axis of
-/// live signatures, which needs no journal bytes).
-bool rtrace_wanted(obs::rtrace::RtraceMode mode, const core::RunResult& r) {
-  switch (mode) {
-    case obs::rtrace::RtraceMode::kOff: return false;
-    case obs::rtrace::RtraceMode::kAll: return true;
-    case obs::rtrace::RtraceMode::kFailures:
-      return r.outcome == core::Outcome::kFailure ||
-             (r.topo && r.topo->user_outcome != "masked");
-  }
-  return false;
-}
-
-std::vector<std::string> forensics_context(const core::RunResult& r) {
-  std::vector<std::string> out;
-  std::string line = "outcome: ";
-  line += outcome_label(r.outcome);
-  if (r.outcome == core::Outcome::kFailure) {
-    line += r.response_received ? " (wrong response)" : " (no response)";
-  }
-  out.push_back(std::move(line));
-  out.push_back(std::string("activated: ") + (r.activated ? "yes" : "no"));
-  out.push_back("response_time: " + sim::to_string(r.response_time) +
-                "  sim_elapsed: " + sim::to_string(r.sim_elapsed));
-  out.push_back("restarts: " + std::to_string(r.restarts) +
-                "  retries: " + std::to_string(r.retries));
-  if (!r.detail.empty()) out.push_back("detail: " + r.detail);
-  return out;
-}
-
-/// True when a journal record's execution index names a different campaign
-/// digest — merging it on resume would silently mix another campaign's
-/// results into this one. Records without an index (v1/v2 journals, or a
-/// corrupted field) pass: the JournalKey header check already vouched for
-/// them at file granularity.
-bool foreign_record(const JournalRecord& rec, std::uint64_t campaign_digest) {
-  if (rec.exec_index.empty()) return false;
-  const auto ei = obs::fleet::ExecutionIndex::parse(rec.exec_index);
-  return ei && ei->campaign_digest != campaign_digest;
-}
-
-void warn_foreign_records(const std::string& path, std::size_t foreign,
-                          obs::MetricsRegistry* metrics) {
-  if (foreign == 0) return;
-  std::cerr << "warning: " << path << ": skipped " << foreign
-            << " journal record(s) whose execution index names a foreign "
-               "campaign digest\n";
-  if (metrics != nullptr) {
-    metrics
-        ->counter("dts_report_foreign_records_total", {},
-                  "journal records skipped for carrying a foreign campaign "
-                  "digest in their execution index")
-        .inc(foreign);
-  }
-}
-
-/// Signature/status bookkeeping shared by every record path: stamps the
-/// run's failure signature (src/forensics/) into the live status board.
-void record_status_signature(obs::fleet::StatusBoard* status,
-                             const core::RunResult& result,
-                             const std::string& call_context,
-                             const std::string& fault_id,
-                             const std::string& exec_index) {
-  if (status == nullptr) return;
-  const forensics::SignatureKey key = forensics::signature_of(result, call_context);
-  obs::fleet::SignatureEntry sig;
-  sig.id = forensics::signature_id(key);
-  sig.fault_class = key.fault_class;
-  sig.call_context = key.call_context;
-  sig.outcome = key.outcome;
-  sig.span = key.span;
-  sig.example_fault = fault_id;
-  sig.example_xi = exec_index;
-  status->record_signature(sig);
-  if (result.topo) {
-    status->record_topology(result.topo->tier, result.topo->user_outcome);
-  }
-  if (result.rtrace) {
-    obs::fleet::TraceEntry tr;
-    tr.fault_id = fault_id;
-    tr.tier = result.topo ? result.topo->tier : "";
-    tr.user_outcome = result.topo ? result.topo->user_outcome : "";
-    tr.digest = obs::rtrace::digest_hex(result.rtrace->digest);
-    tr.spans = result.rtrace->spans.size();
-    tr.requests = result.rtrace->requests.size();
-    tr.injected = result.rtrace->injected_span != 0;
-    status->record_trace(std::move(tr));
-  }
-}
-
-/// File name for an on-disk forensics dump: fault ids contain '.'/'#'/':',
-/// which stay readable, but nothing path-hostile survives.
-std::string forensics_file_name(std::size_t index, const std::string& fault_id) {
-  std::string name = "run-" + std::to_string(index) + "-";
-  for (char c : fault_id) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '#' || c == '-' ||
-                    c == '_';
-    name += ok ? c : '_';
-  }
-  return name + ".txt";
 }
 
 // Deterministic initial sharding with range stealing: worker w starts with a
@@ -241,39 +94,68 @@ class ShardQueue {
   obs::Gauge* depth_ = nullptr;
 };
 
-// fn -> lowest fault index whose *executed* run proved the function uncalled.
-// A worker may elide fault i only given a proof at index j < i: that is
-// exactly the information the serial sweep has when it reaches i, which makes
-// elision schedule-independent (an executed-but-serially-skipped run is
-// discarded by the merge; a proof the serial sweep would have had always
-// exists by induction over j).
-class UncalledProofs {
- public:
-  void record(nt::Fn fn, std::size_t index) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = proofs_.emplace(fn, index);
-    if (!inserted && index < it->second) it->second = index;
+// Calls work(worker, position) once for every position in [0, count) on up
+// to options.jobs workers — on the calling thread, in order, when one worker
+// suffices (the pre-parallel serial loop exactly). `work` returns whether it
+// ran a fresh simulation, counted per worker. Returns false when
+// options.cancel stopped the pool early; rethrows the first exception a
+// worker raised.
+bool run_pool(std::size_t count, const ExecOptions& options,
+              const std::function<bool(int, std::size_t)>& work) {
+  if (count == 0) return true;
+  const int workers = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(effective_jobs(options.jobs)), count));
+  obs::MetricsRegistry* metrics = options.metrics;
+  ShardQueue queue(count, workers);
+  if (metrics != nullptr) {
+    queue.set_metrics(
+        &metrics->counter("dts_exec_steals_total", {},
+                          "work-stealing events across exec workers"),
+        &metrics->gauge("dts_exec_queue_depth", {},
+                        "unclaimed faults remaining in the shard queue"));
   }
+  std::atomic<bool> stop{false};
+  std::atomic<bool> cancelled{false};
+  std::exception_ptr first_error;
+  std::mutex error_mu;
 
-  bool proven_before(nt::Fn fn, std::size_t index) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = proofs_.find(fn);
-    return it != proofs_.end() && it->second < index;
+  auto loop = [&](int worker) {
+    try {
+      obs::Counter* runs = nullptr;
+      if (metrics != nullptr) {
+        runs = &metrics->counter("dts_exec_worker_runs_total",
+                                 {{"worker", std::to_string(worker)}},
+                                 "fresh runs executed per exec worker");
+        metrics->set_thread_name(worker, "worker-" + std::to_string(worker));
+      }
+      for (;;) {
+        if (stop.load(std::memory_order_relaxed)) return;
+        if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
+          cancelled.store(true, std::memory_order_relaxed);
+          stop.store(true, std::memory_order_relaxed);
+          return;
+        }
+        const std::size_t item = queue.pop(worker);
+        if (item == ShardQueue::npos) return;
+        if (work(worker, item) && runs != nullptr) runs->inc();
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (!first_error) first_error = std::current_exception();
+      stop.store(true, std::memory_order_relaxed);
+    }
+  };
+
+  if (workers == 1) {
+    loop(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (int w = 0; w < workers; ++w) threads.emplace_back(loop, w);
+    for (auto& t : threads) t.join();
   }
-
- private:
-  mutable std::mutex mu_;
-  std::map<nt::Fn, std::size_t> proofs_;
-};
-
-core::RunResult execute_fault(const core::RunConfig& base, std::uint64_t campaign_seed,
-                              const inject::FaultSpec& fault, bool* fn_called) {
-  core::RunConfig cfg = base;
-  cfg.seed = sim::Rng::mix(campaign_seed, sim::Rng::hash(fault.id()));
-  core::FaultInjectionRun run(cfg);
-  core::RunResult r = run.execute(fault);
-  *fn_called = run.interceptor().target_function_called();
-  return r;
+  if (first_error) std::rethrow_exception(first_error);
+  return !cancelled.load();
 }
 
 // True when the campaign may route runs through the snapshot/fork phase.
@@ -295,9 +177,11 @@ std::uint64_t profile_tail_site(const plan::GoldenProfile& profile) {
   return tail;
 }
 
-void emit_snap_metrics(obs::MetricsRegistry* metrics, const obs::Labels& set_labels,
+void emit_snap_metrics(obs::MetricsRegistry* metrics, const core::RunConfig& base,
                        const snap::ForkStats& st) {
   if (metrics == nullptr) return;
+  const obs::Labels set_labels = {{"workload", base.workload.name},
+                                  {"middleware", middleware_label(base)}};
   metrics->counter("dts_snap_checkpoints_total", set_labels,
                    "checkpoints planned across host golden runs")
       .inc(st.checkpoints_planned);
@@ -337,14 +221,13 @@ void emit_snap_metrics(obs::MetricsRegistry* metrics, const obs::Labels& set_lab
 }
 
 // Executes the snapshot/fork phase and returns the indices that still need a
-// full run. `record` fires once per forked result, in deterministic fork
-// order, on the calling thread.
+// full run. `record` fires once per forked or synthesized result, in
+// deterministic fork order, on the calling thread.
 std::vector<std::size_t> run_snapshot_phase(
     const core::RunConfig& base, const ExecOptions& options,
     std::uint64_t campaign_seed, std::uint64_t campaign_digest,
     std::uint64_t tail_site, const std::vector<snap::ForkItem>& items,
-    const std::function<void(const snap::ChildOutcome&)>& record,
-    const obs::Labels& set_labels) {
+    const std::function<void(const snap::ChildOutcome&)>& record) {
   snap::ForkRunner::Options ropts;
   ropts.campaign_seed = campaign_seed;
   ropts.campaign_digest = campaign_digest;
@@ -353,8 +236,12 @@ std::vector<std::size_t> run_snapshot_phase(
   ropts.tail_site = tail_site;
   snap::ForkRunner runner(base, ropts);
   std::vector<std::size_t> fallback = runner.run(items, record);
-  emit_snap_metrics(options.metrics, set_labels, runner.stats());
+  emit_snap_metrics(options.metrics, base, runner.stats());
   return fallback;
+}
+
+bool cancel_requested(const ExecOptions& options) {
+  return options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -378,6 +265,18 @@ std::string middleware_label(const core::RunConfig& base) {
       return "watchd" + std::to_string(static_cast<int>(base.watchd_version));
   }
   return "?";
+}
+
+void UncalledProofs::record(nt::Fn fn, std::size_t index) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = proofs_.emplace(fn, index);
+  if (!inserted && index < it->second) it->second = index;
+}
+
+bool UncalledProofs::proven_before(nt::Fn fn, std::size_t index) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = proofs_.find(fn);
+  return it != proofs_.end() && it->second < index;
 }
 
 int effective_jobs(int jobs, unsigned hardware_threads) {
@@ -409,7 +308,9 @@ CampaignResult merge_completed_runs(const core::RunConfig& base,
       // Defensive: an elided fault always has an earlier uncalled proof, so
       // this branch is unreachable unless that invariant breaks — in which
       // case run the fault now rather than emit a wrong record.
-      slot.result = execute_fault(base, campaign_seed, fault, &slot.fn_called);
+      ExecutedRun run = execute_fault(base, campaign_seed, fault, {});
+      slot.result = std::move(run.result);
+      slot.fn_called = run.record.fn_called;
       slot.executed = true;
       ++out.executed;
     }
@@ -424,14 +325,6 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
                                      std::uint64_t campaign_seed) {
   const std::size_t n = list.faults.size();
   CampaignResult out;
-  std::vector<Slot> slots(n);
-
-  JournalKey key;
-  key.workload = base.workload.name;
-  key.middleware = static_cast<int>(base.middleware);
-  key.watchd_version = static_cast<int>(base.watchd_version);
-  key.seed = campaign_seed;
-  key.fault_count = n;
 
   // Causal span: every journal record, forensics dump and trace event names
   // its run as campaign_digest/lease_id/fault_index (lease 0 = in-process),
@@ -439,104 +332,46 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
   // can be traced back to its campaign and shard from any artifact.
   const std::uint64_t campaign_digest = plan::sweep_digest(list);
 
+  std::vector<CompletedRun> slots(n);
+  auto resumed = load_resumed_runs(
+      options_, base, campaign_seed, campaign_digest, n,
+      [&list](std::size_t i, const std::string& id) { return list.faults[i].id() == id; });
+  out.reused = resumed.size();
+  for (auto& [i, run] : resumed) slots[i] = std::move(run);
   UncalledProofs proofs;
-
-  if (!options_.journal_path.empty() && options_.resume) {
-    std::string error;
-    auto records = read_journal(options_.journal_path, key, &error);
-    if (!records) throw std::runtime_error(error);
-    std::size_t foreign = 0;
-    for (const auto& rec : *records) {
-      if (rec.index >= n) continue;
-      if (list.faults[rec.index].id() != rec.fault_id) continue;
-      if (foreign_record(rec, campaign_digest)) {
-        ++foreign;
-        continue;
-      }
-      Slot& slot = slots[rec.index];
-      if (slot.state != SlotState::kPending) continue;  // duplicate record
-      if (!core::parse_run_line(base.workload.target_image, rec.run_line, &slot.result,
-                                nullptr)) {
-        continue;
-      }
-      slot.fn_called = rec.fn_called;
-      slot.state = SlotState::kExecuted;
-      if (!slot.result.activated && !slot.fn_called) {
-        proofs.record(list.faults[rec.index].fn, rec.index);
-      }
-      ++out.reused;
-    }
-    warn_foreign_records(options_.journal_path, foreign, options_.metrics);
-  }
-
-  RunJournal journal;
-  if (!options_.journal_path.empty()) {
-    std::string error;
-    if (!journal.open(options_.journal_path, key, options_.resume, &error,
-                      options_.config_text, journal_version(base))) {
-      throw std::runtime_error(error);
-    }
-  }
-
   std::vector<std::size_t> pending;
   pending.reserve(n - out.reused);
   for (std::size_t i = 0; i < n; ++i) {
-    if (slots[i].state == SlotState::kPending) pending.push_back(i);
-  }
-
-  // Observability: resolve every per-campaign metric handle once — outcome
-  // counters, per-function activation counters, the histograms — so the
-  // worker hot loop only does relaxed atomic updates. Registry lookups
-  // (label rendering + a mutex + a map walk) cost tens of microseconds and
-  // would otherwise eat the "near-zero overhead" budget on short runs; only
-  // rare events (middleware spans) still look up lazily.
-  obs::MetricsRegistry* metrics = options_.metrics;
-  const obs::Labels set_labels = {{"workload", base.workload.name},
-                                  {"middleware", middleware_label(base)}};
-  obs::Histogram* resp_hist = nullptr;
-  obs::Histogram* wall_hist = nullptr;
-  std::map<core::Outcome, obs::Counter*> outcome_counters;
-  std::map<nt::Fn, obs::Counter*> activation_counters;
-  if (metrics != nullptr) {
-    resp_hist = &metrics->histogram("dts_response_time_seconds", set_labels,
-                                    obs::response_time_buckets(),
-                                    "client response time per run (seconds)");
-    wall_hist = &metrics->histogram("dts_run_wall_seconds", set_labels,
-                                    obs::wall_time_buckets(),
-                                    "host wall-clock time per executed run (seconds)");
-    for (core::Outcome o :
-         {core::Outcome::kNormalSuccess, core::Outcome::kRestartSuccess,
-          core::Outcome::kRestartRetrySuccess, core::Outcome::kRetrySuccess,
-          core::Outcome::kFailure}) {
-      obs::Labels run_labels = set_labels;
-      run_labels.emplace_back("outcome", std::string(outcome_label(o)));
-      outcome_counters[o] =
-          &metrics->counter("dts_runs_total", run_labels, "executed runs by outcome");
-    }
-    for (const inject::FaultSpec& fault : list.faults) {
-      if (!activation_counters.contains(fault.fn)) {
-        activation_counters[fault.fn] = &metrics->counter(
-            "dts_activations_total", {{"fn", std::string(nt::to_string(fault.fn))}},
-            "fired faults per injection-site function");
-      }
+    const CompletedRun& slot = slots[i];
+    if (!slot.executed) {
+      pending.push_back(i);
+    } else if (!slot.result.activated && !slot.fn_called) {
+      proofs.record(list.faults[i].fn, i);
     }
   }
-  if (options_.trace != obs::TraceMode::kOff && !options_.forensics_dir.empty()) {
-    std::filesystem::create_directories(options_.forensics_dir);
-  }
 
-  ProgressTracker tracker(n, out.reused);
+  RunSink sink(base, options_, campaign_seed, n);
+  sink.start(n, out.reused);
+  // Every fresh run lands here, whichever path executed it.
+  const auto complete = [&](std::size_t i, core::RunResult result,
+                            const JournalRecord& rec, int worker) {
+    CompletedRun& slot = slots[i];
+    slot.result = std::move(result);
+    slot.fn_called = rec.fn_called;
+    slot.executed = true;
+    if (!slot.result.activated && !slot.fn_called) proofs.record(list.faults[i].fn, i);
+    sink.record(rec, slot.result, worker);
+  };
 
   // --- snapshot/fork phase ---------------------------------------------------
   // One host golden run captures COW snapshots at planned checkpoints; each
   // fault whose injection site the profile resolves forks from the nearest
-  // checkpoint and executes only the suffix. Results are recorded exactly as
-  // the worker loop records a full run (the merge below then guarantees
-  // byte-identical campaign output either way); whatever cannot be forked
-  // stays in `pending` for the thread pool.
+  // checkpoint and executes only the suffix. Forked records reach the sink
+  // exactly as full runs do (the merge below then guarantees byte-identical
+  // campaign output either way); whatever cannot be forked stays in
+  // `pending` for the thread pool.
   if (snapshot_phase_applicable(options_, base, pending.size()) &&
-      (options_.cancel == nullptr ||
-       !options_.cancel->load(std::memory_order_relaxed))) {
+      !cancel_requested(options_)) {
     const plan::GoldenProfile& profile = *options_.snapshot_profile;
     const std::uint64_t tail_site = profile_tail_site(profile);
     std::vector<snap::ForkItem> items;
@@ -567,259 +402,31 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
       next_pending.push_back(i);
     }
     if (!items.empty()) {
-      auto record = [&](const snap::ChildOutcome& o) {
-        const std::size_t i = o.index;
-        const inject::FaultSpec& fault = list.faults[i];
-        const std::string fault_id = fault.id();
-        Slot& slot = slots[i];
-        slot.result = o.result;
-        slot.fn_called = o.fn_called;
-        slot.state = SlotState::kExecuted;
-        if (!slot.result.activated && !slot.fn_called) proofs.record(fault.fn, i);
-        const double wall_s = static_cast<double>(o.wall_us) * 1e-6;
-        const std::string exec_index =
-            obs::fleet::ExecutionIndex{campaign_digest, 0, i}.to_string();
-        if (journal.is_open()) {
-          JournalRecord rec;
-          rec.index = i;
-          rec.fault_id = fault_id;
-          rec.fn_called = slot.fn_called;
-          rec.run_line = core::serialize_run_line(slot.result);
-          rec.wall_us = o.wall_us;
-          rec.sim_us =
-              static_cast<std::uint64_t>(slot.result.sim_elapsed.count_micros());
-          rec.exec_index = exec_index;
-          rec.trace_digest = o.trace_digest;
-          rec.call_context = o.call_context;
-          rec.model = fault::model_annotation(fault);
-          rec.tier = fault.tier;
-          if (slot.result.rtrace && rtrace_wanted(base.rtrace, slot.result)) {
-            rec.rtrace = slot.result.rtrace->serialize();
-          }
-          journal.append(rec);
-        }
-        if (options_.stall != nullptr) {
-          options_.stall->observe(plan::StratumKey{fault.fn, fault.type}, wall_s,
-                                  fault_id, exec_index);
-        }
-        if (options_.status != nullptr) {
-          obs::fleet::RunEntry entry;
-          entry.index = i;
-          entry.fault_id = fault_id;
-          entry.outcome = std::string(outcome_label(slot.result.outcome));
-          entry.wall_us = o.wall_us;
-          entry.exec_index = exec_index;
-          options_.status->record_run(std::move(entry));
-          record_status_signature(options_.status, slot.result, o.call_context,
-                                  fault_id, exec_index);
-        }
-        if (metrics != nullptr) {
-          outcome_counters.at(slot.result.outcome)->inc();
-          if (slot.result.activated) activation_counters.at(fault.fn)->inc();
-          resp_hist->observe(slot.result.response_time.to_seconds());
-          wall_hist->observe(wall_s);
-        }
-        const ProgressSnapshot s = tracker.completed(/*fresh_execution=*/true);
-        if (options_.on_progress) options_.on_progress(s);
-      };
-      std::vector<std::size_t> fallbacks =
-          run_snapshot_phase(base, options_, campaign_seed, campaign_digest,
-                             tail_site, items, record, set_labels);
+      std::vector<std::size_t> fallbacks = run_snapshot_phase(
+          base, options_, campaign_seed, campaign_digest, tail_site, items,
+          [&](const snap::ChildOutcome& o) { complete(o.index, o.result, o.record, 0); });
       next_pending.insert(next_pending.end(), fallbacks.begin(), fallbacks.end());
       std::sort(next_pending.begin(), next_pending.end());
       pending = std::move(next_pending);
     }
   }
 
-  const int workers = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(effective_jobs(options_.jobs)),
-                            std::max<std::size_t>(pending.size(), 1)));
-
-  ShardQueue queue(pending.size(), workers);
-  if (metrics != nullptr) {
-    queue.set_metrics(
-        &metrics->counter("dts_exec_steals_total", {},
-                          "work-stealing events across exec workers"),
-        &metrics->gauge("dts_exec_queue_depth", {},
-                        "unclaimed faults remaining in the shard queue"));
-  }
-  std::mutex progress_mu;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> cancelled{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  auto worker_loop = [&](int worker) {
-    try {
-      obs::Counter* worker_runs = nullptr;
-      if (metrics != nullptr) {
-        worker_runs = &metrics->counter("dts_exec_worker_runs_total",
-                                        {{"worker", std::to_string(worker)}},
-                                        "fresh runs executed per exec worker");
-        metrics->set_thread_name(worker, "worker-" + std::to_string(worker));
-      }
-      for (;;) {
-        if (stop.load(std::memory_order_relaxed)) return;
-        if (options_.cancel != nullptr &&
-            options_.cancel->load(std::memory_order_relaxed)) {
-          cancelled.store(true, std::memory_order_relaxed);
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-        const std::size_t item = queue.pop(worker);
-        if (item == ShardQueue::npos) return;
-        const std::size_t i = pending[item];
-        const inject::FaultSpec& fault = list.faults[i];
-        Slot& slot = slots[i];
-
-        const bool elide = options_.skip_uncalled && proofs.proven_before(fault.fn, i);
-        if (elide) {
-          slot.state = SlotState::kElided;
-        } else {
-          // fault.id() concatenates several strings; build it once per run —
-          // seed derivation, forensics, journal, and metrics all reuse it.
-          const std::string fault_id = fault.id();
-          core::RunConfig cfg = base;
-          cfg.seed = sim::Rng::mix(campaign_seed, sim::Rng::hash(fault_id));
-          if (options_.trace != obs::TraceMode::kOff &&
-              cfg.trace_limit < options_.forensics_depth) {
-            cfg.trace_limit = options_.forensics_depth;
-          }
-          const double run_start_us = metrics != nullptr ? metrics->now_us() : 0.0;
-          const auto wall_start = std::chrono::steady_clock::now();
-          core::FaultInjectionRun run(cfg);
-          slot.result = run.execute(fault);
-          const double wall_s = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - wall_start)
-                                    .count();
-          slot.fn_called = run.interceptor().target_function_called();
-          slot.state = SlotState::kExecuted;
-          if (!slot.result.activated && !slot.fn_called) proofs.record(fault.fn, i);
-
-          const std::string exec_index =
-              obs::fleet::ExecutionIndex{campaign_digest, 0, i}.to_string();
-          const auto& inj_ctx = run.interceptor().injection_context();
-          const std::string call_context = inj_ctx ? inj_ctx->to_string() : "";
-
-          std::string forensics;
-          if (forensics_wanted(options_.trace, slot.result)) {
-            std::vector<std::string> context = forensics_context(slot.result);
-            context.push_back("exec_index: " + exec_index);
-            if (!call_context.empty()) {
-              context.push_back("call_context: " + call_context);
-            }
-            forensics = obs::forensics_dump(fault_id, context, &run.spans(),
-                                            run.interceptor().syscall_trace());
-            if (!options_.forensics_dir.empty()) {
-              std::ofstream fx(options_.forensics_dir + "/" +
-                               forensics_file_name(i, fault_id));
-              fx << forensics;
-            }
-          }
-
-          if (journal.is_open()) {
-            JournalRecord rec;
-            rec.index = i;
-            rec.fault_id = fault_id;
-            rec.fn_called = slot.fn_called;
-            rec.run_line = core::serialize_run_line(slot.result);
-            rec.wall_us = static_cast<std::uint64_t>(std::llround(wall_s * 1e6));
-            rec.sim_us =
-                static_cast<std::uint64_t>(slot.result.sim_elapsed.count_micros());
-            rec.exec_index = exec_index;
-            rec.trace_digest = run.interceptor().trace_digest();
-            rec.call_context = call_context;
-            rec.forensics = std::move(forensics);
-            rec.model = fault::model_annotation(fault);
-            rec.tier = fault.tier;
-            if (slot.result.rtrace && rtrace_wanted(base.rtrace, slot.result)) {
-              rec.rtrace = slot.result.rtrace->serialize();
-            }
-            journal.append(rec);
-          }
-
-          if (options_.stall != nullptr) {
-            options_.stall->observe(plan::StratumKey{fault.fn, fault.type}, wall_s,
-                                    fault_id, exec_index);
-          }
-          if (options_.status != nullptr) {
-            obs::fleet::RunEntry entry;
-            entry.index = i;
-            entry.fault_id = fault_id;
-            entry.outcome = std::string(outcome_label(slot.result.outcome));
-            entry.wall_us = static_cast<std::uint64_t>(std::llround(wall_s * 1e6));
-            entry.exec_index = exec_index;
-            options_.status->record_run(std::move(entry));
-            record_status_signature(options_.status, slot.result, call_context,
-                                    fault_id, exec_index);
-          }
-
-          if (metrics != nullptr) {
-            outcome_counters.at(slot.result.outcome)->inc();
-            if (slot.result.activated) {
-              activation_counters.at(fault.fn)->inc();
-            }
-            resp_hist->observe(slot.result.response_time.to_seconds());
-            wall_hist->observe(wall_s);
-            worker_runs->inc();
-            for (const obs::Span& span : run.spans().spans()) {
-              obs::Labels span_labels = set_labels;
-              span_labels.emplace_back("span", span.name);
-              metrics->histogram("dts_middleware_span_seconds", span_labels,
-                                 obs::response_time_buckets(),
-                                 "middleware detection/recovery latency (sim seconds)")
-                  .observe(span.duration().to_seconds());
-            }
-            obs::Labels event_args = {
-                {"outcome", std::string(outcome_label(slot.result.outcome))},
-                {"sim_s", sim::to_string(slot.result.sim_elapsed)},
-                {"xi", exec_index}};
-            if (slot.result.topo) {
-              // Topology runs label their timeline slice with the targeted
-              // tier and replica, so a Perfetto row reads "db fault on
-              // sql_server-0 degraded" without a journal cross-reference.
-              event_args.emplace_back("tier", slot.result.topo->tier);
-              if (!run.interceptor().injection_machine().empty()) {
-                event_args.emplace_back("replica",
-                                        run.interceptor().injection_machine());
-              }
-              event_args.emplace_back("user_outcome",
-                                      slot.result.topo->user_outcome);
-            }
-            metrics->add_complete_event(fault_id, "run", worker, run_start_us,
-                                        wall_s * 1e6, event_args);
-          }
-        }
-
-        std::lock_guard<std::mutex> lock(progress_mu);
-        const ProgressSnapshot s = tracker.completed(/*fresh_execution=*/!elide);
-        if (options_.on_progress) options_.on_progress(s);
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-      stop.store(true, std::memory_order_relaxed);
+  const bool finished = run_pool(pending.size(), options_, [&](int worker, std::size_t item) {
+    const std::size_t i = pending[item];
+    const inject::FaultSpec& fault = list.faults[i];
+    if (options_.skip_uncalled && proofs.proven_before(fault.fn, i)) {
+      sink.skipped();
+      return false;
     }
-  };
-
-  if (pending.empty()) {
-    // Fully resumed: no worker will fire the callback, so report the final
-    // state directly (done == total, everything reused).
-    if (options_.on_progress) options_.on_progress(tracker.snapshot());
-  } else if (workers == 1) {
-    // jobs=1 stays on the calling thread and visits faults in list order —
-    // the pre-subsystem serial campaign loop, exactly.
-    worker_loop(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (int w = 0; w < workers; ++w) threads.emplace_back(worker_loop, w);
-    for (auto& t : threads) t.join();
-  }
-
-  if (first_error) std::rethrow_exception(first_error);
-  out.executed = tracker.snapshot().executed;
-  if (cancelled.load()) {
+    ExecutedRun run = execute_fault(base, campaign_seed, fault, {campaign_digest, 0, i},
+                                    options_.trace, options_.forensics_depth);
+    complete(i, std::move(run.result), run.record, worker);
+    return true;
+  });
+  // Fully resumed (or forked): no worker reported the final state.
+  if (pending.empty()) sink.report();
+  out.executed = sink.executed();
+  if (!finished) {
     out.interrupted = true;
     return out;
   }
@@ -827,15 +434,8 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
   // Merge: replay the paper-§4 skip rule serially over the completed results
   // so the output is byte-identical to a one-worker sweep regardless of how
   // the faults were scheduled above (shared with the distributed coordinator).
-  std::vector<CompletedRun> completed(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    completed[i].result = std::move(slots[i].result);
-    completed[i].fn_called = slots[i].fn_called;
-    completed[i].executed = slots[i].state == SlotState::kExecuted;
-  }
   CampaignResult merged = merge_completed_runs(base, list, campaign_seed,
-                                               options_.skip_uncalled,
-                                               std::move(completed));
+                                               options_.skip_uncalled, std::move(slots));
   out.runs = std::move(merged.runs);
   out.skipped = merged.skipped;
   out.executed += merged.executed;
@@ -848,85 +448,39 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
                                               const plan::SamplerOptions& sampler_options) {
   const std::size_t n = plan.entries.size();
   PlanCampaignResult out;
-  std::vector<std::optional<core::RunResult>> results(n);
-
-  // The journal key's fault count is the plan's entry count (the raw sweep),
-  // which never equals a profile-restricted exhaustive journal's count — a
-  // planned campaign can only resume another planned campaign.
-  JournalKey key;
-  key.workload = base.workload.name;
-  key.middleware = static_cast<int>(base.middleware);
-  key.watchd_version = static_cast<int>(base.watchd_version);
-  key.seed = campaign_seed;
-  key.fault_count = n;
 
   // Plan digest (folds in dispositions): the plan-campaign analogue of the
-  // sweep digest stamped into exec indices by run().
+  // sweep digest stamped into exec indices by run(). The journal key's fault
+  // count is the plan's entry count (the raw sweep), which never equals a
+  // profile-restricted exhaustive journal's count — a planned campaign can
+  // only resume another planned campaign.
   const std::uint64_t campaign_digest = plan::sweep_digest(plan);
 
-  if (!options_.journal_path.empty() && options_.resume) {
-    std::string error;
-    auto records = read_journal(options_.journal_path, key, &error);
-    if (!records) throw std::runtime_error(error);
-    std::size_t foreign = 0;
-    for (const auto& rec : *records) {
-      if (rec.index >= n) continue;
-      const plan::PlanEntry& e = plan.entries[rec.index];
-      if (e.disposition != plan::Disposition::kExecute) continue;
-      if (e.fault.id() != rec.fault_id) continue;
-      if (foreign_record(rec, campaign_digest)) {
-        ++foreign;
-        continue;
-      }
-      if (results[rec.index]) continue;  // duplicate record
-      core::RunResult r;
-      if (!core::parse_run_line(base.workload.target_image, rec.run_line, &r, nullptr)) {
-        continue;
-      }
-      results[rec.index] = std::move(r);
-      ++out.reused;
-    }
-    warn_foreign_records(options_.journal_path, foreign, options_.metrics);
-  }
+  // Engaged once the entry's run completed (here or in a resumed journal).
+  // Most entries of a planned sweep never run, so an empty slot stays cheap.
+  std::vector<std::optional<core::RunResult>> results(n);
+  auto resumed = load_resumed_runs(
+      options_, base, campaign_seed, campaign_digest, n,
+      [&plan](std::size_t i, const std::string& id) {
+        const plan::PlanEntry& e = plan.entries[i];
+        return e.disposition == plan::Disposition::kExecute && e.fault.id() == id;
+      });
+  out.reused = resumed.size();
+  for (auto& [i, run] : resumed) results[i] = std::move(run.result);
 
-  RunJournal journal;
-  if (!options_.journal_path.empty()) {
-    std::string error;
-    if (!journal.open(options_.journal_path, key, options_.resume, &error,
-                      options_.config_text, journal_version(base))) {
-      throw std::runtime_error(error);
-    }
-  }
-
-  obs::MetricsRegistry* metrics = options_.metrics;
-  const obs::Labels set_labels = {{"workload", base.workload.name},
-                                  {"middleware", middleware_label(base)}};
-  obs::Histogram* resp_hist = nullptr;
-  std::map<core::Outcome, obs::Counter*> outcome_counters;
-  if (metrics != nullptr) {
-    resp_hist = &metrics->histogram("dts_response_time_seconds", set_labels,
-                                    obs::response_time_buckets(),
-                                    "client response time per run (seconds)");
-    for (core::Outcome o : core::kAllOutcomes) {
-      obs::Labels run_labels = set_labels;
-      run_labels.emplace_back("outcome", std::string(outcome_label(o)));
-      outcome_counters[o] =
-          &metrics->counter("dts_runs_total", run_labels, "executed runs by outcome");
-    }
-  }
-  if (options_.trace != obs::TraceMode::kOff && !options_.forensics_dir.empty()) {
-    std::filesystem::create_directories(options_.forensics_dir);
-  }
-
-  const int workers = effective_jobs(options_.jobs);
+  RunSink sink(base, options_, campaign_seed, n);
+  // Planned records carry their sampling stratum.
+  const auto complete = [&](std::size_t idx, core::RunResult result, JournalRecord rec,
+                            int worker) {
+    const inject::FaultSpec& fault = plan.entries[idx].fault;
+    rec.stratum = plan::to_string(plan::StratumKey{fault.fn, fault.type});
+    results[idx] = std::move(result);
+    sink.record(rec, *results[idx], worker);
+  };
 
   plan::AdaptiveSampler sampler(plan, sampler_options);
-  ProgressTracker tracker(plan.executable_count(), 0);
-  std::mutex progress_mu;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> cancelled{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
+  sink.start(plan.executable_count(), 0);
+  bool cancelled = false;
 
   // Round loop: issue one sampler batch, execute its fresh members in
   // parallel, then record the whole round back into the sampler (in entry
@@ -934,8 +488,8 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
   // executed-run set independent of the worker count: batch composition only
   // ever depends on fully-recorded earlier rounds.
   for (;;) {
-    if (options_.cancel != nullptr && options_.cancel->load(std::memory_order_relaxed)) {
-      cancelled.store(true, std::memory_order_relaxed);
+    if (cancel_requested(options_)) {
+      cancelled = true;
       break;
     }
     const std::vector<std::size_t> batch = sampler.next_batch();
@@ -944,9 +498,7 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
     std::vector<std::size_t> fresh;
     for (std::size_t idx : batch) {
       if (results[idx]) {
-        std::lock_guard<std::mutex> lock(progress_mu);
-        const ProgressSnapshot s = tracker.completed(/*fresh_execution=*/false);
-        if (options_.on_progress) options_.on_progress(s);
+        sink.skipped();
       } else {
         fresh.push_back(idx);
       }
@@ -975,188 +527,26 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
         items.push_back(item);
       }
       if (!items.empty()) {
-        auto record = [&](const snap::ChildOutcome& o) {
-          const std::size_t idx = o.index;
-          const plan::PlanEntry& entry = plan.entries[idx];
-          const std::string fault_id = entry.fault.id();
-          const double wall_s = static_cast<double>(o.wall_us) * 1e-6;
-          const std::string exec_index =
-              obs::fleet::ExecutionIndex{campaign_digest, 0, idx}.to_string();
-          if (journal.is_open()) {
-            JournalRecord rec;
-            rec.index = idx;
-            rec.fault_id = fault_id;
-            rec.fn_called = o.fn_called;
-            rec.run_line = core::serialize_run_line(o.result);
-            rec.wall_us = o.wall_us;
-            rec.sim_us =
-                static_cast<std::uint64_t>(o.result.sim_elapsed.count_micros());
-            rec.exec_index = exec_index;
-            rec.stratum =
-                plan::to_string(plan::StratumKey{entry.fault.fn, entry.fault.type});
-            rec.trace_digest = o.trace_digest;
-            rec.call_context = o.call_context;
-            rec.model = fault::model_annotation(entry.fault);
-            rec.tier = entry.fault.tier;
-            if (o.result.rtrace && rtrace_wanted(base.rtrace, o.result)) {
-              rec.rtrace = o.result.rtrace->serialize();
-            }
-            journal.append(rec);
-          }
-          if (options_.stall != nullptr) {
-            options_.stall->observe(plan::StratumKey{entry.fault.fn, entry.fault.type},
-                                    wall_s, fault_id, exec_index);
-          }
-          if (options_.status != nullptr) {
-            obs::fleet::RunEntry run_entry;
-            run_entry.index = idx;
-            run_entry.fault_id = fault_id;
-            run_entry.outcome = std::string(outcome_label(o.result.outcome));
-            run_entry.wall_us = o.wall_us;
-            run_entry.exec_index = exec_index;
-            options_.status->record_run(std::move(run_entry));
-            record_status_signature(options_.status, o.result, o.call_context,
-                                    fault_id, exec_index);
-          }
-          if (metrics != nullptr) {
-            outcome_counters.at(o.result.outcome)->inc();
-            resp_hist->observe(o.result.response_time.to_seconds());
-          }
-          results[idx] = o.result;
-          std::lock_guard<std::mutex> lock(progress_mu);
-          const ProgressSnapshot s = tracker.completed(/*fresh_execution=*/true);
-          if (options_.on_progress) options_.on_progress(s);
-        };
-        std::vector<std::size_t> fallbacks =
-            run_snapshot_phase(base, options_, campaign_seed, campaign_digest,
-                               tail_site, items, record, set_labels);
+        std::vector<std::size_t> fallbacks = run_snapshot_phase(
+            base, options_, campaign_seed, campaign_digest, tail_site, items,
+            [&](const snap::ChildOutcome& o) { complete(o.index, o.result, o.record, 0); });
         next_fresh.insert(next_fresh.end(), fallbacks.begin(), fallbacks.end());
         std::sort(next_fresh.begin(), next_fresh.end());
         fresh = std::move(next_fresh);
       }
     }
 
-    std::atomic<std::size_t> cursor{0};
-    auto worker_loop = [&] {
-      try {
-        for (;;) {
-          if (stop.load(std::memory_order_relaxed)) return;
-          if (options_.cancel != nullptr &&
-              options_.cancel->load(std::memory_order_relaxed)) {
-            cancelled.store(true, std::memory_order_relaxed);
-            stop.store(true, std::memory_order_relaxed);
-            return;
-          }
-          const std::size_t pos = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (pos >= fresh.size()) return;
+    if (!run_pool(fresh.size(), options_, [&](int worker, std::size_t pos) {
           const std::size_t idx = fresh[pos];
-          const plan::PlanEntry& entry = plan.entries[idx];
-          const std::string fault_id = entry.fault.id();
-
-          core::RunConfig cfg = base;
-          cfg.seed = sim::Rng::mix(campaign_seed, sim::Rng::hash(fault_id));
-          if (options_.trace != obs::TraceMode::kOff &&
-              cfg.trace_limit < options_.forensics_depth) {
-            cfg.trace_limit = options_.forensics_depth;
-          }
-          const auto wall_start = std::chrono::steady_clock::now();
-          core::FaultInjectionRun run(cfg);
-          core::RunResult r = run.execute(entry.fault);
-          const double wall_s = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - wall_start)
-                                    .count();
-          const bool fn_called = run.interceptor().target_function_called();
-
-          const std::string exec_index =
-              obs::fleet::ExecutionIndex{campaign_digest, 0, idx}.to_string();
-          const auto& inj_ctx = run.interceptor().injection_context();
-          const std::string call_context = inj_ctx ? inj_ctx->to_string() : "";
-
-          std::string forensics;
-          if (forensics_wanted(options_.trace, r)) {
-            std::vector<std::string> context = forensics_context(r);
-            context.push_back("exec_index: " + exec_index);
-            if (!call_context.empty()) {
-              context.push_back("call_context: " + call_context);
-            }
-            forensics = obs::forensics_dump(fault_id, context, &run.spans(),
-                                            run.interceptor().syscall_trace());
-            if (!options_.forensics_dir.empty()) {
-              std::ofstream fx(options_.forensics_dir + "/" +
-                               forensics_file_name(idx, fault_id));
-              fx << forensics;
-            }
-          }
-
-          if (journal.is_open()) {
-            JournalRecord rec;
-            rec.index = idx;
-            rec.fault_id = fault_id;
-            rec.fn_called = fn_called;
-            rec.run_line = core::serialize_run_line(r);
-            rec.wall_us = static_cast<std::uint64_t>(std::llround(wall_s * 1e6));
-            rec.sim_us = static_cast<std::uint64_t>(r.sim_elapsed.count_micros());
-            rec.exec_index = exec_index;
-            rec.stratum = plan::to_string(plan::StratumKey{entry.fault.fn, entry.fault.type});
-            rec.trace_digest = run.interceptor().trace_digest();
-            rec.call_context = call_context;
-            rec.forensics = std::move(forensics);
-            rec.model = fault::model_annotation(entry.fault);
-            rec.tier = entry.fault.tier;
-            if (r.rtrace && rtrace_wanted(base.rtrace, r)) {
-              rec.rtrace = r.rtrace->serialize();
-            }
-            journal.append(rec);
-          }
-
-          if (options_.stall != nullptr) {
-            options_.stall->observe(
-                plan::StratumKey{entry.fault.fn, entry.fault.type}, wall_s, fault_id,
-                exec_index);
-          }
-          if (options_.status != nullptr) {
-            obs::fleet::RunEntry run_entry;
-            run_entry.index = idx;
-            run_entry.fault_id = fault_id;
-            run_entry.outcome = std::string(outcome_label(r.outcome));
-            run_entry.wall_us = static_cast<std::uint64_t>(std::llround(wall_s * 1e6));
-            run_entry.exec_index = exec_index;
-            options_.status->record_run(std::move(run_entry));
-            record_status_signature(options_.status, r, call_context, fault_id,
-                                    exec_index);
-          }
-
-          if (metrics != nullptr) {
-            outcome_counters.at(r.outcome)->inc();
-            resp_hist->observe(r.response_time.to_seconds());
-          }
-          results[idx] = std::move(r);
-
-          std::lock_guard<std::mutex> lock(progress_mu);
-          const ProgressSnapshot s = tracker.completed(/*fresh_execution=*/true);
-          if (options_.on_progress) options_.on_progress(s);
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        stop.store(true, std::memory_order_relaxed);
-      }
-    };
-
-    const int round_workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(workers), std::max<std::size_t>(fresh.size(), 1)));
-    if (fresh.empty()) {
-      // whole round reused from the journal
-    } else if (round_workers == 1) {
-      worker_loop();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(round_workers);
-      for (int w = 0; w < round_workers; ++w) threads.emplace_back(worker_loop);
-      for (auto& t : threads) t.join();
+          ExecutedRun run =
+              execute_fault(base, campaign_seed, plan.entries[idx].fault,
+                            {campaign_digest, 0, idx}, options_.trace, options_.forensics_depth);
+          complete(idx, std::move(run.result), std::move(run.record), worker);
+          return true;
+        })) {
+      cancelled = true;
+      break;
     }
-    if (first_error) std::rethrow_exception(first_error);
-    if (cancelled.load()) break;
 
     for (std::size_t idx : batch) {
       const core::RunResult& r = *results[idx];
@@ -1164,9 +554,9 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
     }
   }
 
-  out.executed = tracker.snapshot().executed;
+  out.executed = sink.executed();
   out.strata = sampler.progress();
-  if (cancelled.load()) {
+  if (cancelled) {
     out.interrupted = true;
     return out;
   }
@@ -1211,7 +601,9 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
     }
   }
 
-  if (metrics != nullptr) {
+  if (obs::MetricsRegistry* metrics = options_.metrics) {
+    const obs::Labels set_labels = {{"workload", base.workload.name},
+                                    {"middleware", middleware_label(base)}};
     for (const auto& [reason, count] : plan.prune_histogram()) {
       obs::Labels labels = set_labels;
       labels.emplace_back("reason", std::string(plan::to_string(reason)));

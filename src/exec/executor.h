@@ -7,12 +7,17 @@
 // only — never from worker id or schedule — and the paper-§4 skip-uncalled
 // rule is replayed serially over the completed results during the merge, so
 // the output at jobs=N is byte-identical to jobs=1
-// (core::serialize_workload_set round-trips match exactly).
+// (core::serialize_workload_set round-trips match exactly). Every executed
+// run, threaded or forked, is finished into its record and handed to one
+// exec::RunSink (exec/sink.h), the same sink the distributed coordinator
+// feeds.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -138,13 +143,31 @@ int effective_jobs(int jobs, unsigned hardware_threads);
 /// Same, against the real std::thread::hardware_concurrency().
 int effective_jobs(int jobs);
 
-/// One fault of a campaign sweep after the execution phase, ready to merge.
-/// `executed == false` marks a fault nobody ran (elided under an
-/// uncalled-function proof, or lost to a crashed distributed worker).
+/// One fault of a campaign: its result once executed here or reloaded from
+/// a resume journal. `executed == false` marks a fault nobody ran (pending,
+/// elided under an uncalled-function proof, or lost to a crashed distributed
+/// worker).
 struct CompletedRun {
   core::RunResult result;
   bool fn_called = false;
   bool executed = false;
+};
+
+/// fn -> lowest fault index whose *executed* run proved the function uncalled.
+/// A worker may elide fault i only given a proof at index j < i: that is
+/// exactly the information the serial sweep has when it reaches i, which
+/// makes elision schedule-independent (an executed-but-serially-skipped run
+/// is discarded by the merge; a proof the serial sweep would have had always
+/// exists by induction over j). Thread-safe; shared by the in-process
+/// executor and the distributed coordinator.
+class UncalledProofs {
+ public:
+  void record(nt::Fn fn, std::size_t index);
+  bool proven_before(nt::Fn fn, std::size_t index) const;
+
+ private:
+  mutable std::mutex mu_;
+  std::map<nt::Fn, std::size_t> proofs_;
 };
 
 /// Serially replays the paper-§4 skip-uncalled rule over completed runs, in

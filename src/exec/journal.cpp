@@ -49,6 +49,73 @@ std::string hex16(std::uint64_t value) {
 
 }  // namespace
 
+void write_record_fields(std::string* out, const JournalRecord& rec, bool wire) {
+  const auto field = [out](const char* key, const std::string& value) {
+    *out += ",\"";
+    *out += key;
+    *out += "\":\"";
+    *out += json_escape(value);
+    *out += '"';
+  };
+  const auto optional = [&field](const char* key, const std::string& value) {
+    if (!value.empty()) field(key, value);
+  };
+  *out += "\"i\":";
+  *out += std::to_string(rec.index);
+  field("fault", rec.fault_id);
+  *out += rec.fn_called ? ",\"called\":1" : ",\"called\":0";
+  field("run", rec.run_line);
+  *out += ",\"wall_us\":";
+  *out += std::to_string(rec.wall_us);
+  *out += ",\"sim_us\":";
+  *out += std::to_string(rec.sim_us);
+  optional("xi", rec.exec_index);
+  optional("st", rec.stratum);
+  if (rec.trace_digest != 0) field("td", hex16(rec.trace_digest));
+  optional("cc", rec.call_context);
+  optional("fm", rec.model);
+  optional("tier", rec.tier);
+  optional("rt", rec.rtrace);
+  if (wire) {
+    optional("req", rec.requests);
+    optional("detail", rec.detail);
+    optional("sp", rec.spans);
+  }
+  // Forensics last: the dump is big and optional, the fixed fields stay
+  // greppable at the front of the line.
+  optional("fx", rec.forensics);
+}
+
+bool read_record_fields(std::string_view line, JournalRecord* rec) {
+  std::uint64_t index = 0, called = 0;
+  if (!json_uint_field(line, "i", &index) || !json_uint_field(line, "called", &called) ||
+      !json_string_field(line, "fault", &rec->fault_id) ||
+      !json_string_field(line, "run", &rec->run_line)) {
+    return false;
+  }
+  rec->index = static_cast<std::size_t>(index);
+  rec->fn_called = called != 0;
+  // Optional fields: v2 timings/forensics/stratum, v3 xi, v4 td/cc, v5 fm,
+  // v6 tier, v7 rt, then the wire-only fields.
+  (void)json_uint_field(line, "wall_us", &rec->wall_us);
+  (void)json_uint_field(line, "sim_us", &rec->sim_us);
+  (void)json_string_field(line, "fx", &rec->forensics);
+  (void)json_string_field(line, "st", &rec->stratum);
+  (void)json_string_field(line, "xi", &rec->exec_index);
+  std::string td;
+  if (json_string_field(line, "td", &td)) {
+    rec->trace_digest = std::strtoull(td.c_str(), nullptr, 16);
+  }
+  (void)json_string_field(line, "cc", &rec->call_context);
+  (void)json_string_field(line, "fm", &rec->model);
+  (void)json_string_field(line, "tier", &rec->tier);
+  (void)json_string_field(line, "rt", &rec->rtrace);
+  (void)json_string_field(line, "req", &rec->requests);
+  (void)json_string_field(line, "detail", &rec->detail);
+  (void)json_string_field(line, "sp", &rec->spans);
+  return true;
+}
+
 std::optional<JournalFile> read_journal_file(const std::string& path,
                                              std::string* error) {
   auto fail = [&](const std::string& msg) {
@@ -80,38 +147,13 @@ std::optional<JournalFile> read_journal_file(const std::string& path,
 
   while (std::getline(in, line)) {
     JournalRecord rec;
-    std::uint64_t index = 0, called = 0;
     // The writer terminates every record with '}' before the newline; a line
     // without it was torn mid-write. The required-field check alone is not
     // enough: a truncated line can still carry every required field and lose
     // only optional tail fields (td/cc/fx), which must not be mistaken for a
     // complete record.
     if (line.empty() || line.back() != '}') continue;
-    if (!json_uint_field(line, "i", &index) || !json_uint_field(line, "called", &called) ||
-        !json_string_field(line, "fault", &rec.fault_id) ||
-        !json_string_field(line, "run", &rec.run_line)) {
-      continue;  // killed mid-write: ignore the torn line
-    }
-    rec.index = static_cast<std::size_t>(index);
-    rec.fn_called = called != 0;
-    // v2/v3 extras; absent in older records (and in runs without forensics).
-    (void)json_uint_field(line, "wall_us", &rec.wall_us);
-    (void)json_uint_field(line, "sim_us", &rec.sim_us);
-    (void)json_string_field(line, "fx", &rec.forensics);
-    (void)json_string_field(line, "st", &rec.stratum);
-    (void)json_string_field(line, "xi", &rec.exec_index);
-    // v4 extras.
-    std::string td;
-    if (json_string_field(line, "td", &td)) {
-      rec.trace_digest = std::strtoull(td.c_str(), nullptr, 16);
-    }
-    (void)json_string_field(line, "cc", &rec.call_context);
-    // v5 extra.
-    (void)json_string_field(line, "fm", &rec.model);
-    // v6 extra.
-    (void)json_string_field(line, "tier", &rec.tier);
-    // v7 extra.
-    (void)json_string_field(line, "rt", &rec.rtrace);
+    if (!read_record_fields(line, &rec)) continue;  // killed mid-write
     file.records.push_back(std::move(rec));
   }
   return file;
@@ -158,39 +200,12 @@ bool RunJournal::open(const std::string& path, const JournalKey& key, bool appen
 }
 
 void RunJournal::append(const JournalRecord& rec) {
+  std::string line = "{";
+  write_record_fields(&line, rec, /*wire=*/false);
+  line += "}\n";
   std::lock_guard<std::mutex> lock(mu_);
   if (!out_.is_open()) return;
-  out_ << "{\"i\":" << rec.index << ",\"fault\":\"" << json_escape(rec.fault_id)
-       << "\",\"called\":" << (rec.fn_called ? 1 : 0) << ",\"run\":\""
-       << json_escape(rec.run_line) << "\",\"wall_us\":" << rec.wall_us
-       << ",\"sim_us\":" << rec.sim_us;
-  if (!rec.exec_index.empty()) {
-    out_ << ",\"xi\":\"" << json_escape(rec.exec_index) << "\"";
-  }
-  if (!rec.stratum.empty()) {
-    out_ << ",\"st\":\"" << json_escape(rec.stratum) << "\"";
-  }
-  if (rec.trace_digest != 0) {
-    out_ << ",\"td\":\"" << hex16(rec.trace_digest) << "\"";
-  }
-  if (!rec.call_context.empty()) {
-    out_ << ",\"cc\":\"" << json_escape(rec.call_context) << "\"";
-  }
-  if (!rec.model.empty()) {
-    out_ << ",\"fm\":\"" << json_escape(rec.model) << "\"";
-  }
-  if (!rec.tier.empty()) {
-    out_ << ",\"tier\":\"" << json_escape(rec.tier) << "\"";
-  }
-  if (!rec.rtrace.empty()) {
-    out_ << ",\"rt\":\"" << json_escape(rec.rtrace) << "\"";
-  }
-  // Forensics last: the dump is big and optional, the fixed fields stay
-  // greppable at the front of the line.
-  if (!rec.forensics.empty()) {
-    out_ << ",\"fx\":\"" << json_escape(rec.forensics) << "\"";
-  }
-  out_ << "}\n" << std::flush;
+  out_ << line << std::flush;
 }
 
 }  // namespace dts::exec

@@ -52,6 +52,13 @@
 // and accepts versions 1–7: older files resume cleanly (missing fields stay
 // zero/empty), and newer records with fields an older reader never knew
 // about parse the same way.
+//
+// The record is also the one run record every execution path produces
+// (exec/sink.h finish_run) and the payload of the dist RESULT frame and the
+// snapshot fork pipe, which encode it with the same field codec
+// (write_record_fields). Those two additionally carry the wire-only fields
+// "req" (per-request results), "detail" and "sp" (middleware spans):
+// results.csv and the run sink need them, the journal never writes them.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +66,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dts::exec {
@@ -109,7 +117,22 @@ struct JournalRecord {
   // and for runs the rtrace mode elides — the serialized request trace
   // (obs::rtrace::RunTrace::serialize / ::parse).
   std::string rtrace;
+
+  // Wire-only fields: never journaled (see the format comment above).
+  std::string requests;  // exec::encode_requests of the per-request results
+  std::string detail;    // core::RunResult::detail
+  std::string spans;     // exec::encode_spans of the middleware spans
 };
+
+/// The record field codec the journal, the dist RESULT frame and the fork
+/// pipe share: appends `"i":..,"fault":..,...` (no braces) to *out, eliding
+/// empty optional fields. `wire` adds the wire-only fields.
+void write_record_fields(std::string* out, const JournalRecord& rec, bool wire);
+
+/// Parses what write_record_fields wrote (any mix of optional fields, so
+/// older records and frames parse too). False when a required field is
+/// missing.
+bool read_record_fields(std::string_view line, JournalRecord* rec);
 
 /// Reads the records of an existing journal. A missing file yields an empty
 /// vector (fresh start); a present file whose header does not match `key`

@@ -13,8 +13,7 @@
 #define DTS_SNAP_POSIX 0
 #endif
 
-#include "core/campaign.h"
-#include "dist/protocol.h"
+#include "exec/sink.h"
 #include "plan/checkpoints.h"
 #include "sim/rng.h"
 
@@ -145,13 +144,16 @@ std::vector<std::size_t> ForkRunner::run(
         out.index = item.index;
         out.result = end_result;
         out.result.fault = item.fault;
-        out.fn_called = item.fn_called;
-        out.wall_us = 0;  // synthesis does no per-run work
-        out.skipped_sim_us = run_sim_us;
         // The run's trajectory IS the host trajectory (seed-invariance gate
-        // above), so the host's end-state digest is the run's digest. The
-        // fault never fires, so there is no injection context.
-        out.trace_digest = run_->interceptor().trace_digest();
+        // above), so the host's end-state digest and spans are the run's. The
+        // fault never fires, so there is no injection context; the host ran
+        // unarmed, so whether the fault's function was called comes from the
+        // profile.
+        out.record = exec::finish_run(*run_, out.result,
+                                      {opts_.campaign_digest, 0, item.index},
+                                      /*wall_us=*/0);
+        out.record.fn_called = item.fn_called;
+        out.skipped_sim_us = run_sim_us;
         stats_.skipped_sim_us += run_sim_us;
         ++stats_.synthesized_runs;
         (*on_result_)(out);
@@ -291,50 +293,28 @@ void ForkRunner::reap_oldest() {
     mark_fallback(c.index);
     return;
   }
-  if (!buf.empty() && buf.back() == '\n') buf.pop_back();
-  auto wire = dist::decode_result(buf);
-  if (!wire) {
-    mark_fallback(c.index);
-    return;
-  }
   ChildOutcome out;
   out.index = c.index;
-  if (!core::parse_run_line(base_.workload.target_image, wire->run_line, &out.result,
-                            nullptr)) {
+  if (!exec::read_record_fields(buf, &out.record) || out.record.index != c.index ||
+      !exec::result_from_record(out.record, base_.workload.target_image, &out.result)) {
     mark_fallback(c.index);
     return;
   }
-  out.result.requests = dist::decode_requests(wire->requests);
-  out.result.detail = wire->detail;
-  out.result.sim_elapsed = sim::Duration::micros(static_cast<std::int64_t>(wire->sim_us));
-  out.fn_called = wire->fn_called;
-  out.wall_us = wire->wall_us;
   out.skipped_sim_us = c.skipped_us;
-  out.trace_digest = wire->trace_digest;
-  out.call_context = wire->call_context;
   stats_.skipped_sim_us += c.skipped_us;
   (*on_result_)(out);
 }
 
 void ForkRunner::finish_child(core::RunResult result) {
-  // In the forked child after its run completed. Serialize over the pipe
-  // with raw write() and leave via _exit(): no atexit handlers, no flushing
-  // of inherited journal/metrics/stdio buffers.
-  dist::WireResult wire;
-  wire.lease_id = 0;
-  wire.index = child_item_.index;
-  wire.fault_id = child_item_.fault.id();
-  wire.fn_called = run_->interceptor().target_function_called();
-  wire.run_line = core::serialize_run_line(result);
-  wire.wall_us = static_cast<std::uint64_t>(steady_now_us() - child_start_us_);
-  wire.sim_us = static_cast<std::uint64_t>(result.sim_elapsed.count_micros());
-  wire.requests = dist::encode_requests(result.requests);
-  wire.detail = result.detail;
-  wire.trace_digest = run_->interceptor().trace_digest();
-  const auto& inj_ctx = run_->interceptor().injection_context();
-  wire.call_context = inj_ctx ? inj_ctx->to_string() : "";
-  std::string line = dist::encode_result(wire);
-  line += '\n';
+  // In the forked child after its run completed. Send the record over the
+  // pipe with raw write() and leave via _exit(): no atexit handlers, no
+  // flushing of inherited journal/metrics/stdio buffers.
+  const exec::JournalRecord rec = exec::finish_run(
+      *run_, result, {opts_.campaign_digest, 0, child_item_.index},
+      static_cast<std::uint64_t>(steady_now_us() - child_start_us_));
+  std::string line = "{";
+  exec::write_record_fields(&line, rec, /*wire=*/true);
+  line += '}';
   const char* p = line.data();
   std::size_t left = line.size();
   while (left > 0) {

@@ -10,10 +10,9 @@
 // (cursor replay — the prefix trajectory is seed-invariant while no draw
 // value escapes into state), and simply keeps executing: the OS's
 // copy-on-write pages carry the live coroutine frames that no in-memory
-// snapshot could. Results return over a pipe in the dist-protocol wire
-// format, so a forked run's record is reconstructed exactly like a
-// distributed worker's — the path already guaranteed byte-identical to
-// in-process execution.
+// snapshot could. The child finishes its run record (exec::finish_run) and
+// sends it over a pipe in the journal's field codec, so the parent receives
+// the same record a full run of the fault would have produced.
 //
 // Runs whose fault the golden profile proves can never fire (invocation
 // beyond the golden call count) have an empty suffix: every injection point
@@ -36,6 +35,7 @@
 #include <vector>
 
 #include "core/run.h"
+#include "exec/journal.h"
 #include "snap/snapshot.h"
 
 namespace dts::snap {
@@ -73,14 +73,12 @@ struct ForkItem {
 struct ChildOutcome {
   std::size_t index = 0;
   core::RunResult result;
-  bool fn_called = false;
-  std::uint64_t wall_us = 0;         // child-side wall clock, fork -> done
+  /// The run's record. A forked child inherits the host's interceptor state
+  /// across fork(), so trace digest and call context match a full run
+  /// byte-for-byte; wall_us is the child's fork-to-result time (0 for a
+  /// synthesized result, which does no per-run work).
+  exec::JournalRecord record;
   std::uint64_t skipped_sim_us = 0;  // golden-prefix sim time not re-executed
-  /// Forensics (journal v4): the interceptor's rolling trace digest at run
-  /// end and the injected call's context. A forked child inherits the host's
-  /// digest state across fork(), so both match a full run byte-for-byte.
-  std::uint64_t trace_digest = 0;
-  std::string call_context;
 };
 
 struct ForkStats {

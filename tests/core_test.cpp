@@ -1,10 +1,9 @@
 // Tests for the DTS core: run orchestration, outcome classification,
-// campaign mechanics, configuration files, controller/agent protocol.
+// campaign mechanics, configuration files.
 #include <gtest/gtest.h>
 
 #include "core/campaign.h"
 #include "core/config.h"
-#include "core/controller.h"
 #include "core/report.h"
 
 namespace dts::core {
@@ -292,46 +291,6 @@ TEST(Config, SerializeRoundTrips) {
   EXPECT_EQ(reparsed->run.workload.name, "Apache2");
   EXPECT_EQ(reparsed->run.watchd_version, mw::WatchdVersion::kV1);
   EXPECT_EQ(reparsed->campaign.iterations, 3);
-}
-
-// ---------------------------------------------------------------- controller
-
-TEST(Controller, ProfileAndRunOverTransport) {
-  auto pair = make_in_process_transport();
-  TargetAgent agent(quick_config("Apache1"), *pair.agent_end);
-  Controller controller(*pair.controller_end);
-
-  const auto fns = controller.profile();
-  EXPECT_GT(fns.size(), 5u);
-  EXPECT_TRUE(fns.contains("CreateProcessA"));
-
-  auto spec = inject::parse_fault_id("apache.exe", "GetStartupInfoA.lpStartupInfo#1:flip");
-  RunResult r = controller.run_fault(*spec);
-  EXPECT_TRUE(r.activated);
-  EXPECT_EQ(controller.protocol_errors(), 0);
-  EXPECT_EQ(r.fault, *spec);
-}
-
-TEST(Controller, ResultEncodingRoundTrip) {
-  RunResult r;
-  r.fault = *inject::parse_fault_id("x.exe", "ReadFile.hFile#1:flip");
-  r.activated = true;
-  r.outcome = Outcome::kRestartRetrySuccess;
-  r.response_received = true;
-  r.response_time = sim::Duration::millis(14210);
-  r.restarts = 2;
-  r.retries = 1;
-  auto decoded = decode_run_result(encode_run_result(r));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->outcome, r.outcome);
-  EXPECT_EQ(decoded->response_time.count_micros(), r.response_time.count_micros());
-  EXPECT_EQ(decoded->restarts, 2);
-  EXPECT_EQ(decoded->retries, 1);
-  EXPECT_TRUE(decoded->activated);
-  EXPECT_TRUE(decoded->response_received);
-
-  EXPECT_FALSE(decode_run_result("garbage").has_value());
-  EXPECT_FALSE(decode_run_result("RESULT outcome=sideways").has_value());
 }
 
 }  // namespace

@@ -1,21 +1,23 @@
 // Tests for the distributed campaign subsystem (src/dist/): wire framing,
-// socket edge paths (loopback only), the Controller/TargetAgent protocol over
-// a real TCP socket, and coordinator + multi-process worker campaigns —
-// including a forced worker crash — whose output must stay byte-identical to
-// a serial sweep. Labelled `dist` in CTest (also run under ASan/TSan presets).
+// socket edge paths (loopback only), and coordinator + multi-process worker
+// campaigns — including a forced worker crash — whose output must stay
+// byte-identical to a serial sweep. Labelled `dist` in CTest (also run under
+// ASan/TSan presets).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/controller.h"
+#include "core/config.h"
 #include "core/report.h"
 #include "dist/coordinator.h"
 #include "dist/protocol.h"
@@ -23,6 +25,9 @@
 #include "dist/wire.h"
 #include "dist/worker.h"
 #include "exec/executor.h"
+#include "exec/journal.h"
+#include "exec/sink.h"
+#include "obs/fleet/span.h"
 #include "obs/metrics.h"
 
 namespace dts {
@@ -149,6 +154,76 @@ TEST(DistProtocol, MessagesRoundTrip) {
   ASSERT_EQ(back.size(), 2u);
   EXPECT_TRUE(back[0].ok);
   EXPECT_EQ(back[1].attempts, 3);
+
+  // RESULT carries the whole run record: every field survives the frame, and
+  // the journal fields survive a journal write/read as well.
+  dist::WireResult r;
+  r.lease_id = 12;
+  r.index = 5;
+  r.fault_id = "app/ReadFile.hFile#1:zero";
+  r.fn_called = true;
+  r.run_line = "app/ReadFile.hFile#1:zero 1 failure 1 15000000 1 2 1";
+  r.wall_us = 1832;
+  r.sim_us = 414000000;
+  r.forensics = "=== DTS forensics: x ===\n\"quoted\" \\ tail";
+  r.stratum = "ReadFile/zero";
+  r.exec_index = "00000000deadbeef/12/5";
+  r.trace_digest = 0xfedcba9876543210ull;  // beyond 2^53: travels as hex
+  r.call_context = "ReadFile@417#1/89abcdef01234567";
+  r.model = "oserror:transient";
+  r.tier = "app";
+  r.rtrace = "d=0123456789abcdef i=3 s=1,0,request,client,control,0,100,ok,0";
+  r.requests = dist::encode_requests(reqs);
+  r.detail = "crash: access violation, \"wrong\" response";
+  r.spans = exec::encode_spans({{"mscs.detection", sim::TimePoint::from_micros(1000),
+                                  sim::TimePoint::from_micros(2500)},
+                                 {"mscs.recovery", sim::TimePoint::from_micros(2500),
+                                  sim::TimePoint::from_micros(9000)}});
+  const auto same_journal_fields = [](const exec::JournalRecord& a,
+                                      const exec::JournalRecord& b) {
+    EXPECT_EQ(a.index, b.index);
+    EXPECT_EQ(a.fault_id, b.fault_id);
+    EXPECT_EQ(a.fn_called, b.fn_called);
+    EXPECT_EQ(a.run_line, b.run_line);
+    EXPECT_EQ(a.wall_us, b.wall_us);
+    EXPECT_EQ(a.sim_us, b.sim_us);
+    EXPECT_EQ(a.forensics, b.forensics);
+    EXPECT_EQ(a.stratum, b.stratum);
+    EXPECT_EQ(a.exec_index, b.exec_index);
+    EXPECT_EQ(a.trace_digest, b.trace_digest);
+    EXPECT_EQ(a.call_context, b.call_context);
+    EXPECT_EQ(a.model, b.model);
+    EXPECT_EQ(a.tier, b.tier);
+    EXPECT_EQ(a.rtrace, b.rtrace);
+  };
+  const auto r2 = dist::decode_result(dist::encode_result(r));
+  ASSERT_TRUE(r2.has_value());
+  EXPECT_EQ(r2->lease_id, r.lease_id);
+  same_journal_fields(*r2, r);
+  EXPECT_EQ(r2->requests, r.requests);
+  EXPECT_EQ(r2->detail, r.detail);
+  EXPECT_EQ(r2->spans, r.spans);
+  const auto spans = exec::decode_spans(r2->spans);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[1].name, "mscs.recovery");
+  EXPECT_EQ(spans[1].duration().count_micros(), 6500);
+
+  const std::string journal = temp_path("dist_result_roundtrip.jsonl");
+  {
+    exec::RunJournal out;
+    std::string error;
+    ASSERT_TRUE(out.open(journal, {}, /*append=*/false, &error)) << error;
+    out.append(*r2);
+  }
+  std::string error;
+  const auto file = exec::read_journal_file(journal, &error);
+  ASSERT_TRUE(file.has_value()) << error;
+  ASSERT_EQ(file->records.size(), 1u);
+  same_journal_fields(file->records[0], r);
+  // The journal elides the wire-only fields.
+  EXPECT_TRUE(file->records[0].requests.empty());
+  EXPECT_TRUE(file->records[0].detail.empty());
+  EXPECT_TRUE(file->records[0].spans.empty());
 }
 
 // --- socket edge paths (loopback) ----------------------------------------
@@ -259,49 +334,6 @@ TEST(DistSocket, ParseHostPort) {
   EXPECT_FALSE(dist::parse_host_port("host:99999").has_value());
 }
 
-// The paper's Controller/TargetAgent protocol over a real TCP socket: the
-// line protocol was designed so "a socket transport drops in unchanged".
-TEST(DistSocket, ControllerDrivesTargetAgentOverLoopback) {
-  std::string error;
-  dist::Listener listener = dist::Listener::open("127.0.0.1", 0, &error);
-  ASSERT_TRUE(listener.valid()) << error;
-  dist::Socket client =
-      dist::tcp_connect("127.0.0.1", listener.port(), 1000, 0, &error);
-  ASSERT_TRUE(client.valid()) << error;
-  dist::Socket server = listener.accept(1000);
-  ASSERT_TRUE(server.valid());
-
-  const core::RunConfig cfg = make_config("Apache1");
-  std::thread agent_thread([&server, cfg] {
-    dist::SocketTransport agent_end(std::move(server), {.io_timeout_ms = 5000});
-    core::TargetAgent agent(cfg, agent_end);
-    // One profile request + one run request.
-    ASSERT_TRUE(agent_end.serve_one(5000)) << agent_end.error();
-    ASSERT_TRUE(agent_end.serve_one(5000)) << agent_end.error();
-  });
-
-  dist::SocketTransport controller_end(std::move(client),
-                                       {.io_timeout_ms = 5000, .sync_request = true});
-  core::Controller controller(controller_end);
-  const auto fns = controller.profile();
-  EXPECT_FALSE(fns.empty());
-
-  const inject::FaultList list = capped_list(cfg, 7, 4);
-  ASSERT_FALSE(list.faults.empty());
-  const core::RunResult remote = controller.run_fault(list.faults[0]);
-  EXPECT_EQ(controller.protocol_errors(), 0);
-  EXPECT_GT(controller_end.bytes_sent(), 0u);
-  EXPECT_GT(controller_end.bytes_received(), 0u);
-  agent_thread.join();
-
-  // The remote run reports the same outcome line as a local controller pair.
-  core::TransportPair pair = core::make_in_process_transport();
-  core::TargetAgent local_agent(cfg, *pair.agent_end);
-  core::Controller local(*pair.controller_end);
-  EXPECT_EQ(core::serialize_run_line(remote),
-            core::serialize_run_line(local.run_fault(list.faults[0])));
-}
-
 // --- coordinator + worker fleet ------------------------------------------
 
 // The tentpole acceptance bar: a coordinator with two worker processes
@@ -332,6 +364,129 @@ TEST(DistCampaign, TwoWorkerProcessesMatchSerialByteIdentical) {
   EXPECT_GT(metrics.counter("dts_dist_leases_issued_total").value(), 0u);
   EXPECT_GT(metrics.counter("dts_dist_bytes_sent_total").value(), 0u);
   EXPECT_GT(metrics.counter("dts_dist_bytes_received_total").value(), 0u);
+}
+
+/// One campaign's output on one execution path: the set, its journal, its
+/// middleware-span observation counts and summed sim microseconds keyed by
+/// span name (worker labels of a fleet's telemetry folded together) and how
+/// many runs were forked.
+struct PathOutput {
+  core::WorkloadSetResult set;
+  exec::JournalFile journal;
+  std::map<std::string, std::pair<std::uint64_t, std::int64_t>> spans;
+  std::uint64_t forked = 0;
+};
+
+/// The journal's records in fault order, each rendered in the record codec
+/// with the two path-dependent parts normalized: wall time, and the lease
+/// field of the execution index (0 in-process, the lease id on a fleet).
+std::vector<std::string> normalized_records(const exec::JournalFile& file) {
+  std::vector<exec::JournalRecord> records = file.records;
+  std::sort(records.begin(), records.end(),
+            [](const auto& a, const auto& b) { return a.index < b.index; });
+  std::vector<std::string> out;
+  for (exec::JournalRecord rec : records) {
+    rec.wall_us = 0;
+    const auto xi = obs::fleet::ExecutionIndex::parse(rec.exec_index);
+    EXPECT_TRUE(xi.has_value()) << rec.exec_index;
+    if (xi) {
+      rec.exec_index =
+          obs::fleet::ExecutionIndex{xi->campaign_digest, 0, xi->fault_index}.to_string();
+    }
+    std::string line;
+    exec::write_record_fields(&line, rec, /*wire=*/true);
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
+                    const std::string& journal, int workers) {
+  std::filesystem::remove(journal);
+  obs::MetricsRegistry metrics;
+  opt.journal_path = journal;
+  opt.metrics = &metrics;
+  PathOutput out;
+  if (workers > 0) {
+    dist::DistOptions d;
+    d.spawn_workers = workers;
+    out.set = dist::run_workload_set_distributed(cfg, opt, d);
+  } else {
+    out.set = core::run_workload_set(cfg, opt);
+  }
+  std::string error;
+  auto file = exec::read_journal_file(journal, &error);
+  EXPECT_TRUE(file.has_value()) << error;
+  if (file) out.journal = std::move(*file);
+  for (const obs::MetricSample& s : metrics.snapshot()) {
+    if (s.name == "dts_snap_forked_runs_total") out.forked += s.counter_value;
+    if (s.kind != 'h' || s.name != "dts_middleware_span_seconds") continue;
+    const std::size_t at = s.labels.find("span=\"");
+    const std::string span = s.labels.substr(at + 6, s.labels.find('"', at + 6) - at - 6);
+    auto& [observations, sum_micro] = out.spans[span];
+    for (std::uint64_t b : s.buckets) observations += b;
+    sum_micro += s.sum_micro;
+  }
+  return out;
+}
+
+// One run record, whichever path executed the fault: the same capped
+// Apache1/MSCS sweep on the thread pool, forked from snapshots and on a
+// two-worker fleet journals identical records apart from wall time and the
+// lease in the execution index — and the wire-only fields reach results.csv
+// (requests, detail) and the span metrics identically too.
+TEST(DistCampaign, ThreadForkAndWorkerPathsYieldIdenticalRecords) {
+  const core::RunConfig cfg = make_config("Apache1", mw::MiddlewareKind::kMscs);
+  core::CampaignOptions opt;
+  opt.seed = 7;
+  opt.max_faults = 24;
+  opt.jobs = 2;
+  const PathOutput threads = run_path(cfg, opt, temp_path("xpath_threads.jsonl"), 0);
+  core::CampaignOptions forked = opt;
+  forked.snapshots = true;
+  const PathOutput fork = run_path(cfg, forked, temp_path("xpath_fork.jsonl"), 0);
+  core::CampaignOptions fleet = opt;
+  fleet.jobs = 1;
+  const PathOutput workers = run_path(cfg, fleet, temp_path("xpath_workers.jsonl"), 2);
+
+  const std::vector<std::string> expected = normalized_records(threads.journal);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_GT(fork.forked, 0u);
+  EXPECT_EQ(normalized_records(fork.journal), expected);
+  EXPECT_EQ(normalized_records(workers.journal), expected);
+  EXPECT_EQ(core::runs_csv(fork.set), core::runs_csv(threads.set));
+  EXPECT_EQ(core::runs_csv(workers.set), core::runs_csv(threads.set));
+  EXPECT_FALSE(threads.spans.empty());
+  EXPECT_EQ(fork.spans, threads.spans);
+  EXPECT_EQ(workers.spans, threads.spans);
+}
+
+// The traced three-tier config journals the same v7 records in-process and
+// on a fleet: tier on every record and the same request traces.
+TEST(DistCampaign, TracedTopologyRecordsMatchInProcess) {
+  std::string error;
+  const auto cfg = core::parse_config(
+      "[test]\nmiddleware = none\nseed = 7\nmax_faults = 40\n\n[topology]\n"
+      "topology = lb:2*apache -> app:2*iis -> db:1*sql_server\n"
+      "tier = app\nrtrace = failures\n",
+      &error);
+  ASSERT_TRUE(cfg.has_value()) << error;
+  core::CampaignOptions opt = cfg->campaign;
+  opt.jobs = 2;
+  const PathOutput local = run_path(cfg->run, opt, temp_path("xpath_topo_local.jsonl"), 0);
+  opt.jobs = 1;
+  const PathOutput fleet = run_path(cfg->run, opt, temp_path("xpath_topo_fleet.jsonl"), 2);
+
+  EXPECT_EQ(local.journal.version, 7u);
+  EXPECT_EQ(fleet.journal.version, 7u);
+  std::size_t traced = 0;
+  for (const auto& rec : fleet.journal.records) {
+    EXPECT_EQ(rec.tier, "app");
+    traced += !rec.rtrace.empty();
+  }
+  EXPECT_GT(traced, 0u);
+  EXPECT_EQ(normalized_records(fleet.journal), normalized_records(local.journal));
+  EXPECT_EQ(core::serialize_workload_set(fleet.set), core::serialize_workload_set(local.set));
 }
 
 // Kill one worker mid-shard: its lease is reassigned (exactly once) and the

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +16,9 @@
 #include "exec/executor.h"
 #include "exec/journal.h"
 #include "exec/progress.h"
+#include "obs/fleet/status.h"
+#include "obs/jsonl.h"
+#include "obs/metrics.h"
 
 namespace dts {
 namespace {
@@ -405,6 +409,108 @@ TEST(Exec, JournalReaderToleratesUnknownFieldsAndRoundTripsV2Extras) {
   std::string header;
   ASSERT_TRUE(std::getline(in, header));
   EXPECT_NE(header.find("\"dts_journal\":5"), std::string::npos);
+}
+
+// The sink publishes campaign progress to the status board on every path, so
+// /status's "campaign" block of an in-process campaign ends complete.
+TEST(Exec, InProcessCampaignFillsStatusCampaignBlock) {
+  const core::RunConfig cfg = make_config("Apache1");
+  const inject::FaultList list = capped_list(cfg, 7, 8);
+  obs::fleet::StatusBoard board;
+  exec::ExecOptions eo;
+  eo.jobs = 2;
+  eo.status = &board;
+  const exec::CampaignResult result = exec::CampaignExecutor(eo).run(cfg, list, 7);
+  ASSERT_EQ(result.runs.size(), list.faults.size());
+
+  const std::string json = board.status_json();
+  std::uint64_t done = 0, total = 0, executed = 0;
+  ASSERT_TRUE(obs::json_uint_field(json, "done", &done)) << json;
+  ASSERT_TRUE(obs::json_uint_field(json, "total", &total)) << json;
+  ASSERT_TRUE(obs::json_uint_field(json, "executed", &executed)) << json;
+  EXPECT_EQ(total, list.faults.size());
+  EXPECT_EQ(done, total);
+  EXPECT_EQ(executed, result.executed);
+}
+
+/// Per-label-set observation counts of histogram `name`.
+std::map<std::string, std::uint64_t> histogram_counts(const obs::MetricsRegistry& m,
+                                                      const std::string& name) {
+  std::map<std::string, std::uint64_t> out;
+  for (const obs::MetricSample& s : m.snapshot()) {
+    if (s.kind != 'h' || s.name != name) continue;
+    for (std::uint64_t b : s.buckets) out[s.labels] += b;
+  }
+  return out;
+}
+
+std::map<std::string, std::uint64_t> counter_values(const obs::MetricsRegistry& m,
+                                                    const std::string& name) {
+  std::map<std::string, std::uint64_t> out;
+  for (const obs::MetricSample& s : m.snapshot()) {
+    if (s.kind == 'c' && s.name == name) out[s.labels] = s.counter_value;
+  }
+  return out;
+}
+
+std::uint64_t total(const std::map<std::string, std::uint64_t>& values) {
+  std::uint64_t sum = 0;
+  for (const auto& [labels, v] : values) sum += v;
+  return sum;
+}
+
+std::size_t chrome_run_events(const obs::MetricsRegistry& m) {
+  const std::string json = m.chrome_trace_json();
+  std::size_t n = 0;
+  for (std::size_t at = json.find("\"cat\":\"run\""); at != std::string::npos;
+       at = json.find("\"cat\":\"run\"", at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// Every executed run reaches the metrics the same way, whichever path ran it:
+// exhaustive threads, plan rounds and forked snapshot children each record one
+// wall-time observation and one Chrome run event per fresh simulation, and a
+// forked campaign counts the same activations and middleware spans as the
+// full-run campaign it reproduces.
+TEST(Exec, MetricsCountEveryExecutedRunOnEveryPath) {
+  const core::RunConfig cfg = make_config("Apache1", mw::MiddlewareKind::kMscs);
+  core::CampaignOptions opt;
+  opt.seed = 7;
+  opt.max_faults = 40;
+  opt.jobs = 2;
+
+  const auto campaign = [&](core::CampaignOptions o, obs::MetricsRegistry* metrics) {
+    o.metrics = metrics;
+    const core::WorkloadSetResult r = core::run_workload_set(cfg, o);
+    EXPECT_GT(r.executed_runs, 0u);
+    EXPECT_EQ(total(histogram_counts(*metrics, "dts_run_wall_seconds")), r.executed_runs);
+    EXPECT_EQ(chrome_run_events(*metrics), r.executed_runs);
+    EXPECT_EQ(total(counter_values(*metrics, "dts_runs_total")), r.executed_runs);
+    return r;
+  };
+
+  obs::MetricsRegistry full_metrics;
+  const core::WorkloadSetResult full = campaign(opt, &full_metrics);
+
+  core::CampaignOptions planned = opt;
+  planned.plan.mode = plan::PlanOptions::Mode::kAuto;
+  obs::MetricsRegistry plan_metrics;
+  (void)campaign(planned, &plan_metrics);
+
+  core::CampaignOptions forked = opt;
+  forked.snapshots = true;
+  obs::MetricsRegistry snap_metrics;
+  const core::WorkloadSetResult snap = campaign(forked, &snap_metrics);
+  EXPECT_GT(total(counter_values(snap_metrics, "dts_snap_forked_runs_total")), 0u);
+  EXPECT_EQ(core::serialize_workload_set(snap), core::serialize_workload_set(full));
+  EXPECT_EQ(snap.executed_runs, full.executed_runs);
+  EXPECT_EQ(counter_values(snap_metrics, "dts_activations_total"),
+            counter_values(full_metrics, "dts_activations_total"));
+  const auto spans = histogram_counts(full_metrics, "dts_middleware_span_seconds");
+  EXPECT_FALSE(spans.empty());
+  EXPECT_EQ(histogram_counts(snap_metrics, "dts_middleware_span_seconds"), spans);
 }
 
 TEST(Exec, ProgressFormatting) {

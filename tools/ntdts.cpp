@@ -1178,8 +1178,9 @@ int main(int argc, char** argv) {
         return 2;
       }
       if (flags.distributed()) {
-        // Plan execution and per-run tracing stay in-process for now: leases
-        // carry plain fault ids, and forensics dumps live with the executor.
+        // Plan execution and syscall tracing stay in-process: leases carry
+        // plain fault ids, and the trace mode is not part of the shipped
+        // config. Request tracing is, so --rtrace reaches the workers.
         if (flags.plan_mode != plan::PlanOptions::Mode::kExhaustive) {
           std::cerr << "ntdts run: --workers/--listen cannot be combined with "
                        "--plan/--plan-auto (distributed campaigns are exhaustive)\n";
@@ -1188,13 +1189,6 @@ int main(int argc, char** argv) {
         if (flags.trace != obs::TraceMode::kOff) {
           std::cerr << "ntdts run: --workers/--listen cannot be combined with "
                        "--trace (forensics capture is in-process only)\n";
-          return 2;
-        }
-        if (flags.rtrace.value_or(obs::rtrace::RtraceMode::kOff) !=
-            obs::rtrace::RtraceMode::kOff) {
-          std::cerr << "ntdts run: --workers/--listen cannot be combined with "
-                       "--rtrace (span collection is in-process only; worker "
-                       "results travel as run lines, which never carry spans)\n";
           return 2;
         }
         if (flags.jobs) {
@@ -1211,14 +1205,6 @@ int main(int argc, char** argv) {
       if (flags.snapshots.value_or(false) && flags.trace != obs::TraceMode::kOff) {
         std::cerr << "ntdts run: --snapshots=on cannot be combined with --trace "
                      "(a forked run's trace would be missing its skipped prefix)\n";
-        return 2;
-      }
-      if (flags.snapshots.value_or(false) &&
-          flags.rtrace.value_or(obs::rtrace::RtraceMode::kOff) !=
-              obs::rtrace::RtraceMode::kOff) {
-        std::cerr << "ntdts run: --snapshots=on cannot be combined with "
-                     "--rtrace (span collection crosses the fork boundary only "
-                     "as a run line, which never carries spans)\n";
         return 2;
       }
       return cmd_run(argv[2], out_dir, flags);
