@@ -80,11 +80,13 @@ int main() {
     const std::chrono::duration<double> se = std::chrono::steady_clock::now() - s0;
 
     obs::MetricsRegistry metrics;
+    core::CampaignOptions campaign;
+    campaign.seed = kSeed;
+    campaign.metrics = &metrics;
     dist::DistOptions d;
     d.spawn_workers = 1;
-    d.metrics = &metrics;
     const auto d0 = std::chrono::steady_clock::now();
-    dist::Coordinator coordinator(cfg, list, kSeed, d);
+    dist::Coordinator coordinator(cfg, list, campaign, d);
     const exec::CampaignResult distributed = coordinator.run();
     const std::chrono::duration<double> de = std::chrono::steady_clock::now() - d0;
 

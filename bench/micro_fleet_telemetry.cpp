@@ -73,12 +73,14 @@ struct DistSample {
 DistSample run_distributed(const core::RunConfig& cfg, const inject::FaultList& list,
                            bool telemetry) {
   obs::MetricsRegistry metrics;
+  core::CampaignOptions campaign;
+  campaign.seed = kSeed;
+  campaign.metrics = &metrics;
   dist::DistOptions d;
   d.spawn_workers = 1;
-  d.metrics = &metrics;
   d.telemetry_ms = telemetry ? 50 : 0;
   const auto t0 = std::chrono::steady_clock::now();
-  dist::Coordinator coordinator(cfg, list, kSeed, d);
+  dist::Coordinator coordinator(cfg, list, campaign, d);
   const exec::CampaignResult result = coordinator.run();
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
 

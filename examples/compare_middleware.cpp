@@ -20,10 +20,10 @@ int main(int argc, char** argv) {
   core::CampaignOptions options;
   options.seed = 7;
   options.max_faults = cap;
-  options.on_progress = [](std::size_t done, std::size_t total) {
-    if (done % 25 == 0 || done == total) {
-      std::fprintf(stderr, "\r  %zu/%zu runs", done, total);
-      if (done == total) std::fputc('\n', stderr);
+  options.on_snapshot = [](const exec::ProgressSnapshot& s) {
+    if (s.done % 25 == 0 || s.done == s.total) {
+      std::fprintf(stderr, "\r  %zu/%zu runs", s.done, s.total);
+      if (s.done == s.total) std::fputc('\n', stderr);
     }
   };
 

@@ -97,40 +97,10 @@ std::set<nt::Fn> activated_from_plan(const plan::Plan& p) {
   return out;
 }
 
-exec::ExecOptions exec_options_from(const RunConfig& base,
-                                    const CampaignOptions& options,
-                                    const plan::GoldenProfile* profile = nullptr) {
-  exec::ExecOptions eo;
-  // Journal v4 headers embed the serialized campaign configuration, so
-  // `ntdts replay <journal> <xi>` reconstructs the exact run without the
-  // original config file on hand.
-  DtsConfig shipped;
-  shipped.run = base;
-  shipped.campaign = options;
-  eo.config_text = serialize_config(shipped);
-  eo.snapshots = options.snapshots && profile != nullptr;
-  eo.snapshot_profile = profile;
-  eo.jobs = options.jobs;
-  eo.journal_path = options.journal_path;
-  eo.resume = options.resume;
-  eo.metrics = options.metrics;
-  eo.trace = options.trace;
-  eo.forensics_depth = options.forensics_depth;
-  eo.forensics_dir = options.forensics_dir;
-  eo.stall = options.stall;
-  eo.status = options.status;
-  if (options.on_progress || options.on_snapshot) {
-    eo.on_progress = [&options](const exec::ProgressSnapshot& s) {
-      if (options.on_progress) options.on_progress(s.done, s.total);
-      if (options.on_snapshot) options.on_snapshot(s);
-    };
-  }
-  return eo;
-}
-
-}  // namespace
-
-plan::Plan build_campaign_plan(const RunConfig& base, const CampaignOptions& options) {
+/// build_campaign_plan, also handing back the golden profile the plan was
+/// built from (a plan loaded from file leaves `profile` empty).
+plan::Plan plan_campaign(const RunConfig& base, const CampaignOptions& options,
+                         std::optional<plan::GoldenProfile>* profile) {
   if (options.plan.mode == plan::PlanOptions::Mode::kFromFile) {
     std::ifstream in(options.plan.plan_file);
     if (!in) {
@@ -152,28 +122,26 @@ plan::Plan build_campaign_plan(const RunConfig& base, const CampaignOptions& opt
   }
   // The plan covers the *raw* sweep, so functions the golden run never
   // touched are logged as pruned rather than silently absent from the file.
-  // The model registry enumerates it (byte-identical to the classic
-  // full_sweep for the paper default).
-  inject::FaultList sweep =
-      fault::build_sweep(base.workload.target_image, model_set_from(options),
-                         /*functions=*/nullptr, options.iterations)
-          .sampled(options.max_faults);
-  if (!base.topo.empty()) {
-    for (auto& f : sweep.faults) f.tier = base.topo.fault_tier;
-  }
-  const plan::GoldenProfile profile =
-      plan::golden_profile(base, options.seed, options.iterations);
-  return plan::build_plan(base, sweep, profile, options.seed, options.iterations);
+  *profile = plan::golden_profile(base, options.seed, options.iterations);
+  return plan::build_plan(base, campaign_sweep(base, options, /*functions=*/nullptr),
+                          **profile, options.seed, options.iterations);
 }
 
 /// Planned campaign path: build/load the plan, execute it, digest the
 /// decisions into the result.
-static WorkloadSetResult run_planned_workload_set(const RunConfig& base,
-                                                 const CampaignOptions& options) {
+WorkloadSetResult run_planned_workload_set(const RunConfig& base,
+                                           const CampaignOptions& options) {
   WorkloadSetResult result;
   result.base_config = base;
 
-  const plan::Plan p = build_campaign_plan(base, options);
+  // Snapshot execution reuses the plan's golden profile for its tail
+  // checkpoint (the plan's entries already carry their own call sites); only
+  // a plan loaded from file needs one profiled here.
+  std::optional<plan::GoldenProfile> profile;
+  const plan::Plan p = plan_campaign(base, options, &profile);
+  if (options.snapshots && !profile) {
+    profile = plan::golden_profile(base, options.seed, options.iterations);
+  }
   result.activated_functions = activated_from_plan(p);
   if (!options.plan.plan_out.empty()) {
     std::ofstream out(options.plan.plan_out);
@@ -189,14 +157,8 @@ static WorkloadSetResult run_planned_workload_set(const RunConfig& base,
   so.batch = options.plan.batch;
   so.seed = options.seed;
 
-  // Snapshot execution wants the golden profile (for the tail checkpoint);
-  // the plan's entries already carry their own call sites.
-  std::optional<plan::GoldenProfile> profile;
-  if (options.snapshots) {
-    profile = plan::golden_profile(base, options.seed, options.iterations);
-  }
-  exec::CampaignExecutor executor(
-      exec_options_from(base, options, profile ? &*profile : nullptr));
+  exec::CampaignExecutor executor(options, serialize_config({base, options, {}}),
+                                  profile ? &*profile : nullptr);
   exec::PlanCampaignResult campaign = executor.run_plan(base, p, options.seed, so);
 
   PlanDigest digest;
@@ -215,8 +177,40 @@ static WorkloadSetResult run_planned_workload_set(const RunConfig& base,
   return result;
 }
 
-WorkloadSetResult run_workload_set(const RunConfig& base, const CampaignOptions& options) {
+}  // namespace
+
+inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& options,
+                                 const std::set<nt::Fn>* functions) {
+  // Capped lists sample evenly across the whole sweep rather than truncating:
+  // a prefix slice would cover only the catalogue's first functions and badly
+  // skew the outcome mix. The fault-model registry enumerates the sweep; the
+  // paper default is byte-identical to the classic for_functions/full_sweep.
+  inject::FaultList list = fault::build_sweep(base.workload.target_image,
+                                              model_set_from(options), functions,
+                                              options.iterations)
+                               .sampled(options.max_faults);
+  // Fault ids in topology campaigns carry the tier prefix ("db/ReadFile...")
+  // so journals, plans and dist leases name the faulted tier explicitly.
+  if (!base.topo.empty()) {
+    for (auto& f : list.faults) f.tier = base.topo.fault_tier;
+  }
+  return list;
+}
+
+plan::Plan build_campaign_plan(const RunConfig& base, const CampaignOptions& options) {
+  std::optional<plan::GoldenProfile> profile;
+  return plan_campaign(base, options, &profile);
+}
+
+WorkloadSetResult run_workload_set(
+    const RunConfig& base, const CampaignOptions& options,
+    const std::optional<inject::FaultList>& explicit_faults) {
   if (options.plan.mode != plan::PlanOptions::Mode::kExhaustive) {
+    if (explicit_faults) {
+      throw std::runtime_error(
+          "an explicit fault list cannot run under a campaign plan (the plan "
+          "decides what executes)");
+    }
     return run_planned_workload_set(base, options);
   }
 
@@ -234,28 +228,20 @@ WorkloadSetResult run_workload_set(const RunConfig& base, const CampaignOptions&
   } else {
     result.activated_functions = profile_workload(base, options.seed);
   }
+  inject::FaultList sweep;
+  if (!explicit_faults) sweep = campaign_sweep(base, options, &result.activated_functions);
+  const inject::FaultList& list = explicit_faults ? *explicit_faults : sweep;
 
-  // Capped lists sample evenly across the whole sweep rather than truncating:
-  // a prefix slice would cover only the catalogue's first functions and badly
-  // skew the outcome mix. The fault-model registry enumerates the sweep; the
-  // paper default is byte-identical to the classic for_functions/full_sweep.
-  inject::FaultList list =
-      fault::build_sweep(base.workload.target_image, model_set_from(options),
-                         options.profile_first ? &result.activated_functions : nullptr,
-                         options.iterations)
-          .sampled(options.max_faults);
-  // Fault ids in topology campaigns carry the tier prefix ("db/ReadFile...")
-  // so journals, plans and dist leases name the faulted tier explicitly.
-  if (!base.topo.empty()) {
-    for (auto& f : list.faults) f.tier = base.topo.fault_tier;
-  }
-
-  // The executor applies the skip-uncalled rule (paper §4): once a function
-  // proves uncalled, the rest of its faults are skipped. With profiling this
-  // rarely triggers, but nondeterminism can still starve a function of calls.
-  exec::CampaignExecutor executor(
-      exec_options_from(base, options, profile ? &*profile : nullptr));
-  exec::CampaignResult campaign = executor.run(base, list, options.seed);
+  // The executor applies the skip-uncalled rule (paper §4) to sweeps: once a
+  // function proves uncalled, the rest of its faults are skipped. With
+  // profiling this rarely triggers, but nondeterminism can still starve a
+  // function of calls. Journal headers embed the serialized campaign, so
+  // `ntdts replay <journal> <xi>` reconstructs the exact run from the
+  // journal alone.
+  exec::CampaignExecutor executor(options, serialize_config({base, options, {}}),
+                                  profile ? &*profile : nullptr);
+  exec::CampaignResult campaign =
+      executor.run(base, list, options.seed, /*skip_uncalled=*/!explicit_faults);
   result.executed_runs = campaign.executed;
   result.runs = std::move(campaign.runs);
   return result;
@@ -331,7 +317,9 @@ bool parse_run_line(const std::string& target_image, const std::string& line,
   ls >> fault_id >> activated >> outcome_s >> resp >> time_us >> restarts >> retries >>
       finished;
   if (!ls) return fail("bad run line: " + line);
-  auto spec = inject::parse_fault_id(target_image, fault_id);
+  // A planned campaign records a pruned run for every catalogue function,
+  // including the ones the simulator does not implement.
+  auto spec = inject::parse_fault_id_any(target_image, fault_id);
   if (!spec) return fail("bad fault id: " + fault_id);
   auto outcome = outcome_from(outcome_s);
   if (!outcome) return fail("bad outcome: " + outcome_s);

@@ -3,25 +3,16 @@
 // iteration, for each fault type: one fault-injection run.
 #pragma once
 
-#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
-#include <optional>
-
 #include "core/run.h"
-#include "exec/progress.h"
+#include "exec/executor.h"
 #include "inject/fault_list.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "plan/plan.h"
 #include "plan/sampler.h"
-
-namespace dts::obs::fleet {
-class StallDetector;
-class StatusBoard;
-}  // namespace dts::obs::fleet
 
 namespace dts::core {
 
@@ -64,67 +55,25 @@ struct WorkloadSetResult {
   std::optional<PlanDigest> plan_digest;
 };
 
-struct CampaignOptions {
+/// A campaign: the execution and output knobs of exec::ExecOptions (jobs,
+/// journal, progress, observability, snapshots), which the executor and the
+/// distributed coordinator read directly, plus the sweep they execute.
+struct CampaignOptions : exec::ExecOptions {
   /// How many invocations of each function to inject (the I axis). The paper
   /// uses 1: "only the first invocation of each function was injected".
   int iterations = 1;
 
-  /// Run one fault-free profiling pass first and restrict the fault list to
-  /// functions the target actually calls. Equivalent to the paper's dynamic
-  /// skip-uncalled-functions rule, minus the probe runs.
-  bool profile_first = true;
-
   /// Root seed; each run derives its own from this and the fault id.
   std::uint64_t seed = 1;
-
-  /// Optional progress callback (runs completed, total runs). Invoked for
-  /// every completed fault, including skip-uncalled ones.
-  std::function<void(std::size_t, std::size_t)> on_progress;
-
-  /// Optional richer progress callback with throughput (runs/sec) and ETA.
-  std::function<void(const exec::ProgressSnapshot&)> on_snapshot;
 
   /// Optional cap on the number of faults (for quick smoke experiments);
   /// 0 = no cap. Capped lists sample evenly across the sweep.
   std::size_t max_faults = 0;
 
-  /// Parallel workers executing the sweep (each run is a fresh, seed-isolated
-  /// simulation). 1 = serial on the calling thread; 0 = one worker per
-  /// hardware thread. Results are byte-identical at any job count: per-run
-  /// seeds derive from the fault id, never from worker id or schedule.
-  int jobs = 1;
-
-  /// Resumable run journal (JSONL, one record per completed run); empty =
-  /// none. With `resume`, completed runs found in the journal are reused and
-  /// only the missing faults execute.
-  std::string journal_path;
-  bool resume = false;
-
-  /// Observability passthrough to the executor (see exec::ExecOptions):
-  /// campaign metrics sink, per-run syscall trace mode, forensics ring depth
-  /// and the optional per-run forensics dump directory.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceMode trace = obs::TraceMode::kOff;
-  std::size_t forensics_depth = 32;
-  std::string forensics_dir;
-
-  /// Fleet observability passthrough (src/obs/fleet/): stall/anomaly
-  /// detector and live status board, both fed per executed run. Null = off.
-  obs::fleet::StallDetector* stall = nullptr;
-  obs::fleet::StatusBoard* status = nullptr;
-
   /// Campaign planning (src/plan/): golden-run profiling, equivalence
   /// pruning, optional adaptive sampling. The default mode (kExhaustive)
   /// bypasses the planner entirely and reproduces the plain sweep.
   plan::PlanOptions plan;
-
-  /// Snapshot/fork execution (src/snap/): execute the fault-free golden
-  /// prefix once, capture COW snapshots at checkpoints, and fork each run
-  /// from the checkpoint nearest below its injection site instead of
-  /// replaying the prefix. Output is byte-identical to the default path at
-  /// any jobs count (anything not provably resumable falls back to a full
-  /// run), so the result cache key deliberately ignores this flag.
-  bool snapshots = false;
 
   /// Fault-model selection (src/fault/): CSV of model names expanded by the
   /// registry's sweep enumerators ("paper,oserror"). Empty = the paper
@@ -135,8 +84,21 @@ struct CampaignOptions {
   std::string models;
 };
 
-/// Runs a complete workload set and returns its results.
-WorkloadSetResult run_workload_set(const RunConfig& base, const CampaignOptions& options = {});
+/// Runs a complete workload set and returns its results. The sweep covers
+/// the functions a fault-free profiling pass activates (the paper-§4
+/// skip-uncalled rule prunes the rest as it runs), sampled down to
+/// options.max_faults. An explicit fault list replaces the sweep and runs in
+/// full — every listed fault executes — and cannot be combined with a plan.
+WorkloadSetResult run_workload_set(
+    const RunConfig& base, const CampaignOptions& options = {},
+    const std::optional<inject::FaultList>& explicit_faults = std::nullopt);
+
+/// The campaign's raw sweep: the model registry's faults for `functions`
+/// (null = the whole catalogue), iterations deep, sampled evenly down to
+/// max_faults, each stamped with the topology's faulted tier. The one sweep
+/// the exhaustive path, the planner and the distributed coordinator execute.
+inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& options,
+                                 const std::set<nt::Fn>* functions);
 
 /// Profiling only: the set of activated functions (no faults injected).
 std::set<nt::Fn> profile_workload(const RunConfig& base, std::uint64_t seed = 1);

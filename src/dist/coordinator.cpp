@@ -21,7 +21,6 @@
 #include "dist/socket.h"
 #include "dist/wire.h"
 #include "exec/sink.h"
-#include "fault/model.h"
 #include "obs/fleet/events.h"
 #include "obs/fleet/status.h"
 #include "obs/fleet/telemetry.h"
@@ -66,13 +65,19 @@ struct Conn {
 struct Coordinator::Impl {
   core::RunConfig base;
   inject::FaultList list;
-  std::uint64_t seed = 0;
+  const core::CampaignOptions* campaign = nullptr;
   DistOptions options;
+  bool skip_uncalled = true;
 
   Listener listener;
   std::uint64_t digest = 0;
   std::string welcome_line;  // identical for every worker; rendered once
-  std::string welcome_config;  // serialize_config text, journal v4 header
+  std::string config_text;   // serialize_config text, journal v4 header
+  // The campaign's options minus the registry: per-run metrics arrive with
+  // the workers' telemetry, labelled by worker, so the coordinator's sink
+  // journals, writes forensics files, feeds stall detector and status board,
+  // and reports progress.
+  exec::ExecOptions sink_options;
 
   std::vector<exec::CompletedRun> slots;
   std::vector<std::string> fault_ids;  // pre-rendered, reused everywhere
@@ -110,7 +115,7 @@ struct Coordinator::Impl {
   }
 
   void update_status_workers(Clock::time_point now) {
-    if (options.status == nullptr) return;
+    if (campaign->status == nullptr) return;
     std::vector<obs::fleet::WorkerRow> rows;
     rows.reserve(conns.size());
     for (const auto& c : conns) {
@@ -126,7 +131,7 @@ struct Coordinator::Impl {
       row.recent_failures = c->recent_failures;
       rows.push_back(std::move(row));
     }
-    options.status->update_workers(std::move(rows));
+    campaign->status->update_workers(std::move(rows));
   }
 
   void update_live() {
@@ -146,9 +151,9 @@ struct Coordinator::Impl {
   }
 
   void finish_worker_rate(const Conn& c, Clock::time_point now) {
-    if (options.metrics == nullptr) return;
+    if (campaign->metrics == nullptr) return;
     const double secs = ms_between(c.first_seen, now) / 1e3;
-    options.metrics
+    campaign->metrics
         ->gauge("dts_dist_worker_runs_per_sec",
                 {{"worker", std::to_string(c.worker_id)}},
                 "observed fresh-run throughput per distributed worker")
@@ -193,7 +198,7 @@ struct Coordinator::Impl {
     while (!pending.empty() && lease.indices.size() < shard) {
       const std::size_t i = pending.front();
       pending.pop_front();
-      if (options.skip_uncalled && proofs.proven_before(list.faults[i].fn, i)) {
+      if (skip_uncalled && proofs.proven_before(list.faults[i].fn, i)) {
         sink->skipped();
         continue;
       }
@@ -223,8 +228,8 @@ struct Coordinator::Impl {
     if (c.lease->outstanding.erase(r.index) == 0) return;  // duplicate
     --outstanding_total;
     ++c.runs;
-    if (options.metrics != nullptr) {
-      options.metrics
+    if (campaign->metrics != nullptr) {
+      campaign->metrics
           ->counter("dts_dist_worker_runs_total",
                     {{"worker", std::to_string(c.worker_id)}},
                     "fresh runs streamed back per distributed worker")
@@ -261,8 +266,8 @@ struct Coordinator::Impl {
     c.telemetry_seq = t->seq;
     c.failures = t->failures;
     c.recent_failures = t->recent_failures;
-    if (options.metrics != nullptr) {
-      obs::fleet::merge_samples(*options.metrics, c.worker_id,
+    if (campaign->metrics != nullptr) {
+      obs::fleet::merge_samples(*campaign->metrics, c.worker_id,
                                 obs::fleet::decode_samples(t->metrics));
     }
     if (telemetry_frames != nullptr) telemetry_frames->inc();
@@ -516,15 +521,17 @@ struct Coordinator::Impl {
 };
 
 Coordinator::Coordinator(core::RunConfig base, inject::FaultList list,
-                         std::uint64_t seed, DistOptions options)
+                         const core::CampaignOptions& campaign, DistOptions options)
     : impl_(std::make_unique<Impl>()) {
   impl_->base = std::move(base);
   impl_->list = std::move(list);
-  impl_->seed = seed;
+  impl_->campaign = &campaign;
   impl_->options = std::move(options);
+  impl_->sink_options = campaign;
+  impl_->sink_options.metrics = nullptr;
   // No registry means nowhere to merge worker snapshots into — don't ask
   // workers to ship any.
-  if (impl_->options.metrics == nullptr) impl_->options.telemetry_ms = 0;
+  if (campaign.metrics == nullptr) impl_->options.telemetry_ms = 0;
 
   std::string error;
   impl_->listener =
@@ -538,23 +545,23 @@ Coordinator::Coordinator(core::RunConfig base, inject::FaultList list,
   impl_->fault_ids.reserve(impl_->list.faults.size());
   for (const auto& f : impl_->list.faults) impl_->fault_ids.push_back(f.id());
 
-  core::DtsConfig shipped;
-  shipped.run = impl_->base;
-  shipped.campaign.seed = seed;
+  // The same configuration text an in-process campaign journals.
+  impl_->config_text = core::serialize_config({impl_->base, campaign, {}});
   Welcome welcome;
   welcome.workload = impl_->base.workload.name;
   welcome.middleware = static_cast<int>(impl_->base.middleware);
   welcome.watchd_version = static_cast<int>(impl_->base.watchd_version);
-  welcome.seed = seed;
+  welcome.seed = campaign.seed;
   welcome.fault_count = impl_->list.faults.size();
   welcome.digest = impl_->digest;
   welcome.telemetry_ms = impl_->options.telemetry_ms;
-  welcome.config = core::serialize_config(shipped);
+  welcome.config = impl_->config_text;
+  welcome.trace = campaign.trace;
+  welcome.forensics_depth = campaign.forensics_depth;
   impl_->welcome_line = encode_welcome(welcome);
-  impl_->welcome_config = welcome.config;
 
-  if (impl_->options.metrics != nullptr) {
-    obs::MetricsRegistry& m = *impl_->options.metrics;
+  if (campaign.metrics != nullptr) {
+    obs::MetricsRegistry& m = *campaign.metrics;
     impl_->workers_live =
         &m.gauge("dts_dist_workers_live", {}, "connected distributed workers");
     impl_->leases_issued =
@@ -587,21 +594,15 @@ Coordinator::~Coordinator() {
 
 std::uint16_t Coordinator::port() const { return impl_->listener.port(); }
 
-exec::CampaignResult Coordinator::run() {
+exec::CampaignResult Coordinator::run(bool skip_uncalled) {
   Impl& im = *impl_;
+  const std::uint64_t seed = im.campaign->seed;
   const std::size_t n = im.list.faults.size();
   im.slots.assign(n, exec::CompletedRun{});
+  im.skip_uncalled = skip_uncalled;
 
-  exec::ExecOptions sink_options;
-  sink_options.journal_path = im.options.journal_path;
-  sink_options.resume = im.options.resume;
-  sink_options.config_text = im.welcome_config;
-  sink_options.metrics = im.options.metrics;
-  sink_options.stall = im.options.stall;
-  sink_options.status = im.options.status;
-  sink_options.on_progress = im.options.on_progress;
   auto resumed = exec::load_resumed_runs(
-      sink_options, im.base, im.seed, im.digest, n,
+      *im.campaign, im.base, seed, im.digest, n,
       [&im](std::size_t i, const std::string& id) { return im.fault_ids[i] == id; });
   im.reused = resumed.size();
   for (auto& [i, run] : resumed) im.slots[i] = std::move(run);
@@ -613,11 +614,8 @@ exec::CampaignResult Coordinator::run() {
       im.proofs.record(im.list.faults[i].fn, i);
     }
   }
-  // Per-run metrics arrive with the workers' telemetry, labelled by worker;
-  // the coordinator's sink journals, feeds stall detector and status board,
-  // and reports progress.
-  sink_options.metrics = nullptr;
-  im.sink = std::make_unique<exec::RunSink>(im.base, sink_options, im.seed, n);
+  im.sink = std::make_unique<exec::RunSink>(im.base, im.sink_options, seed, n,
+                                            im.config_text);
   im.sink->start(n, im.reused);
 
   if (im.pending.empty()) {
@@ -632,8 +630,8 @@ exec::CampaignResult Coordinator::run() {
 
   // Same merge as the in-process executor: replay the skip rule serially so
   // the distributed output is byte-identical to --jobs=1.
-  exec::CampaignResult out = exec::merge_completed_runs(
-      im.base, im.list, im.seed, im.options.skip_uncalled, std::move(im.slots));
+  exec::CampaignResult out = exec::merge_completed_runs(im.base, im.list, seed,
+                                                       skip_uncalled, std::move(im.slots));
   out.executed += im.sink->executed();
   out.reused = im.reused;
   return out;
@@ -649,51 +647,20 @@ pid_t spawn_worker_process(const WorkerOptions& options, int close_fd) {
 
 core::WorkloadSetResult run_workload_set_distributed(
     const core::RunConfig& base, const core::CampaignOptions& options,
-    DistOptions dist, const std::optional<inject::FaultList>& explicit_faults) {
+    const DistOptions& dist, const std::optional<inject::FaultList>& explicit_faults) {
   core::WorkloadSetResult result;
   result.base_config = base;
   result.activated_functions = core::profile_workload(base, options.seed);
-
-  inject::FaultList list;
-  if (explicit_faults) {
-    list = *explicit_faults;
-    // Explicit lists execute in full, as in-process campaigns do.
-    dist.skip_uncalled = false;
-  } else {
-    // The model registry enumerates the sweep exactly like the in-process
-    // path, so a distributed campaign's merged output stays byte-identical
-    // to --jobs=1 under any model set.
-    std::string model_error;
-    const auto models = fault::ModelSet::parse(options.models, &model_error);
-    if (!models) throw std::runtime_error(model_error);
-    list = fault::build_sweep(base.workload.target_image, *models,
-                              options.profile_first ? &result.activated_functions : nullptr,
-                              options.iterations)
-               .sampled(options.max_faults);
-    // Same tier stamping as run_workload_set: lease fault ids carry the
-    // topology tier prefix, so worker-side parsing, per-run seeds and run
-    // lines stay byte-identical to the in-process path.
-    if (!base.topo.empty()) {
-      for (auto& f : list.faults) f.tier = base.topo.fault_tier;
-    }
-  }
-
-  dist.journal_path = options.journal_path;
-  dist.resume = options.resume;
-  dist.metrics = options.metrics;
-  if (dist.stall == nullptr) dist.stall = options.stall;
-  if (dist.status == nullptr) dist.status = options.status;
-  if (options.on_snapshot || options.on_progress) {
-    dist.on_progress = [&options](const exec::ProgressSnapshot& s) {
-      if (options.on_snapshot) options.on_snapshot(s);
-      if (options.on_progress) options.on_progress(s.done, s.total);
-    };
-  }
-
-  const auto on_listen = dist.on_listen;
-  Coordinator coordinator(base, list, options.seed, std::move(dist));
-  if (on_listen) on_listen(coordinator.port());
-  exec::CampaignResult campaign = coordinator.run();
+  // The same sweep as the in-process path, so a distributed campaign's merged
+  // output stays byte-identical to --jobs=1. Explicit lists execute in full,
+  // as in-process campaigns do.
+  inject::FaultList list = explicit_faults
+                               ? *explicit_faults
+                               : core::campaign_sweep(base, options,
+                                                      &result.activated_functions);
+  Coordinator coordinator(base, std::move(list), options, dist);
+  if (dist.on_listen) dist.on_listen(coordinator.port());
+  exec::CampaignResult campaign = coordinator.run(/*skip_uncalled=*/!explicit_faults);
   result.executed_runs = campaign.executed;
   result.runs = std::move(campaign.runs);
   return result;

@@ -28,11 +28,8 @@
 #include <string>
 
 #include "core/campaign.h"
-#include "exec/executor.h"
-#include "exec/progress.h"
-#include "inject/fault_list.h"
-#include "obs/metrics.h"
 #include "dist/worker.h"
+#include "inject/fault_list.h"
 
 namespace dts::obs::fleet {
 class FleetEventLog;
@@ -62,38 +59,14 @@ struct DistOptions {
   /// Per-message write deadline towards a worker.
   int io_timeout_ms = 10000;
 
-  /// Apply the paper-§4 skip-uncalled rule (campaign sweeps). Off for
-  /// explicit user-supplied fault lists, as in the in-process executor.
-  bool skip_uncalled = true;
-
-  /// Run journal (same format and key as exec::RunJournal — distributed and
-  /// in-process campaigns resume each other's journals). Empty = none.
-  std::string journal_path;
-  bool resume = false;
-
-  /// dts_dist_* counters and gauges land here; with telemetry enabled,
-  /// worker-shipped metrics are merged here too (worker="<id>" labels).
-  /// Null = no metrics.
-  obs::MetricsRegistry* metrics = nullptr;
-
   /// Telemetry cadence advertised to workers in WELCOME, in milliseconds.
-  /// 0 disables telemetry shipping; forced to 0 when metrics is null (there
-  /// is nowhere to merge snapshots into).
+  /// 0 disables telemetry shipping; forced to 0 when the campaign has no
+  /// metrics registry (there is nowhere to merge snapshots into).
   std::uint64_t telemetry_ms = 1000;
 
   /// Structured fleet event log: worker connect/disconnect, lease issue/
   /// expiry/reassignment. Must outlive run(). Null = off.
   obs::fleet::FleetEventLog* events = nullptr;
-
-  /// Live status board for the HTTP endpoint (/status, /runs). Must outlive
-  /// run(). Null = off.
-  obs::fleet::StatusBoard* status = nullptr;
-
-  /// Stall detector fed every streamed result's wall time. Must outlive
-  /// run(). Null = off.
-  obs::fleet::StallDetector* stall = nullptr;
-
-  std::function<void(const exec::ProgressSnapshot&)> on_progress;
 
   /// Fired by run_workload_set_distributed once the listener is bound, with
   /// the actual port — lets the CLI print a connect line before blocking.
@@ -106,10 +79,19 @@ struct DistOptions {
 /// One campaign's coordinator. Binds its listener on construction (throws
 /// std::runtime_error when the endpoint is unavailable); run() serves until
 /// every fault is accounted for.
+///
+/// The campaign's own options drive it, exactly as they drive the in-process
+/// executor: seed, journal and resume, metrics (dts_dist_* series, plus the
+/// workers' telemetry merged under worker="<id>" labels), status board, stall
+/// detector, progress, and the syscall trace mode and forensics depth the
+/// workers run under — their forensics dumps come back in the records and
+/// land in forensics_dir. Workers and the journal header receive the same
+/// serialized configuration an in-process campaign journals. `campaign` must
+/// outlive the coordinator.
 class Coordinator {
  public:
-  Coordinator(core::RunConfig base, inject::FaultList list, std::uint64_t seed,
-              DistOptions options);
+  Coordinator(core::RunConfig base, inject::FaultList list,
+              const core::CampaignOptions& campaign, DistOptions options);
   ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
@@ -121,8 +103,9 @@ class Coordinator {
   /// Serves workers until the sweep is complete, then merges. Throws
   /// std::runtime_error when the campaign can no longer make progress
   /// (journal conflict, endpoint failure, or every worker lost with the
-  /// respawn budget exhausted).
-  exec::CampaignResult run();
+  /// respawn budget exhausted). `skip_uncalled` as in
+  /// exec::CampaignExecutor::run: false for explicit fault lists.
+  exec::CampaignResult run(bool skip_uncalled = true);
 
  private:
   struct Impl;
@@ -136,12 +119,12 @@ class Coordinator {
 pid_t spawn_worker_process(const WorkerOptions& options, int close_fd);
 
 /// Distributed twin of core::run_workload_set's exhaustive path: profiles,
-/// builds the fault list (or takes the explicit one — executed without the
-/// skip-uncalled rule, as in-process), then runs it through a Coordinator.
-/// Journal, resume, metrics and progress flow from `options` as usual.
+/// builds the campaign's sweep (or takes the explicit list — executed without
+/// the skip-uncalled rule, as in-process), then runs it through a
+/// Coordinator.
 core::WorkloadSetResult run_workload_set_distributed(
     const core::RunConfig& base, const core::CampaignOptions& options,
-    DistOptions dist,
+    const DistOptions& dist,
     const std::optional<inject::FaultList>& explicit_faults = std::nullopt);
 
 }  // namespace dts::dist

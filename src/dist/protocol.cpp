@@ -52,8 +52,9 @@ std::string encode_welcome(const Welcome& m) {
       << json_escape(m.workload) << "\",\"middleware\":" << m.middleware
       << ",\"watchd\":" << m.watchd_version << ",\"seed\":" << m.seed
       << ",\"faults\":" << m.fault_count << ",\"digest\":" << m.digest
-      << ",\"telemetry_ms\":" << m.telemetry_ms << ",\"config\":\""
-      << json_escape(m.config) << "\"}";
+      << ",\"telemetry_ms\":" << m.telemetry_ms << ",\"trace\":\""
+      << obs::to_string(m.trace) << "\",\"forensics_depth\":" << m.forensics_depth
+      << ",\"config\":\"" << json_escape(m.config) << "\"}";
   return out.str();
 }
 
@@ -73,9 +74,15 @@ std::optional<Welcome> decode_welcome(const std::string& line) {
   }
   m.middleware = static_cast<int>(mw);
   m.watchd_version = static_cast<int>(wv);
-  // Absent in v1 welcomes; tolerated so a v2 worker parses them (the proto
+  // Absent in older welcomes; tolerated so the worker parses them (the proto
   // check still rejects the session afterwards).
   (void)json_uint_field(line, "telemetry_ms", &m.telemetry_ms);
+  (void)json_uint_field(line, "forensics_depth", &m.forensics_depth);
+  std::string trace;
+  if (json_string_field(line, "trace", &trace) &&
+      !obs::trace_mode_from_string(trace, &m.trace)) {
+    return std::nullopt;
+  }
   return m;
 }
 

@@ -38,13 +38,16 @@
 
 #include "exec/journal.h"
 #include "exec/sink.h"
+#include "obs/trace.h"
 
 namespace dts::dist {
 
 /// Protocol revision; bumped on any incompatible message change. v2 adds
 /// the TELEMETRY message and Welcome.telemetry_ms; v3 makes RESULT carry the
-/// whole run record (a v2 worker's results lack tier, rt, fm and spans).
-constexpr std::uint64_t kProtocolVersion = 3;
+/// whole run record (a v2 worker's results lack tier, rt, fm and spans); v4
+/// adds Welcome.trace and Welcome.forensics_depth (a v3 worker would run
+/// untraced and return records without forensics dumps).
+constexpr std::uint64_t kProtocolVersion = 4;
 
 enum class MsgType {
   kHello,
@@ -85,6 +88,8 @@ struct Welcome {
   std::uint64_t digest = 0;  // plan::sweep_digest of the fault list
   std::string config;        // core::serialize_config of the campaign config
   std::uint64_t telemetry_ms = 0;  // telemetry cadence; 0 = don't ship any
+  obs::TraceMode trace = obs::TraceMode::kOff;  // per-run syscall tracing
+  std::uint64_t forensics_depth = 0;            // trace ring depth
 };
 std::string encode_welcome(const Welcome& m);
 std::optional<Welcome> decode_welcome(const std::string& line);

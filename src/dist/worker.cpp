@@ -197,13 +197,16 @@ int run_worker(const WorkerOptions& options, std::string* error) {
         last_send = now;
       }
 
-      // Seed derivation identical to the in-process executor: the record is
-      // bit-for-bit what a serial sweep computes for this fault.
+      // Seed derivation and syscall tracing identical to the in-process
+      // executor: the record, forensics dump included, is what a serial sweep
+      // computes for this fault, bit for bit apart from the lease in its
+      // execution index.
       WireResult res;
       res.lease_id = lease->lease_id;
       exec::ExecutedRun run = exec::execute_fault(
           cfg->run, welcome->seed, *spec,
-          {welcome->digest, lease->lease_id, lease->indices[k]});
+          {welcome->digest, lease->lease_id, lease->indices[k]}, welcome->trace,
+          welcome->forensics_depth);
       static_cast<exec::JournalRecord&>(res) = std::move(run.record);
       sink.record(res, run.result, /*worker=*/0, res.lease_id);
       if (run.result.outcome == core::Outcome::kFailure) {

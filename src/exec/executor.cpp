@@ -97,12 +97,11 @@ class ShardQueue {
 // Calls work(worker, position) once for every position in [0, count) on up
 // to options.jobs workers — on the calling thread, in order, when one worker
 // suffices (the pre-parallel serial loop exactly). `work` returns whether it
-// ran a fresh simulation, counted per worker. Returns false when
-// options.cancel stopped the pool early; rethrows the first exception a
+// ran a fresh simulation, counted per worker. Rethrows the first exception a
 // worker raised.
-bool run_pool(std::size_t count, const ExecOptions& options,
+void run_pool(std::size_t count, const ExecOptions& options,
               const std::function<bool(int, std::size_t)>& work) {
-  if (count == 0) return true;
+  if (count == 0) return;
   const int workers = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(effective_jobs(options.jobs)), count));
   obs::MetricsRegistry* metrics = options.metrics;
@@ -115,7 +114,6 @@ bool run_pool(std::size_t count, const ExecOptions& options,
                         "unclaimed faults remaining in the shard queue"));
   }
   std::atomic<bool> stop{false};
-  std::atomic<bool> cancelled{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
 
@@ -130,11 +128,6 @@ bool run_pool(std::size_t count, const ExecOptions& options,
       }
       for (;;) {
         if (stop.load(std::memory_order_relaxed)) return;
-        if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
-          cancelled.store(true, std::memory_order_relaxed);
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
         const std::size_t item = queue.pop(worker);
         if (item == ShardQueue::npos) return;
         if (work(worker, item) && runs != nullptr) runs->inc();
@@ -155,14 +148,14 @@ bool run_pool(std::size_t count, const ExecOptions& options,
     for (auto& t : threads) t.join();
   }
   if (first_error) std::rethrow_exception(first_error);
-  return !cancelled.load();
 }
 
 // True when the campaign may route runs through the snapshot/fork phase.
 // The phase costs one host golden run, so a single pending fault never pays.
-bool snapshot_phase_applicable(const ExecOptions& options, const core::RunConfig& base,
-                               std::size_t pending) {
-  return options.snapshots && options.snapshot_profile != nullptr && pending >= 2 &&
+bool snapshot_phase_applicable(const ExecOptions& options,
+                               const plan::GoldenProfile* profile,
+                               const core::RunConfig& base, std::size_t pending) {
+  return options.snapshots && profile != nullptr && pending >= 2 &&
          snap::unsupported_reason(base, options.trace != obs::TraceMode::kOff).empty();
 }
 
@@ -231,17 +224,12 @@ std::vector<std::size_t> run_snapshot_phase(
   snap::ForkRunner::Options ropts;
   ropts.campaign_seed = campaign_seed;
   ropts.campaign_digest = campaign_digest;
-  ropts.max_checkpoints = options.snapshot_max_checkpoints;
   ropts.jobs = effective_jobs(options.jobs);
   ropts.tail_site = tail_site;
   snap::ForkRunner runner(base, ropts);
   std::vector<std::size_t> fallback = runner.run(items, record);
   emit_snap_metrics(options.metrics, base, runner.stats());
   return fallback;
-}
-
-bool cancel_requested(const ExecOptions& options) {
-  return options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -322,7 +310,7 @@ CampaignResult merge_completed_runs(const core::RunConfig& base,
 
 CampaignResult CampaignExecutor::run(const core::RunConfig& base,
                                      const inject::FaultList& list,
-                                     std::uint64_t campaign_seed) {
+                                     std::uint64_t campaign_seed, bool skip_uncalled) {
   const std::size_t n = list.faults.size();
   CampaignResult out;
 
@@ -350,7 +338,7 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
     }
   }
 
-  RunSink sink(base, options_, campaign_seed, n);
+  RunSink sink(base, options_, campaign_seed, n, config_text_);
   sink.start(n, out.reused);
   // Every fresh run lands here, whichever path executed it.
   const auto complete = [&](std::size_t i, core::RunResult result,
@@ -370,9 +358,8 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
   // exactly as full runs do (the merge below then guarantees byte-identical
   // campaign output either way); whatever cannot be forked stays in
   // `pending` for the thread pool.
-  if (snapshot_phase_applicable(options_, base, pending.size()) &&
-      !cancel_requested(options_)) {
-    const plan::GoldenProfile& profile = *options_.snapshot_profile;
+  if (snapshot_phase_applicable(options_, snapshot_profile_, base, pending.size())) {
+    const plan::GoldenProfile& profile = *snapshot_profile_;
     const std::uint64_t tail_site = profile_tail_site(profile);
     std::vector<snap::ForkItem> items;
     std::vector<std::size_t> next_pending;
@@ -411,10 +398,10 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
     }
   }
 
-  const bool finished = run_pool(pending.size(), options_, [&](int worker, std::size_t item) {
+  run_pool(pending.size(), options_, [&](int worker, std::size_t item) {
     const std::size_t i = pending[item];
     const inject::FaultSpec& fault = list.faults[i];
-    if (options_.skip_uncalled && proofs.proven_before(fault.fn, i)) {
+    if (skip_uncalled && proofs.proven_before(fault.fn, i)) {
       sink.skipped();
       return false;
     }
@@ -426,16 +413,12 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
   // Fully resumed (or forked): no worker reported the final state.
   if (pending.empty()) sink.report();
   out.executed = sink.executed();
-  if (!finished) {
-    out.interrupted = true;
-    return out;
-  }
 
   // Merge: replay the paper-§4 skip rule serially over the completed results
   // so the output is byte-identical to a one-worker sweep regardless of how
   // the faults were scheduled above (shared with the distributed coordinator).
-  CampaignResult merged = merge_completed_runs(base, list, campaign_seed,
-                                               options_.skip_uncalled, std::move(slots));
+  CampaignResult merged =
+      merge_completed_runs(base, list, campaign_seed, skip_uncalled, std::move(slots));
   out.runs = std::move(merged.runs);
   out.skipped = merged.skipped;
   out.executed += merged.executed;
@@ -468,7 +451,7 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
   out.reused = resumed.size();
   for (auto& [i, run] : resumed) results[i] = std::move(run.result);
 
-  RunSink sink(base, options_, campaign_seed, n);
+  RunSink sink(base, options_, campaign_seed, n, config_text_);
   // Planned records carry their sampling stratum.
   const auto complete = [&](std::size_t idx, core::RunResult result, JournalRecord rec,
                             int worker) {
@@ -480,7 +463,6 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
 
   plan::AdaptiveSampler sampler(plan, sampler_options);
   sink.start(plan.executable_count(), 0);
-  bool cancelled = false;
 
   // Round loop: issue one sampler batch, execute its fresh members in
   // parallel, then record the whole round back into the sampler (in entry
@@ -488,10 +470,6 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
   // executed-run set independent of the worker count: batch composition only
   // ever depends on fully-recorded earlier rounds.
   for (;;) {
-    if (cancel_requested(options_)) {
-      cancelled = true;
-      break;
-    }
     const std::vector<std::size_t> batch = sampler.next_batch();
     if (batch.empty()) break;
 
@@ -508,8 +486,8 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
     // site directly (golden_known), so forked items need no profile lookup;
     // the profile still provides the tail checkpoint. Leftovers stay in
     // `fresh` for the round's worker pool.
-    if (snapshot_phase_applicable(options_, base, fresh.size())) {
-      const std::uint64_t tail_site = profile_tail_site(*options_.snapshot_profile);
+    if (snapshot_phase_applicable(options_, snapshot_profile_, base, fresh.size())) {
+      const std::uint64_t tail_site = profile_tail_site(*snapshot_profile_);
       std::vector<snap::ForkItem> items;
       std::vector<std::size_t> next_fresh;
       for (std::size_t idx : fresh) {
@@ -536,17 +514,14 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
       }
     }
 
-    if (!run_pool(fresh.size(), options_, [&](int worker, std::size_t pos) {
-          const std::size_t idx = fresh[pos];
-          ExecutedRun run =
-              execute_fault(base, campaign_seed, plan.entries[idx].fault,
-                            {campaign_digest, 0, idx}, options_.trace, options_.forensics_depth);
-          complete(idx, std::move(run.result), std::move(run.record), worker);
-          return true;
-        })) {
-      cancelled = true;
-      break;
-    }
+    run_pool(fresh.size(), options_, [&](int worker, std::size_t pos) {
+      const std::size_t idx = fresh[pos];
+      ExecutedRun run = execute_fault(base, campaign_seed, plan.entries[idx].fault,
+                                      {campaign_digest, 0, idx}, options_.trace,
+                                      options_.forensics_depth);
+      complete(idx, std::move(run.result), std::move(run.record), worker);
+      return true;
+    });
 
     for (std::size_t idx : batch) {
       const core::RunResult& r = *results[idx];
@@ -556,10 +531,6 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
 
   out.executed = sink.executed();
   out.strata = sampler.progress();
-  if (cancelled) {
-    out.interrupted = true;
-    return out;
-  }
 
   // Assemble plan-entry-order output: executed results as-is, duplicates
   // attributed to their representative's run, pruned entries synthesized as

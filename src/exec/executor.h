@@ -13,7 +13,6 @@
 // feeds.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -46,44 +45,33 @@ std::string_view outcome_label(core::Outcome o);
 /// "mscs", "watchd3".
 std::string middleware_label(const core::RunConfig& base);
 
+/// The execution and output knobs of a campaign, declared once: a campaign's
+/// core::CampaignOptions extends this struct with the sweep it executes, and
+/// the executor, the run sink and the distributed coordinator all read the
+/// campaign's own options.
 struct ExecOptions {
-  /// Worker count: 1 = serial on the calling thread (today's exact
-  /// behaviour), 0 = one worker per hardware thread.
+  /// Worker count: 1 = serial on the calling thread, 0 = one worker per
+  /// hardware thread. Results are byte-identical at any job count: per-run
+  /// seeds derive from the fault id, never from worker id or schedule.
   int jobs = 1;
 
-  /// Apply the paper-§4 skip-uncalled rule (campaign sweeps). Explicit
-  /// user-supplied fault lists turn this off: every listed fault executes.
-  bool skip_uncalled = true;
-
-  /// JSONL run journal written as runs complete (empty = none).
+  /// JSONL run journal written as runs complete (empty = none). With
+  /// `resume`, completed runs found in it are reused and only the missing
+  /// faults execute; a journal of another campaign is refused (throws), and
+  /// records whose execution index names a foreign campaign digest are
+  /// skipped with a warning.
   std::string journal_path;
-
-  /// Reuse completed runs from an existing journal before executing the
-  /// rest. Refuses (throws) if the journal belongs to a different campaign.
-  /// Records whose execution index names a foreign campaign digest are
-  /// skipped with a warning (they would merge another campaign's results).
   bool resume = false;
-
-  /// Full serialized campaign configuration (core::serialize_config),
-  /// embedded in the journal v4 header so `ntdts replay` can rebuild the
-  /// exact RunConfig from the journal alone. Empty = header carries the
-  /// identity fields only (pre-v4 behaviour).
-  std::string config_text;
 
   /// Fired after every completed fault (executed, skipped or reused), with
   /// throughput and ETA. Serialized: never invoked concurrently.
-  std::function<void(const ProgressSnapshot&)> on_progress;
-
-  /// Cooperative cancellation: when the pointee becomes true, workers stop
-  /// picking up faults and run() returns with interrupted=true. The journal
-  /// keeps everything completed so far — restart with resume=true.
-  const std::atomic<bool>* cancel = nullptr;
+  std::function<void(const ProgressSnapshot&)> on_snapshot;
 
   // --- observability (all optional; defaults add near-zero overhead) ------
 
   /// Campaign metrics sink: outcome counters, response-time histograms,
   /// per-worker throughput, steal/queue-depth stats and one Chrome trace
-  /// event per executed run. Must outlive run(). Null = no metrics.
+  /// event per executed run. Must outlive the campaign. Null = no metrics.
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Per-run syscall tracing. kOff records nothing; kFailures embeds a
@@ -99,15 +87,11 @@ struct ExecOptions {
   /// the journal embeds it either way.
   std::string forensics_dir;
 
-  /// Stall/anomaly detector fed every executed run's wall time (with its
-  /// stratum and execution index). Must outlive run(). Null = off.
+  /// Fleet observability (src/obs/fleet/): stall/anomaly detector and live
+  /// status board, both fed every executed run. Must outlive the campaign.
+  /// Null = off.
   obs::fleet::StallDetector* stall = nullptr;
-
-  /// Live status board fed every executed run (for the /runs endpoint).
-  /// Must outlive run(). Null = off.
   obs::fleet::StatusBoard* status = nullptr;
-
-  // --- snapshot execution (src/snap/) -------------------------------------
 
   /// Fork each campaign run from a COW snapshot taken during one shared
   /// golden run instead of replaying the fault-free prefix (POSIX only).
@@ -115,21 +99,12 @@ struct ExecOptions {
   /// jobs count: anything not provably resumable — unknown injection sites,
   /// jitter/tracing configs, semantic RNG draws in the prefix, abnormal
   /// child exits (see snap::unsupported_reason) — silently falls back to a
-  /// full run. Requires snapshot_profile.
+  /// full run, so the result cache key deliberately ignores this flag.
   bool snapshots = false;
-
-  /// Upper bound on snapshots captured during the host golden run
-  /// (0 = one per distinct injection site).
-  std::size_t snapshot_max_checkpoints = 64;
-
-  /// Golden profile used to place checkpoints and resolve each fault's
-  /// injection site. Must outlive run(). Null disables snapshots.
-  const plan::GoldenProfile* snapshot_profile = nullptr;
 };
 
 struct CampaignResult {
-  std::vector<core::RunResult> runs;  // fault-list order; empty if interrupted
-  bool interrupted = false;
+  std::vector<core::RunResult> runs;  // fault-list order
   std::size_t executed = 0;  // fresh simulations run
   std::size_t reused = 0;    // reloaded from the journal
   std::size_t skipped = 0;   // skip-uncalled records in the merged output
@@ -187,7 +162,6 @@ CampaignResult merge_completed_runs(const core::RunConfig& base,
 /// adaptive stratum stopped early are absent (counted in `unsampled`).
 struct PlanCampaignResult {
   std::vector<core::RunResult> runs;
-  bool interrupted = false;
   std::size_t executed = 0;   // fresh simulations run
   std::size_t reused = 0;     // reloaded from the journal
   std::size_t deduped = 0;    // duplicate records attributed to a shared run
@@ -198,13 +172,26 @@ struct PlanCampaignResult {
 
 class CampaignExecutor {
  public:
-  explicit CampaignExecutor(ExecOptions options) : options_(std::move(options)) {}
+  /// `options` — typically the campaign's core::CampaignOptions — must
+  /// outlive the executor. `config_text` (the campaign's
+  /// core::serialize_config) is embedded in the journal header so `ntdts
+  /// replay` rebuilds the exact RunConfig from the journal alone; empty keeps
+  /// the identity fields only. `snapshot_profile` places the snapshot
+  /// checkpoints and resolves each fault's injection site; without one,
+  /// options.snapshots has no effect. It must outlive the executor too.
+  explicit CampaignExecutor(const ExecOptions& options, std::string config_text = {},
+                            const plan::GoldenProfile* snapshot_profile = nullptr)
+      : options_(options),
+        config_text_(std::move(config_text)),
+        snapshot_profile_(snapshot_profile) {}
 
   /// Executes every fault of `list` against `base`. Each run's seed is
   /// sim::Rng::mix(campaign_seed, hash(fault.id())), matching the serial
-  /// campaign loop this subsystem replaces.
+  /// campaign loop this subsystem replaces. `skip_uncalled` applies the
+  /// paper-§4 rule (campaign sweeps); explicit user-supplied fault lists pass
+  /// false, so every listed fault executes.
   CampaignResult run(const core::RunConfig& base, const inject::FaultList& list,
-                     std::uint64_t campaign_seed);
+                     std::uint64_t campaign_seed, bool skip_uncalled = true);
 
   /// Executes a campaign plan (src/plan/): only kExecute entries run, issued
   /// round by round from the adaptive sampler; everything else is attributed
@@ -217,7 +204,9 @@ class CampaignExecutor {
                               const plan::SamplerOptions& sampler_options);
 
  private:
-  ExecOptions options_;
+  const ExecOptions& options_;
+  std::string config_text_;
+  const plan::GoldenProfile* snapshot_profile_;
 };
 
 }  // namespace dts::exec

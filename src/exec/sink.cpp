@@ -266,13 +266,13 @@ std::map<std::size_t, CompletedRun> load_resumed_runs(
 }
 
 RunSink::RunSink(const core::RunConfig& base, const ExecOptions& options,
-                 std::uint64_t campaign_seed, std::size_t entries)
+                 std::uint64_t campaign_seed, std::size_t entries,
+                 const std::string& config_text)
     : options_(options), metrics_(options.metrics) {
   if (!options_.journal_path.empty()) {
     std::string error;
     if (!journal_.open(options_.journal_path, journal_key(base, campaign_seed, entries),
-                       options_.resume, &error, options_.config_text,
-                       journal_version(base))) {
+                       options_.resume, &error, config_text, journal_version(base))) {
       throw std::runtime_error(error);
     }
   }
@@ -415,7 +415,7 @@ void RunSink::progress(bool fresh) {
 }
 
 void RunSink::publish(const ProgressSnapshot& s) {
-  if (options_.on_progress) options_.on_progress(s);
+  if (options_.on_snapshot) options_.on_snapshot(s);
   if (options_.status != nullptr) {
     options_.status->update_campaign({s.done, s.total, s.executed, s.reused, s.elapsed_s,
                                       s.runs_per_sec, s.eta_s});

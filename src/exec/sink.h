@@ -81,12 +81,14 @@ std::map<std::size_t, CompletedRun> load_resumed_runs(
     const std::function<bool(std::size_t, const std::string&)>& matches);
 
 /// Everything that consumes a finished run. Opens the journal (when
-/// options.journal_path is set) and resolves the per-campaign metric handles
-/// at construction; record() is thread-safe.
+/// options.journal_path is set, with `config_text` embedded in its header)
+/// and resolves the per-campaign metric handles at construction; record() is
+/// thread-safe. `options` must outlive the sink.
 class RunSink {
  public:
   RunSink(const core::RunConfig& base, const ExecOptions& options,
-          std::uint64_t campaign_seed, std::size_t entries);
+          std::uint64_t campaign_seed, std::size_t entries,
+          const std::string& config_text = {});
 
   /// Starts progress accounting: `total` faults, `reused` of them already
   /// done. Before start() the sink reports no progress.
@@ -108,12 +110,12 @@ class RunSink {
   std::size_t executed() const;
 
  private:
-  // Both require progress_mu_: on_progress is never invoked concurrently.
+  // Both require progress_mu_: on_snapshot is never invoked concurrently.
   void progress(bool fresh);
   void publish(const ProgressSnapshot& s);
   obs::Counter& activations(nt::Fn fn);
 
-  ExecOptions options_;
+  const ExecOptions& options_;
   RunJournal journal_;
 
   obs::MetricsRegistry* metrics_ = nullptr;

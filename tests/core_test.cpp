@@ -137,10 +137,10 @@ TEST(Campaign, ProgressCallbackFires) {
   CampaignOptions opt;
   opt.max_faults = 5;
   std::size_t calls = 0, last_total = 0;
-  opt.on_progress = [&](std::size_t done, std::size_t total) {
+  opt.on_snapshot = [&](const exec::ProgressSnapshot& s) {
     ++calls;
-    EXPECT_LE(done, total);
-    last_total = total;
+    EXPECT_LE(s.done, s.total);
+    last_total = s.total;
   };
   run_workload_set(cfg, opt);
   EXPECT_EQ(calls, 5u);

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,11 +131,15 @@ TEST(DistProtocol, MessagesRoundTrip) {
   w.fault_count = 42;
   w.digest = 0xdeadbeefull;
   w.config = "[test]\nworkload = Apache1\n";
+  w.trace = obs::TraceMode::kFailures;
+  w.forensics_depth = 24;
   const auto w2 = dist::decode_welcome(dist::encode_welcome(w));
   ASSERT_TRUE(w2.has_value());
   EXPECT_EQ(w2->workload, w.workload);
   EXPECT_EQ(w2->config, w.config);
   EXPECT_EQ(w2->digest, w.digest);
+  EXPECT_EQ(w2->trace, w.trace);
+  EXPECT_EQ(w2->forensics_depth, w.forensics_depth);
 
   dist::Lease lease;
   lease.lease_id = 3;
@@ -379,7 +385,8 @@ struct PathOutput {
 
 /// The journal's records in fault order, each rendered in the record codec
 /// with the two path-dependent parts normalized: wall time, and the lease
-/// field of the execution index (0 in-process, the lease id on a fleet).
+/// field of the execution index (0 in-process, the lease id on a fleet),
+/// which a forensics dump names too.
 std::vector<std::string> normalized_records(const exec::JournalFile& file) {
   std::vector<exec::JournalRecord> records = file.records;
   std::sort(records.begin(), records.end(),
@@ -390,8 +397,14 @@ std::vector<std::string> normalized_records(const exec::JournalFile& file) {
     const auto xi = obs::fleet::ExecutionIndex::parse(rec.exec_index);
     EXPECT_TRUE(xi.has_value()) << rec.exec_index;
     if (xi) {
-      rec.exec_index =
+      const std::string in_process =
           obs::fleet::ExecutionIndex{xi->campaign_digest, 0, xi->fault_index}.to_string();
+      for (std::size_t at = 0;
+           (at = rec.forensics.find(rec.exec_index, at)) != std::string::npos;
+           at += in_process.size()) {
+        rec.forensics.replace(at, rec.exec_index.size(), in_process);
+      }
+      rec.exec_index = in_process;
     }
     std::string line;
     exec::write_record_fields(&line, rec, /*wire=*/true);
@@ -401,7 +414,8 @@ std::vector<std::string> normalized_records(const exec::JournalFile& file) {
 }
 
 PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
-                    const std::string& journal, int workers) {
+                    const std::string& journal, int workers,
+                    const std::optional<inject::FaultList>& list = std::nullopt) {
   std::filesystem::remove(journal);
   obs::MetricsRegistry metrics;
   opt.journal_path = journal;
@@ -410,9 +424,9 @@ PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
   if (workers > 0) {
     dist::DistOptions d;
     d.spawn_workers = workers;
-    out.set = dist::run_workload_set_distributed(cfg, opt, d);
+    out.set = dist::run_workload_set_distributed(cfg, opt, d, list);
   } else {
-    out.set = core::run_workload_set(cfg, opt);
+    out.set = core::run_workload_set(cfg, opt, list);
   }
   std::string error;
   auto file = exec::read_journal_file(journal, &error);
@@ -489,6 +503,71 @@ TEST(DistCampaign, TracedTopologyRecordsMatchInProcess) {
   EXPECT_EQ(core::serialize_workload_set(fleet.set), core::serialize_workload_set(local.set));
 }
 
+// The journal header embeds the same campaign configuration whichever path
+// ran the campaign — sweep knobs included — so the replay recipe an
+// execution index points to does not depend on the path.
+TEST(DistCampaign, JournalHeaderConfigMatchesInProcess) {
+  std::string error;
+  const auto cfg = core::parse_config(
+      "[test]\nworkload = Apache1\nmiddleware = none\nseed = 7\niterations = 2\n"
+      "max_faults = 40\nmodels = paper,oserror\n",
+      &error);
+  ASSERT_TRUE(cfg.has_value()) << error;
+  const PathOutput local =
+      run_path(cfg->run, cfg->campaign, temp_path("header_local.jsonl"), 0);
+  const PathOutput fleet =
+      run_path(cfg->run, cfg->campaign, temp_path("header_fleet.jsonl"), 2);
+
+  EXPECT_EQ(fleet.journal.config_text, local.journal.config_text);
+  EXPECT_EQ(fleet.journal.config_text, core::serialize_config(*cfg));
+  EXPECT_NE(local.journal.config_text.find("iterations = 2\nmax_faults = 40\n"),
+            std::string::npos);
+  EXPECT_NE(local.journal.config_text.find("models = "), std::string::npos);
+  EXPECT_EQ(normalized_records(fleet.journal), normalized_records(local.journal));
+}
+
+/// File names under `dir` (empty when it does not exist).
+std::set<std::string> file_names(const std::string& dir) {
+  std::set<std::string> out;
+  if (!std::filesystem::exists(dir)) return out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    out.insert(e.path().filename().string());
+  }
+  return out;
+}
+
+// Syscall tracing reaches the workers: a capped explicit Apache1/MSCS list
+// under trace=failures journals the same records on a two-worker fleet as at
+// jobs=2 in-process, forensics dumps included, and the coordinator writes the
+// same forensics files.
+TEST(DistCampaign, TracedRecordsAndForensicsFilesMatchInProcess) {
+  const core::RunConfig cfg = make_config("Apache1", mw::MiddlewareKind::kMscs);
+  const inject::FaultList list = capped_list(cfg, 7, 24);
+  core::CampaignOptions opt;
+  opt.seed = 7;
+  opt.trace = obs::TraceMode::kFailures;
+  opt.forensics_depth = 24;
+
+  opt.jobs = 2;
+  opt.forensics_dir = temp_path("traced_local_fx");
+  std::filesystem::remove_all(opt.forensics_dir);
+  const PathOutput local = run_path(cfg, opt, temp_path("traced_local.jsonl"), 0, list);
+  opt.jobs = 1;
+  opt.forensics_dir = temp_path("traced_fleet_fx");
+  std::filesystem::remove_all(opt.forensics_dir);
+  const PathOutput fleet = run_path(cfg, opt, temp_path("traced_fleet.jsonl"), 2, list);
+
+  std::size_t dumps = 0;
+  for (const auto& rec : local.journal.records) dumps += !rec.forensics.empty();
+  EXPECT_GT(dumps, 0u);
+  EXPECT_EQ(local.journal.records.size(), list.faults.size());
+  EXPECT_EQ(normalized_records(fleet.journal), normalized_records(local.journal));
+  EXPECT_EQ(core::serialize_workload_set(fleet.set), core::serialize_workload_set(local.set));
+  const std::set<std::string> files = file_names(temp_path("traced_local_fx"));
+  EXPECT_EQ(files.size(), dumps);
+  EXPECT_EQ(file_names(temp_path("traced_fleet_fx")), files);
+}
+
 // Kill one worker mid-shard: its lease is reassigned (exactly once) and the
 // campaign still completes byte-identical to serial.
 TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
@@ -502,10 +581,12 @@ TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
       exec::CampaignExecutor(serial_opts).run(cfg, list, 7);
 
   obs::MetricsRegistry metrics;
+  core::CampaignOptions campaign;
+  campaign.seed = 7;
+  campaign.metrics = &metrics;
   dist::DistOptions d;
   d.lease_size = 4;  // leases span several faults, so a crash tears one
-  d.metrics = &metrics;
-  dist::Coordinator coordinator(cfg, list, 7, d);
+  dist::Coordinator coordinator(cfg, list, campaign, d);
 
   // Worker A streams one result and then _exit()s mid-lease; worker B is
   // healthy and finishes the campaign, including A's reassigned remainder.
@@ -536,10 +617,12 @@ TEST(DistCampaign, DistributedJournalResumesInProcess) {
   const std::string journal = temp_path("dist_journal.jsonl");
   std::filesystem::remove(journal);
 
+  core::CampaignOptions campaign;
+  campaign.seed = 7;
+  campaign.journal_path = journal;
   dist::DistOptions d;
   d.spawn_workers = 1;
-  d.journal_path = journal;
-  dist::Coordinator coordinator(cfg, list, 7, d);
+  dist::Coordinator coordinator(cfg, list, campaign, d);
   const exec::CampaignResult distributed = coordinator.run();
   ASSERT_FALSE(distributed.runs.empty());
 

@@ -128,10 +128,12 @@ TEST(FleetEvents, DistributedCampaignRecordsConnectBeforeLease) {
   const inject::FaultList list = capped_list(cfg, 7, 6);
 
   obs::fleet::FleetEventLog events;
+  core::CampaignOptions campaign;
+  campaign.seed = 7;
   dist::DistOptions d;
   d.spawn_workers = 1;
   d.events = &events;
-  dist::Coordinator coordinator(cfg, list, 7, d);
+  dist::Coordinator coordinator(cfg, list, campaign, d);
   const exec::CampaignResult result = coordinator.run();
   ASSERT_FALSE(result.runs.empty());
 
@@ -483,13 +485,15 @@ TEST(FleetTelemetry, WorkerRunTotalsSumExactlyToJournalRecords) {
 
   obs::MetricsRegistry metrics;
   obs::fleet::FleetEventLog events;
+  core::CampaignOptions campaign;
+  campaign.seed = 7;
+  campaign.journal_path = journal;
+  campaign.metrics = &metrics;
   dist::DistOptions d;
   d.spawn_workers = 2;
-  d.journal_path = journal;
-  d.metrics = &metrics;
   d.events = &events;
   d.telemetry_ms = 50;
-  dist::Coordinator coordinator(cfg, list, 7, d);
+  dist::Coordinator coordinator(cfg, list, campaign, d);
   const exec::CampaignResult result = coordinator.run();
   ASSERT_FALSE(result.runs.empty());
 

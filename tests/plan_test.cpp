@@ -131,6 +131,25 @@ TEST(Plan, PlanCacheRoundTrip) {
   EXPECT_EQ(reloaded->serialize(), text);
 }
 
+// A planned campaign records a pruned run for every catalogue function,
+// including the ones the simulator does not implement; the set still
+// round-trips through the campaign file byte for byte.
+TEST(Plan, PlannedCampaignRoundTripsThroughCampaignFile) {
+  const core::RunConfig cfg = apache_config();
+  core::CampaignOptions opt;
+  opt.plan.mode = plan::PlanOptions::Mode::kAuto;
+  const std::string text = core::serialize_workload_set(core::run_workload_set(cfg, opt));
+  std::string error;
+  const auto reloaded = core::deserialize_workload_set(text, &error);
+  ASSERT_TRUE(reloaded.has_value()) << error;
+  EXPECT_EQ(core::serialize_workload_set(*reloaded), text);
+  std::size_t unimplemented = 0;
+  for (const core::RunResult& r : reloaded->runs) {
+    unimplemented += !inject::parse_fault_id(cfg.workload.target_image, r.fault.id());
+  }
+  EXPECT_GT(unimplemented, 0u);
+}
+
 TEST(Plan, ParseRejectsMalformedPlans) {
   std::string error;
   EXPECT_FALSE(plan::Plan::parse("", &error).has_value());

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -351,6 +352,38 @@ TEST(SnapCampaign, JournalResumesAcrossSnapshotModes) {
     EXPECT_EQ(core::serialize_workload_set(resumed), baseline)
         << "resume direction: " << (first_snapshots ? "snap->plain" : "plain->snap");
   }
+}
+
+// An explicit fault list honours snapshots too: it forks, runs every listed
+// fault, and serializes byte-identically to the full-run campaign. Its second
+// invocations sit past the one-invocation capture window, so they take the
+// golden-tail and full-run paths.
+TEST(SnapCampaign, ExplicitFaultListForksAndStaysByteIdentical) {
+  if (!snap::snapshots_supported()) GTEST_SKIP() << "no fork on this platform";
+  core::RunConfig cfg = apache_config();
+  cfg.middleware = mw::MiddlewareKind::kMscs;
+  core::CampaignOptions opt;
+  opt.seed = 7;
+  opt.iterations = 2;
+  opt.max_faults = 30;
+  const std::set<nt::Fn> fns = core::profile_workload(cfg, opt.seed);
+  const inject::FaultList list = core::campaign_sweep(cfg, opt, &fns);
+  opt.iterations = 1;
+  opt.max_faults = 0;
+
+  const core::WorkloadSetResult plain = core::run_workload_set(cfg, opt, list);
+  ASSERT_EQ(plain.runs.size(), list.faults.size());
+  obs::MetricsRegistry metrics;
+  opt.snapshots = true;
+  opt.jobs = 2;
+  opt.metrics = &metrics;
+  const core::WorkloadSetResult forked = core::run_workload_set(cfg, opt, list);
+  EXPECT_EQ(core::serialize_workload_set(forked), core::serialize_workload_set(plain));
+  std::uint64_t forked_runs = 0;
+  for (const obs::MetricSample& s : metrics.snapshot()) {
+    if (s.name == "dts_snap_forked_runs_total") forked_runs += s.counter_value;
+  }
+  EXPECT_GT(forked_runs, 0u) << "explicit fault list ignored snapshots";
 }
 
 // Guard against the subsystem silently degenerating into all-fallback: on a

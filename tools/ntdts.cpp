@@ -42,12 +42,17 @@
 // a distributed campaign ship their metric snapshots to the coordinator, so
 // the endpoint sees the whole fleet.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "core/config.h"
 #include "core/report.h"
@@ -72,6 +77,9 @@
 namespace {
 
 using namespace dts;
+
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+constexpr long long kMaxLong = std::numeric_limits<long>::max();
 
 int usage() {
   std::cerr <<
@@ -162,6 +170,35 @@ int unknown_flag(const std::string& cmd, const std::string& flag) {
   return 2;
 }
 
+/// The one numeric-flag parser: all of `value` must be a number in [lo, hi],
+/// a whole number unless T is floating-point. Otherwise prints
+/// "<who>: <flag> expects <expects>, got '<value>'" and returns nullopt.
+template <typename T>
+std::optional<T> numeric_flag(const char* who, const char* flag, const std::string& value,
+                              T lo, T hi, const char* expects) {
+  char* end = nullptr;
+  errno = 0;
+  T n{};
+  if constexpr (std::is_floating_point_v<T>) {
+    n = std::strtod(value.c_str(), &end);
+  } else {
+    n = std::strtoll(value.c_str(), &end, 10);
+  }
+  if (value.empty() || end != value.c_str() + value.size() ||
+      (std::is_integral_v<T> && errno == ERANGE) || n < lo || n > hi) {
+    std::cerr << who << ": " << flag << " expects " << expects << ", got '" << value
+              << "'\n";
+    return std::nullopt;
+  }
+  return n;
+}
+
+/// --ci-width (of `run` and `plan`): a CI half-width in [0, 0.5).
+std::optional<double> ci_width_flag(const std::string& value) {
+  return numeric_flag("ntdts", "--ci-width", value, 0.0, std::nextafter(0.5, 0.0),
+                      "a number in [0, 0.5)");
+}
+
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
@@ -190,19 +227,10 @@ int cmd_replay(int argc, char** argv) {
         return 2;
       }
     } else if (a.rfind("--trace-depth=", 0) == 0) {
-      const std::string value = a.substr(14);
-      std::size_t used = 0;
-      long n = -1;
-      try {
-        n = std::stol(value, &used);
-      } catch (const std::exception&) {
-      }
-      if (used != value.size() || n < 1 || n > 100000) {
-        std::cerr << "ntdts replay: --trace-depth expects an integer in "
-                     "[1, 100000], got '" << value << "'\n";
-        return 2;
-      }
-      trace_depth = static_cast<std::size_t>(n);
+      const auto n = numeric_flag("ntdts replay", "--trace-depth", a.substr(14), 1LL,
+                                  100000LL, "an integer in [1, 100000]");
+      if (!n) return 2;
+      trace_depth = static_cast<std::size_t>(*n);
     } else if (a.rfind("--", 0) == 0) {
       return unknown_flag("replay", a);
     } else if (positional == 0) {
@@ -508,7 +536,10 @@ int cmd_single(const std::string& workload, const std::string& fault_id,
     return 2;
   }
   if (!version.empty()) {
-    cfg.watchd_version = static_cast<mw::WatchdVersion>(std::stoi(version));
+    const auto v =
+        numeric_flag("ntdts single", "the watchd version", version, 1LL, 3LL, "1, 2 or 3");
+    if (!v) return 2;
+    cfg.watchd_version = static_cast<mw::WatchdVersion>(*v);
   }
   auto fault = inject::parse_fault_id(cfg.workload.target_image, fault_id);
   if (!fault) {
@@ -592,39 +623,10 @@ int cmd_plan(const std::string& config_path, const std::string& out_path,
   return 0;
 }
 
-/// Parsed `run` flags — one struct so the plan knobs travel with the rest.
-struct RunFlags {
-  std::optional<int> jobs;
-  bool resume = false;
-  obs::TraceMode trace = obs::TraceMode::kOff;
-  std::size_t forensics_depth = 32;
-  std::string metrics_out;
-  plan::PlanOptions::Mode plan_mode = plan::PlanOptions::Mode::kExhaustive;
-  bool plan_flag_seen = false;  // --plan/--plan-auto/--exhaustive given
-  std::string plan_file;
-  double ci_width = 0.0;
-  std::optional<std::size_t> max_faults;
-  std::optional<bool> snapshots;
-  std::optional<std::string> models;  // canonical ModelSet CSV ("" = default)
-  std::string tier;  // --tier= override of the faulted topology tier
-  // --rtrace= override of the config's [topology] rtrace mode (absent = keep
-  // the config's choice, which defaults to off).
-  std::optional<obs::rtrace::RtraceMode> rtrace;
-
-  // Distributed mode (either flag selects it).
-  std::optional<int> dist_workers;
-  std::string listen_addr;
-  int lease_timeout_ms = 30000;
-  std::size_t lease_size = 0;
-
-  // Live observability endpoint (empty = off).
-  std::string http_addr;
-
-  bool distributed() const { return dist_workers.has_value() || !listen_addr.empty(); }
-};
-
-int cmd_run(const std::string& config_path, const std::string& out_dir,
-            const RunFlags& flags) {
+/// `ntdts run <config.ini> [output-dir] [flags]`: the flags override the
+/// config's campaign options in place.
+int cmd_run(int argc, char** argv) {
+  const std::string config_path = argv[2];
   const auto text = read_file(config_path);
   if (!text) {
     std::cerr << "cannot read " << config_path << "\n";
@@ -636,52 +638,229 @@ int cmd_run(const std::string& config_path, const std::string& out_dir,
     std::cerr << config_path << ": " << error << "\n";
     return 2;
   }
-  if (flags.jobs) cfg->campaign.jobs = *flags.jobs;
-  if (flags.max_faults) cfg->campaign.max_faults = *flags.max_faults;
-  if (flags.snapshots) cfg->campaign.snapshots = *flags.snapshots;
-  if (flags.models) cfg->campaign.models = *flags.models;
-  if (!flags.tier.empty()) {
-    if (cfg->run.topo.empty()) {
-      std::cerr << "ntdts run: --tier requires a [topology] section in "
-                << config_path << "\n";
+  core::CampaignOptions& campaign = cfg->campaign;
+  std::string out_dir = "dts-results";
+  bool have_out_dir = false;
+  std::string metrics_out;
+  std::string http_addr;  // live observability endpoint (empty = off)
+  dist::DistOptions d;
+  bool distributed = false;  // --workers or --listen
+  bool jobs_flag = false;
+  int plan_mode_flags = 0;  // --plan / --plan-auto / --exhaustive are exclusive
+  for (int i = 3; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a.rfind("--jobs=", 0) == 0) {
+      const auto n = numeric_flag("ntdts", "--jobs", a.substr(7), 0LL, 1024LL,
+                                  "an integer in [0, 1024]");
+      if (!n) return 2;
+      campaign.jobs = static_cast<int>(*n);
+      jobs_flag = true;
+    } else if (a == "--resume") {
+      campaign.resume = true;
+    } else if (a.rfind("--max-faults=", 0) == 0) {
+      const auto n = numeric_flag("ntdts", "--max-faults", a.substr(13), 0LL, kMaxLong,
+                                  "a non-negative integer");
+      if (!n) return 2;
+      campaign.max_faults = static_cast<std::size_t>(*n);
+    } else if (a.rfind("--plan=", 0) == 0) {
+      campaign.plan.mode = plan::PlanOptions::Mode::kFromFile;
+      campaign.plan.plan_file = a.substr(7);
+      ++plan_mode_flags;
+      if (campaign.plan.plan_file.empty()) {
+        std::cerr << "ntdts: --plan expects a path\n";
+        return 2;
+      }
+    } else if (a == "--plan-auto") {
+      campaign.plan.mode = plan::PlanOptions::Mode::kAuto;
+      ++plan_mode_flags;
+    } else if (a == "--exhaustive") {
+      campaign.plan.mode = plan::PlanOptions::Mode::kExhaustive;
+      ++plan_mode_flags;
+    } else if (a.rfind("--ci-width=", 0) == 0) {
+      const auto x = ci_width_flag(a.substr(11));
+      if (!x) return 2;
+      campaign.plan.ci_half_width = *x;
+    } else if (a.rfind("--trace=", 0) == 0) {
+      if (!obs::trace_mode_from_string(a.substr(8), &campaign.trace)) {
+        std::cerr << "ntdts: --trace expects off|failures|all, got '" << a.substr(8)
+                  << "'\n";
+        return 2;
+      }
+    } else if (a.rfind("--forensics-depth=", 0) == 0) {
+      const auto n = numeric_flag("ntdts", "--forensics-depth", a.substr(18), 1LL,
+                                  100000LL, "an integer in [1, 100000]");
+      if (!n) return 2;
+      campaign.forensics_depth = static_cast<std::size_t>(*n);
+    } else if (a.rfind("--metrics-out=", 0) == 0) {
+      metrics_out = a.substr(14);
+      if (metrics_out.empty()) {
+        std::cerr << "ntdts: --metrics-out expects a path\n";
+        return 2;
+      }
+    } else if (a.rfind("--workers=", 0) == 0) {
+      const auto n = numeric_flag("ntdts", "--workers", a.substr(10), 1LL, 1024LL,
+                                  "an integer in [1, 1024]");
+      if (!n) return 2;
+      d.spawn_workers = static_cast<int>(*n);
+      distributed = true;
+    } else if (a.rfind("--listen=", 0) == 0) {
+      const auto hp = dist::parse_host_port(a.substr(9), /*allow_port_zero=*/true);
+      if (!hp) {
+        std::cerr << "ntdts run: --listen expects host:port, got '" << a.substr(9)
+                  << "'\n";
+        return 2;
+      }
+      d.listen_host = hp->first;
+      d.listen_port = hp->second;
+      distributed = true;
+    } else if (a.rfind("--lease-timeout-ms=", 0) == 0) {
+      const auto n = numeric_flag("ntdts", "--lease-timeout-ms", a.substr(19), 1LL,
+                                  kMaxInt, "a positive integer");
+      if (!n) return 2;
+      d.lease_timeout_ms = static_cast<int>(*n);
+    } else if (a.rfind("--http=", 0) == 0) {
+      http_addr = a.substr(7);
+      if (http_addr.empty()) {
+        std::cerr << "ntdts: --http expects host:port\n";
+        return 2;
+      }
+    } else if (a.rfind("--snapshots=", 0) == 0) {
+      const std::string value = a.substr(12);
+      if (value != "on" && value != "off") {
+        std::cerr << "ntdts: --snapshots expects on|off, got '" << value << "'\n";
+        return 2;
+      }
+      campaign.snapshots = value == "on";
+    } else if (a.rfind("--model=", 0) == 0) {
+      std::string model_error;
+      auto set = fault::ModelSet::parse(a.substr(8), &model_error);
+      if (!set) {
+        std::cerr << "ntdts: " << model_error << "\n";
+        return 2;
+      }
+      // Canonical form; the paper default stores as "" so the config text
+      // (and result cache key) stays identical to an unflagged run.
+      campaign.models = set->is_paper_default() ? "" : set->to_string();
+    } else if (a.rfind("--model", 0) == 0) {
+      // Misspelling guard (--models=, --model-list, ...): name the valid set
+      // instead of the generic unknown-flag line, mirroring the strict-config
+      // philosophy — a typo'd axis must not silently run the default sweep.
+      std::cerr << "ntdts run: unknown flag '" << a
+                << "' — did you mean --model=<name>[,<name>...]? valid models: "
+                << fault::valid_model_names() << "\n";
+      return 2;
+    } else if (a.rfind("--tier=", 0) == 0) {
+      const std::string tier = a.substr(7);
+      if (tier.empty()) {
+        std::cerr << "ntdts: --tier expects a tier name from the campaign's topology\n";
+        return 2;
+      }
+      if (cfg->run.topo.empty()) {
+        std::cerr << "ntdts run: --tier requires a [topology] section in " << config_path
+                  << "\n";
+        return 2;
+      }
+      const topo::TierSpec* t = cfg->run.topo.find_tier(tier);
+      if (t == nullptr) {
+        std::cerr << "ntdts run: --tier=" << tier << " is not a tier of '"
+                  << cfg->run.topo.to_string() << "'\n";
+        return 2;
+      }
+      cfg->run.topo.fault_tier = tier;
+      // The faulted tier decides the sweep's target image (same derivation the
+      // config parser applies for the `tier =` key).
+      cfg->run.workload = core::workload_by_name(
+          t->app == "apache" ? "Apache2" : (t->app == "iis" ? "IIS" : "SQL"));
+    } else if (a.rfind("--tier", 0) == 0) {
+      // Same misspelling guard for the topology axis (--tiers=, ...): a typo'd
+      // tier must not silently fault the config's default tier.
+      std::cerr << "ntdts run: unknown flag '" << a
+                << "' — did you mean --tier=<name>? the name must match a "
+                   "tier of the [topology] section\n";
+      return 2;
+    } else if (a.rfind("--rtrace=", 0) == 0) {
+      obs::rtrace::RtraceMode mode;
+      if (!obs::rtrace::rtrace_mode_from_string(a.substr(9), &mode)) {
+        std::cerr << "ntdts: --rtrace expects off|failures|all, got '" << a.substr(9)
+                  << "'\n";
+        return 2;
+      }
+      if (cfg->run.topo.empty() && mode != obs::rtrace::RtraceMode::kOff) {
+        std::cerr << "ntdts run: --rtrace requires a [topology] section in "
+                  << config_path << " (request tracing spans multi-tier hops)\n";
+        return 2;
+      }
+      cfg->run.rtrace = mode;
+    } else if (a.rfind("--rtrace", 0) == 0) {
+      // Misspelling guard (--rtraces=, --rtrace-mode=, ...): a typo'd tracing
+      // axis must not silently run untraced.
+      std::cerr << "ntdts run: unknown flag '" << a
+                << "' — did you mean --rtrace=off|failures|all? request "
+                   "tracing needs a [topology] section in the config\n";
+      return 2;
+    } else if (a.rfind("--topo", 0) == 0) {
+      // Topologies are config-only; catch --topology= etc. before the generic
+      // unknown-flag line so the pointer is actionable.
+      std::cerr << "ntdts run: unknown flag '" << a
+                << "' — topologies are configured in the [topology] section "
+                   "of the campaign config (topology = lb:2*apache -> ...); "
+                   "use --tier=<name> to override the faulted tier\n";
+      return 2;
+    } else if (a.rfind("--lease-size=", 0) == 0) {
+      const auto n = numeric_flag("ntdts", "--lease-size", a.substr(13), 0LL, kMaxLong,
+                                  "a non-negative integer");
+      if (!n) return 2;
+      d.lease_size = static_cast<std::size_t>(*n);
+    } else if (a.rfind("--", 0) == 0) {
+      return unknown_flag("run", a);
+    } else if (!have_out_dir) {
+      out_dir = a;
+      have_out_dir = true;
+    } else {
+      return usage();
+    }
+  }
+  const bool planned = campaign.plan.mode != plan::PlanOptions::Mode::kExhaustive;
+  if (plan_mode_flags > 1) {
+    std::cerr << "ntdts run: --plan, --plan-auto and --exhaustive are mutually "
+                 "exclusive\n";
+    return 2;
+  }
+  if (campaign.plan.ci_half_width > 0.0 && !planned) {
+    std::cerr << "ntdts run: --ci-width requires --plan or --plan-auto\n";
+    return 2;
+  }
+  if (distributed) {
+    // Plan execution stays in-process: leases carry plain fault ids. Syscall
+    // and request tracing reach the workers with the campaign.
+    if (planned) {
+      std::cerr << "ntdts run: --workers/--listen cannot be combined with "
+                   "--plan/--plan-auto (distributed campaigns are exhaustive)\n";
       return 2;
     }
-    const topo::TierSpec* t = cfg->run.topo.find_tier(flags.tier);
-    if (t == nullptr) {
-      std::cerr << "ntdts run: --tier=" << flags.tier << " is not a tier of '"
-                << cfg->run.topo.to_string() << "'\n";
+    if (jobs_flag) {
+      std::cerr << "ntdts run: --jobs selects in-process parallelism; use "
+                   "--workers=N for a distributed campaign\n";
       return 2;
     }
-    cfg->run.topo.fault_tier = flags.tier;
-    // The faulted tier decides the sweep's target image (same derivation the
-    // config parser applies for the `tier =` key).
-    cfg->run.workload = core::workload_by_name(
-        t->app == "apache" ? "Apache2" : (t->app == "iis" ? "IIS" : "SQL"));
-  }
-  if (flags.rtrace) {
-    if (cfg->run.topo.empty() &&
-        *flags.rtrace != obs::rtrace::RtraceMode::kOff) {
-      std::cerr << "ntdts run: --rtrace requires a [topology] section in "
-                << config_path << " (request tracing spans multi-tier hops)\n";
+    if (campaign.snapshots) {
+      std::cerr << "ntdts run: --snapshots=on cannot be combined with "
+                   "--workers/--listen (snapshot forking is in-process only)\n";
       return 2;
     }
-    cfg->run.rtrace = *flags.rtrace;
   }
-  cfg->campaign.plan.mode = flags.plan_mode;
-  cfg->campaign.plan.plan_file = flags.plan_file;
-  cfg->campaign.plan.ci_half_width = flags.ci_width;
-  if (flags.plan_mode == plan::PlanOptions::Mode::kAuto) {
-    cfg->campaign.plan.plan_out = out_dir + "/plan.json";
+  if (campaign.snapshots && campaign.trace != obs::TraceMode::kOff) {
+    std::cerr << "ntdts run: --snapshots=on cannot be combined with --trace "
+                 "(a forked run's trace would be missing its skipped prefix)\n";
+    return 2;
   }
-  const bool resume = flags.resume;
-  const obs::TraceMode trace = flags.trace;
-  const std::size_t forensics_depth = flags.forensics_depth;
-  const std::string& metrics_out = flags.metrics_out;
+  if (campaign.plan.mode == plan::PlanOptions::Mode::kAuto) {
+    campaign.plan.plan_out = out_dir + "/plan.json";
+  }
 
   // Explicit fault list, if configured.
   std::optional<inject::FaultList> explicit_faults;
-  if (!cfg->fault_list_file.empty() &&
-      flags.plan_mode != plan::PlanOptions::Mode::kExhaustive) {
+  if (!cfg->fault_list_file.empty() && planned) {
     std::cerr << "ntdts run: --plan/--plan-auto cannot be combined with an explicit "
                  "fault list (the plan already decides what executes)\n";
     return 2;
@@ -702,21 +881,17 @@ int cmd_run(const std::string& config_path, const std::string& out_dir,
 
   // The run journal lives in the output directory; create it up front.
   std::filesystem::create_directories(out_dir);
-  cfg->campaign.journal_path = out_dir + "/journal.jsonl";
-  cfg->campaign.resume = resume;
-  const auto progress = [](const exec::ProgressSnapshot& s) {
+  campaign.journal_path = out_dir + "/journal.jsonl";
+  campaign.on_snapshot = [](const exec::ProgressSnapshot& s) {
     std::cerr << "\r" << exec::format_progress(s) << "    " << std::flush;
     if (s.done == s.total) std::cerr << "\n";
   };
-  cfg->campaign.on_snapshot = progress;
 
   // Observability: the registry aggregates across workers; forensics dumps
   // land next to the other campaign outputs.
   obs::MetricsRegistry metrics;
-  cfg->campaign.trace = trace;
-  cfg->campaign.forensics_depth = forensics_depth;
-  if (trace != obs::TraceMode::kOff) cfg->campaign.forensics_dir = out_dir + "/forensics";
-  if (!metrics_out.empty()) cfg->campaign.metrics = &metrics;
+  if (campaign.trace != obs::TraceMode::kOff) campaign.forensics_dir = out_dir + "/forensics";
+  if (!metrics_out.empty() || !http_addr.empty()) campaign.metrics = &metrics;
 
   // Fleet observability (src/obs/fleet/): --http turns the registry on and
   // serves it live; the stall detector and status board ride along whenever
@@ -724,17 +899,15 @@ int cmd_run(const std::string& config_path, const std::string& out_dir,
   obs::fleet::FleetEventLog events;
   obs::fleet::StatusBoard status_board;
   obs::fleet::StallDetector stall(&metrics, &events);
-  if (!flags.http_addr.empty()) cfg->campaign.metrics = &metrics;
-  if (cfg->campaign.metrics != nullptr) {
-    cfg->campaign.stall = &stall;
-    cfg->campaign.status = &status_board;
+  if (campaign.metrics != nullptr) {
+    campaign.stall = &stall;
+    campaign.status = &status_board;
   }
   obs::fleet::HttpEndpoint http;
-  if (!flags.http_addr.empty()) {
-    const auto hp = dist::parse_host_port(flags.http_addr, /*allow_port_zero=*/true);
+  if (!http_addr.empty()) {
+    const auto hp = dist::parse_host_port(http_addr, /*allow_port_zero=*/true);
     if (!hp) {
-      std::cerr << "ntdts run: --http expects host:port, got '" << flags.http_addr
-                << "'\n";
+      std::cerr << "ntdts run: --http expects host:port, got '" << http_addr << "'\n";
       return 2;
     }
     http.handle("/metrics", [&metrics](const obs::fleet::HttpRequest&) {
@@ -788,55 +961,20 @@ int cmd_run(const std::string& config_path, const std::string& out_dir,
   }
 
   core::WorkloadSetResult set;
-  if (flags.distributed()) {
-    dist::DistOptions d;
-    if (!flags.listen_addr.empty()) {
-      const auto hp =
-          dist::parse_host_port(flags.listen_addr, /*allow_port_zero=*/true);
-      if (!hp) {
-        std::cerr << "ntdts run: --listen expects host:port, got '"
-                  << flags.listen_addr << "'\n";
-        return 2;
-      }
-      d.listen_host = hp->first;
-      d.listen_port = hp->second;
-    }
-    d.spawn_workers = flags.dist_workers.value_or(0);
-    d.lease_timeout_ms = flags.lease_timeout_ms;
-    d.lease_size = flags.lease_size;
+  if (distributed) {
     d.events = &events;
-    const std::string host = d.listen_host;
     if (d.spawn_workers == 0) {
-      d.on_listen = [host](std::uint16_t port) {
+      d.on_listen = [host = d.listen_host](std::uint16_t port) {
         std::cerr << "coordinator listening on " << host << ":" << port
                   << " — join workers with: ntdts worker --connect=" << host << ":"
                   << port << "\n";
       };
     }
-    set = dist::run_workload_set_distributed(cfg->run, cfg->campaign, std::move(d),
-                                             explicit_faults);
-  } else if (explicit_faults) {
-    // Run exactly the listed faults (no skip-uncalled: the user asked for
-    // precisely these), sharded across the same executor.
-    set.base_config = cfg->run;
-    set.activated_functions = core::profile_workload(cfg->run, cfg->campaign.seed);
-    exec::ExecOptions eo;
-    eo.config_text = core::serialize_config(*cfg);
-    eo.jobs = cfg->campaign.jobs;
-    eo.skip_uncalled = false;
-    eo.journal_path = cfg->campaign.journal_path;
-    eo.resume = resume;
-    eo.on_progress = progress;
-    eo.metrics = cfg->campaign.metrics;
-    eo.trace = cfg->campaign.trace;
-    eo.forensics_depth = cfg->campaign.forensics_depth;
-    eo.forensics_dir = cfg->campaign.forensics_dir;
-    eo.stall = cfg->campaign.stall;
-    eo.status = cfg->campaign.status;
-    exec::CampaignExecutor executor(std::move(eo));
-    set.runs = executor.run(cfg->run, *explicit_faults, cfg->campaign.seed).runs;
+    set = dist::run_workload_set_distributed(cfg->run, campaign, d, explicit_faults);
   } else {
-    set = core::run_workload_set(cfg->run, cfg->campaign);
+    // An explicit list runs exactly the listed faults: the user asked for
+    // precisely these, so the skip-uncalled rule stays off.
+    set = core::run_workload_set(cfg->run, campaign, explicit_faults);
   }
   if (!metrics_out.empty()) {
     std::string merr;
@@ -930,15 +1068,9 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         const std::string a = argv[i];
         if (a.rfind("--ci-width=", 0) == 0) {
-          const std::string value = a.substr(11);
-          char* end = nullptr;
-          ci_width = std::strtod(value.c_str(), &end);
-          if (value.empty() || end != value.c_str() + value.size() || ci_width < 0.0 ||
-              ci_width >= 0.5) {
-            std::cerr << "ntdts: --ci-width expects a number in [0, 0.5), got '"
-                      << value << "'\n";
-            return 2;
-          }
+          const auto x = ci_width_flag(a.substr(11));
+          if (!x) return 2;
+          ci_width = *x;
         } else if (a.rfind("--", 0) == 0) {
           return unknown_flag("plan", a);
         } else if (!have_out) {
@@ -950,265 +1082,7 @@ int main(int argc, char** argv) {
       }
       return cmd_plan(argv[2], out_path, ci_width);
     }
-    if (cmd == "run" && argc >= 3) {
-      std::string out_dir = "dts-results";
-      bool have_out_dir = false;
-      RunFlags flags;
-      int plan_mode_flags = 0;  // --plan / --plan-auto / --exhaustive are exclusive
-      for (int i = 3; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a.rfind("--jobs=", 0) == 0) {
-          const std::string value = a.substr(7);
-          std::size_t used = 0;
-          int n = -1;
-          try {
-            n = std::stoi(value, &used);
-          } catch (const std::exception&) {
-          }
-          if (used != value.size() || n < 0 || n > 1024) {
-            std::cerr << "ntdts: --jobs expects an integer in [0, 1024], got '"
-                      << value << "'\n";
-            return 2;
-          }
-          flags.jobs = n;
-        } else if (a == "--resume") {
-          flags.resume = true;
-        } else if (a.rfind("--max-faults=", 0) == 0) {
-          const std::string value = a.substr(13);
-          std::size_t used = 0;
-          long n = -1;
-          try {
-            n = std::stol(value, &used);
-          } catch (const std::exception&) {
-          }
-          if (used != value.size() || n < 0) {
-            std::cerr << "ntdts: --max-faults expects a non-negative integer, got '"
-                      << value << "'\n";
-            return 2;
-          }
-          flags.max_faults = static_cast<std::size_t>(n);
-        } else if (a.rfind("--plan=", 0) == 0) {
-          flags.plan_mode = plan::PlanOptions::Mode::kFromFile;
-          flags.plan_file = a.substr(7);
-          ++plan_mode_flags;
-          if (flags.plan_file.empty()) {
-            std::cerr << "ntdts: --plan expects a path\n";
-            return 2;
-          }
-        } else if (a == "--plan-auto") {
-          flags.plan_mode = plan::PlanOptions::Mode::kAuto;
-          ++plan_mode_flags;
-        } else if (a == "--exhaustive") {
-          flags.plan_mode = plan::PlanOptions::Mode::kExhaustive;
-          ++plan_mode_flags;
-        } else if (a.rfind("--ci-width=", 0) == 0) {
-          const std::string value = a.substr(11);
-          char* end = nullptr;
-          flags.ci_width = std::strtod(value.c_str(), &end);
-          if (value.empty() || end != value.c_str() + value.size() ||
-              flags.ci_width < 0.0 || flags.ci_width >= 0.5) {
-            std::cerr << "ntdts: --ci-width expects a number in [0, 0.5), got '"
-                      << value << "'\n";
-            return 2;
-          }
-        } else if (a.rfind("--trace=", 0) == 0) {
-          if (!obs::trace_mode_from_string(a.substr(8), &flags.trace)) {
-            std::cerr << "ntdts: --trace expects off|failures|all, got '"
-                      << a.substr(8) << "'\n";
-            return 2;
-          }
-        } else if (a.rfind("--forensics-depth=", 0) == 0) {
-          const std::string value = a.substr(18);
-          std::size_t used = 0;
-          long n = -1;
-          try {
-            n = std::stol(value, &used);
-          } catch (const std::exception&) {
-          }
-          if (used != value.size() || n < 1 || n > 100000) {
-            std::cerr << "ntdts: --forensics-depth expects an integer in "
-                         "[1, 100000], got '" << value << "'\n";
-            return 2;
-          }
-          flags.forensics_depth = static_cast<std::size_t>(n);
-        } else if (a.rfind("--metrics-out=", 0) == 0) {
-          flags.metrics_out = a.substr(14);
-          if (flags.metrics_out.empty()) {
-            std::cerr << "ntdts: --metrics-out expects a path\n";
-            return 2;
-          }
-        } else if (a.rfind("--workers=", 0) == 0) {
-          const std::string value = a.substr(10);
-          std::size_t used = 0;
-          int n = -1;
-          try {
-            n = std::stoi(value, &used);
-          } catch (const std::exception&) {
-          }
-          if (used != value.size() || n < 1 || n > 1024) {
-            std::cerr << "ntdts: --workers expects an integer in [1, 1024], got '"
-                      << value << "'\n";
-            return 2;
-          }
-          flags.dist_workers = n;
-        } else if (a.rfind("--listen=", 0) == 0) {
-          flags.listen_addr = a.substr(9);
-          if (flags.listen_addr.empty()) {
-            std::cerr << "ntdts: --listen expects host:port\n";
-            return 2;
-          }
-        } else if (a.rfind("--lease-timeout-ms=", 0) == 0) {
-          const std::string value = a.substr(19);
-          std::size_t used = 0;
-          int n = -1;
-          try {
-            n = std::stoi(value, &used);
-          } catch (const std::exception&) {
-          }
-          if (used != value.size() || n < 1) {
-            std::cerr << "ntdts: --lease-timeout-ms expects a positive integer, got '"
-                      << value << "'\n";
-            return 2;
-          }
-          flags.lease_timeout_ms = n;
-        } else if (a.rfind("--http=", 0) == 0) {
-          flags.http_addr = a.substr(7);
-          if (flags.http_addr.empty()) {
-            std::cerr << "ntdts: --http expects host:port\n";
-            return 2;
-          }
-        } else if (a.rfind("--snapshots=", 0) == 0) {
-          const std::string value = a.substr(12);
-          if (value == "on") {
-            flags.snapshots = true;
-          } else if (value == "off") {
-            flags.snapshots = false;
-          } else {
-            std::cerr << "ntdts: --snapshots expects on|off, got '" << value << "'\n";
-            return 2;
-          }
-        } else if (a.rfind("--model=", 0) == 0) {
-          const std::string value = a.substr(8);
-          std::string model_error;
-          auto set = fault::ModelSet::parse(value, &model_error);
-          if (!set) {
-            std::cerr << "ntdts: " << model_error << "\n";
-            return 2;
-          }
-          // Canonical form; the paper default stores as "" so the config
-          // text (and result cache key) stays identical to an unflagged run.
-          flags.models = set->is_paper_default() ? "" : set->to_string();
-        } else if (a.rfind("--model", 0) == 0) {
-          // Misspelling guard (--models=, --model-list, ...): name the valid
-          // set instead of the generic unknown-flag line, mirroring the
-          // strict-config philosophy — a typo'd axis must not silently run
-          // the default sweep.
-          std::cerr << "ntdts run: unknown flag '" << a
-                    << "' — did you mean --model=<name>[,<name>...]? valid models: "
-                    << fault::valid_model_names() << "\n";
-          return 2;
-        } else if (a.rfind("--tier=", 0) == 0) {
-          flags.tier = a.substr(7);
-          if (flags.tier.empty()) {
-            std::cerr << "ntdts: --tier expects a tier name from the campaign's "
-                         "topology\n";
-            return 2;
-          }
-        } else if (a.rfind("--tier", 0) == 0) {
-          // Same misspelling guard for the topology axis (--tiers=, ...): a
-          // typo'd tier must not silently fault the config's default tier.
-          std::cerr << "ntdts run: unknown flag '" << a
-                    << "' — did you mean --tier=<name>? the name must match a "
-                       "tier of the [topology] section\n";
-          return 2;
-        } else if (a.rfind("--rtrace=", 0) == 0) {
-          obs::rtrace::RtraceMode mode;
-          if (!obs::rtrace::rtrace_mode_from_string(a.substr(9), &mode)) {
-            std::cerr << "ntdts: --rtrace expects off|failures|all, got '"
-                      << a.substr(9) << "'\n";
-            return 2;
-          }
-          flags.rtrace = mode;
-        } else if (a.rfind("--rtrace", 0) == 0) {
-          // Misspelling guard (--rtraces=, --rtrace-mode=, ...): a typo'd
-          // tracing axis must not silently run untraced.
-          std::cerr << "ntdts run: unknown flag '" << a
-                    << "' — did you mean --rtrace=off|failures|all? request "
-                       "tracing needs a [topology] section in the config\n";
-          return 2;
-        } else if (a.rfind("--topo", 0) == 0) {
-          // Topologies are config-only; catch --topology= etc. before the
-          // generic unknown-flag line so the pointer is actionable.
-          std::cerr << "ntdts run: unknown flag '" << a
-                    << "' — topologies are configured in the [topology] section "
-                       "of the campaign config (topology = lb:2*apache -> ...); "
-                       "use --tier=<name> to override the faulted tier\n";
-          return 2;
-        } else if (a.rfind("--lease-size=", 0) == 0) {
-          const std::string value = a.substr(13);
-          std::size_t used = 0;
-          long n = -1;
-          try {
-            n = std::stol(value, &used);
-          } catch (const std::exception&) {
-          }
-          if (used != value.size() || n < 0) {
-            std::cerr << "ntdts: --lease-size expects a non-negative integer, got '"
-                      << value << "'\n";
-            return 2;
-          }
-          flags.lease_size = static_cast<std::size_t>(n);
-        } else if (a.rfind("--", 0) == 0) {
-          return unknown_flag("run", a);
-        } else if (!have_out_dir) {
-          out_dir = a;
-          have_out_dir = true;
-        } else {
-          return usage();
-        }
-      }
-      if (plan_mode_flags > 1) {
-        std::cerr << "ntdts run: --plan, --plan-auto and --exhaustive are mutually "
-                     "exclusive\n";
-        return 2;
-      }
-      if (flags.ci_width > 0.0 &&
-          flags.plan_mode == plan::PlanOptions::Mode::kExhaustive) {
-        std::cerr << "ntdts run: --ci-width requires --plan or --plan-auto\n";
-        return 2;
-      }
-      if (flags.distributed()) {
-        // Plan execution and syscall tracing stay in-process: leases carry
-        // plain fault ids, and the trace mode is not part of the shipped
-        // config. Request tracing is, so --rtrace reaches the workers.
-        if (flags.plan_mode != plan::PlanOptions::Mode::kExhaustive) {
-          std::cerr << "ntdts run: --workers/--listen cannot be combined with "
-                       "--plan/--plan-auto (distributed campaigns are exhaustive)\n";
-          return 2;
-        }
-        if (flags.trace != obs::TraceMode::kOff) {
-          std::cerr << "ntdts run: --workers/--listen cannot be combined with "
-                       "--trace (forensics capture is in-process only)\n";
-          return 2;
-        }
-        if (flags.jobs) {
-          std::cerr << "ntdts run: --jobs selects in-process parallelism; use "
-                       "--workers=N for a distributed campaign\n";
-          return 2;
-        }
-        if (flags.snapshots.value_or(false)) {
-          std::cerr << "ntdts run: --snapshots=on cannot be combined with "
-                       "--workers/--listen (snapshot forking is in-process only)\n";
-          return 2;
-        }
-      }
-      if (flags.snapshots.value_or(false) && flags.trace != obs::TraceMode::kOff) {
-        std::cerr << "ntdts run: --snapshots=on cannot be combined with --trace "
-                     "(a forked run's trace would be missing its skipped prefix)\n";
-        return 2;
-      }
-      return cmd_run(argv[2], out_dir, flags);
-    }
+    if (cmd == "run" && argc >= 3) return cmd_run(argc, argv);
     if (cmd == "worker") {
       dist::WorkerOptions w;
       bool have_connect = false;
@@ -1225,19 +1099,10 @@ int main(int argc, char** argv) {
           w.port = hp->second;
           have_connect = true;
         } else if (a.rfind("--io-timeout-ms=", 0) == 0) {
-          const std::string value = a.substr(16);
-          std::size_t used = 0;
-          int n = -1;
-          try {
-            n = std::stoi(value, &used);
-          } catch (const std::exception&) {
-          }
-          if (used != value.size() || n < 1) {
-            std::cerr << "ntdts: --io-timeout-ms expects a positive integer, got '"
-                      << value << "'\n";
-            return 2;
-          }
-          w.io_timeout_ms = n;
+          const auto n = numeric_flag("ntdts", "--io-timeout-ms", a.substr(16), 1LL,
+                                      kMaxInt, "a positive integer");
+          if (!n) return 2;
+          w.io_timeout_ms = static_cast<int>(*n);
         } else {
           return unknown_flag("worker", a);
         }
