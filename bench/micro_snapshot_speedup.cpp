@@ -1,24 +1,27 @@
-// micro_snapshot_speedup — guards the snapshot subsystem's two contracts
-// (DESIGN §snap) on the seed Apache workload:
+// micro_snapshot_speedup — guards snapshot execution (DESIGN §snap) on two
+// deep per-invocation sweeps (iterations=48):
 //
-//   1. Byte-identity: the snapshot/fork campaign serializes byte-identical
-//      to the plain executor, at --jobs=1 and --jobs=8.
-//   2. Speedup: snapshot execution reaches >= 5x the plain executor's
-//      runs/sec on the seed campaign (both measured at jobs=1 — the win is
-//      work skipped per run, not parallelism, so it holds on one core).
+//   1. Byte-identity: with snapshots on, each campaign serializes
+//      byte-identical to the plain executor — the Apache1 sweep at --jobs=1
+//      and --jobs=8, the planned Apache2 sweep at --jobs=2.
+//   2. Speedup: on the exhaustive Apache1 sweep, snapshot execution reaches
+//      >= 5x the plain executor's runs/sec (both at jobs=1 — the win is work
+//      skipped per run, not parallelism, so it holds on one core).
+//   3. No loss: on the planned Apache2 sweep (plan auto, jobs=2), snapshots
+//      on is at most 15% slower than off.
 //
-// Both are hard assertions; the binary exits 1 on violation. The campaign is
-// the deep per-invocation Apache1 sweep (iterations=48): the paper's I axis
-// makes every campaign run replay one shared golden trajectory up to its
-// injection point, and the deeper the sweep, the larger the share of faults
-// the golden profile proves can never fire at all. Snapshot execution turns
-// exactly that redundancy into skipped work — never-firing runs are
-// synthesized from the host golden run without forking, and the at-site
-// remainder forks from checkpoint snapshots. The plain executor re-executes
-// every run from scratch.
+// All are hard assertions; the binary exits 1 on violation. Timings are the
+// median of alternating back-to-back rounds. The paper's I axis makes every
+// campaign run replay one shared golden trajectory, and the deeper the sweep,
+// the larger the share of faults the golden profile proves can never fire at
+// all. The >= 5x floor comes from golden-tail synthesis alone: those runs are
+// synthesized from one host golden run, and every other fault runs in full
+// exactly as the plain executor runs it. A plan already prunes the
+// never-firing faults, so on the planned sweep snapshot execution has nothing
+// to skip and must cost nothing either.
 //
 // Environment knobs:
-//   DTS_BENCH_TRIALS       timing rounds (default 3)
+//   DTS_BENCH_TRIALS       timing rounds per sweep (default 3)
 //   DTS_BENCH_FAULT_CAP    cap faults per campaign (default 0 = full sweep)
 //   DTS_BENCH_SEED         campaign seed (default 7)
 //   DTS_BENCH_METRICS_OUT  export the campaign-metrics registry (including
@@ -32,7 +35,6 @@
 
 #include "paper_common.h"
 #include "core/campaign.h"
-#include "snap/fork_runner.h"
 
 namespace {
 
@@ -44,9 +46,9 @@ std::size_t trials() {
   return n == 0 ? 1 : n;
 }
 
-core::RunConfig apache_config() {
+core::RunConfig config(const char* workload) {
   core::RunConfig cfg;
-  cfg.workload = core::workload_by_name("Apache1");
+  cfg.workload = core::workload_by_name(workload);
   cfg.middleware = mw::MiddlewareKind::kNone;
   return cfg;
 }
@@ -57,6 +59,12 @@ core::CampaignOptions base_options() {
   opt.iterations = 48;
   opt.max_faults = bench::fault_cap();
   opt.metrics = &bench::bench_registry();
+  return opt;
+}
+
+core::CampaignOptions planned_options() {
+  core::CampaignOptions opt = base_options();
+  opt.plan.mode = plan::PlanOptions::Mode::kAuto;
   return opt;
 }
 
@@ -72,29 +80,58 @@ struct Timed {
   double seconds = 0.0;
 };
 
-Timed timed_campaign(bool snapshots, int jobs) {
-  core::CampaignOptions opt = base_options();
+Timed timed_campaign(const core::RunConfig& cfg, core::CampaignOptions opt, bool snapshots,
+                     int jobs) {
   opt.snapshots = snapshots;
   opt.jobs = jobs;
   const auto start = std::chrono::steady_clock::now();
-  const core::WorkloadSetResult set = core::run_workload_set(apache_config(), opt);
+  const core::WorkloadSetResult set = core::run_workload_set(cfg, opt);
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   return Timed{core::serialize_workload_set(set), set.runs.size(), elapsed.count()};
+}
+
+/// Median seconds of plain and snapshot campaigns over alternating
+/// back-to-back rounds at `jobs`. False (after reporting) when a round's
+/// outputs diverge.
+bool time_rounds(const char* sweep, const core::RunConfig& cfg,
+                 const core::CampaignOptions& opt, int jobs, double* plain_s,
+                 double* snap_s) {
+  std::vector<double> plain_times, snap_times;
+  const std::size_t n = trials();
+  for (std::size_t t = 0; t < n; ++t) {
+    Timed plain, snapped;
+    if (t % 2 == 0) {
+      plain = timed_campaign(cfg, opt, false, jobs);
+      snapped = timed_campaign(cfg, opt, true, jobs);
+    } else {
+      snapped = timed_campaign(cfg, opt, true, jobs);
+      plain = timed_campaign(cfg, opt, false, jobs);
+    }
+    if (snapped.output != plain.output) {
+      std::fprintf(stderr, "FAIL: %s diverged in timing round %zu\n", sweep, t + 1);
+      return false;
+    }
+    plain_times.push_back(plain.seconds);
+    snap_times.push_back(snapped.seconds);
+    std::printf("%s round %2zu/%zu  plain %.3fs  snapshot %.3fs  (%.2fx)\n", sweep, t + 1, n,
+                plain.seconds, snapped.seconds, plain.seconds / snapped.seconds);
+  }
+  *plain_s = median(plain_times);
+  *snap_s = median(snap_times);
+  return true;
 }
 
 }  // namespace
 
 int main() {
-  if (!snap::snapshots_supported()) {
-    std::fprintf(stderr, "SKIP: snapshot forking unsupported on this platform\n");
-    return 0;
-  }
+  const core::RunConfig apache1 = config("Apache1");
+  const core::RunConfig apache2 = config("Apache2");
 
   // Byte-identity first — a fast snapshot campaign with different bytes is
   // not a speedup, it is a bug.
-  const Timed plain_ref = timed_campaign(/*snapshots=*/false, /*jobs=*/1);
+  const Timed plain_ref = timed_campaign(apache1, base_options(), /*snapshots=*/false, 1);
   for (const int jobs : {1, 8}) {
-    const Timed snap_run = timed_campaign(/*snapshots=*/true, jobs);
+    const Timed snap_run = timed_campaign(apache1, base_options(), /*snapshots=*/true, jobs);
     if (snap_run.output != plain_ref.output) {
       std::fprintf(stderr, "FAIL: snapshot campaign at jobs=%d diverged from plain jobs=1\n",
                    jobs);
@@ -103,39 +140,32 @@ int main() {
     std::printf("byte-identical at jobs=%d: ok (%zu runs)\n", jobs, snap_run.runs);
   }
 
-  std::vector<double> plain_times, snap_times;
-  const std::size_t n = trials();
-  for (std::size_t t = 0; t < n; ++t) {
-    // Strictly back-to-back, order alternating, as in micro_plan_pruning.
-    Timed plain, snapped;
-    if (t % 2 == 0) {
-      plain = timed_campaign(false, 1);
-      snapped = timed_campaign(true, 1);
-    } else {
-      snapped = timed_campaign(true, 1);
-      plain = timed_campaign(false, 1);
-    }
-    if (snapped.output != plain.output) {
-      std::fprintf(stderr, "FAIL: divergence in timing round %zu\n", t + 1);
-      return 1;
-    }
-    plain_times.push_back(plain.seconds);
-    snap_times.push_back(snapped.seconds);
-    std::printf("round %2zu/%zu  plain %.3fs  snapshot %.3fs  (%.1fx)\n", t + 1, n,
-                plain.seconds, snapped.seconds, plain.seconds / snapped.seconds);
-  }
-
-  const double plain_s = median(plain_times);
-  const double snap_s = median(snap_times);
+  double plain_s = 0.0, snap_s = 0.0;
+  if (!time_rounds("Apache1", apache1, base_options(), 1, &plain_s, &snap_s)) return 1;
   const double runs = static_cast<double>(plain_ref.runs);
   const double speedup = plain_s / snap_s;
-  std::printf("median-of-%zu  plain %.1f runs/s  snapshot %.1f runs/s  speedup %.2fx\n",
-              n, runs / plain_s, runs / snap_s, speedup);
-
+  std::printf("Apache1 median-of-%zu  plain %.1f runs/s  snapshot %.1f runs/s  speedup %.2fx\n",
+              trials(), runs / plain_s, runs / snap_s, speedup);
   if (speedup < 5.0) {
     std::fprintf(stderr, "FAIL: snapshot speedup %.2fx < 5x bar\n", speedup);
     return 1;
   }
-  std::printf("PASS: byte-identical at jobs 1/8 and %.2fx >= 5x\n", speedup);
+
+  // The planned leg's rounds check byte-identity of every pair.
+  double planned_plain_s = 0.0, planned_snap_s = 0.0;
+  if (!time_rounds("Apache2 planned", apache2, planned_options(), 2, &planned_plain_s,
+                   &planned_snap_s)) {
+    return 1;
+  }
+  const double slowdown = planned_snap_s / planned_plain_s;
+  std::printf("Apache2 planned median-of-%zu  plain %.3fs  snapshot %.3fs  (%.2fx the time)\n",
+              trials(), planned_plain_s, planned_snap_s, slowdown);
+  if (slowdown > 1.15) {
+    std::fprintf(stderr, "FAIL: snapshots on the planned sweep take %.2fx the plain time > 1.15x\n",
+                 slowdown);
+    return 1;
+  }
+  std::printf("PASS: byte-identical, Apache1 %.2fx >= 5x, Apache2 planned %.2fx <= 1.15x\n",
+              speedup, slowdown);
   return 0;
 }

@@ -97,36 +97,6 @@ std::set<nt::Fn> activated_from_plan(const plan::Plan& p) {
   return out;
 }
 
-/// build_campaign_plan, also handing back the golden profile the plan was
-/// built from (a plan loaded from file leaves `profile` empty).
-plan::Plan plan_campaign(const RunConfig& base, const CampaignOptions& options,
-                         std::optional<plan::GoldenProfile>* profile) {
-  if (options.plan.mode == plan::PlanOptions::Mode::kFromFile) {
-    std::ifstream in(options.plan.plan_file);
-    if (!in) {
-      throw std::runtime_error("cannot open plan file: " + options.plan.plan_file);
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    auto loaded = plan::Plan::parse(buf.str(), &error);
-    if (!loaded) {
-      throw std::runtime_error("bad plan file " + options.plan.plan_file + ": " + error);
-    }
-    const std::string mismatch =
-        plan::validate_plan(*loaded, base, options.seed, options.iterations);
-    if (!mismatch.empty()) {
-      throw std::runtime_error(options.plan.plan_file + ": " + mismatch);
-    }
-    return *loaded;
-  }
-  // The plan covers the *raw* sweep, so functions the golden run never
-  // touched are logged as pruned rather than silently absent from the file.
-  *profile = plan::golden_profile(base, options.seed, options.iterations);
-  return plan::build_plan(base, campaign_sweep(base, options, /*functions=*/nullptr),
-                          **profile, options.seed, options.iterations);
-}
-
 /// Planned campaign path: build/load the plan, execute it, digest the
 /// decisions into the result.
 WorkloadSetResult run_planned_workload_set(const RunConfig& base,
@@ -134,14 +104,7 @@ WorkloadSetResult run_planned_workload_set(const RunConfig& base,
   WorkloadSetResult result;
   result.base_config = base;
 
-  // Snapshot execution reuses the plan's golden profile for its tail
-  // checkpoint (the plan's entries already carry their own call sites); only
-  // a plan loaded from file needs one profiled here.
-  std::optional<plan::GoldenProfile> profile;
-  const plan::Plan p = plan_campaign(base, options, &profile);
-  if (options.snapshots && !profile) {
-    profile = plan::golden_profile(base, options.seed, options.iterations);
-  }
+  const plan::Plan p = build_campaign_plan(base, options);
   result.activated_functions = activated_from_plan(p);
   if (!options.plan.plan_out.empty()) {
     std::ofstream out(options.plan.plan_out);
@@ -157,8 +120,7 @@ WorkloadSetResult run_planned_workload_set(const RunConfig& base,
   so.batch = options.plan.batch;
   so.seed = options.seed;
 
-  exec::CampaignExecutor executor(options, serialize_config({base, options, {}}),
-                                  profile ? &*profile : nullptr);
+  exec::CampaignExecutor executor(options, serialize_config({base, options, {}}));
   exec::PlanCampaignResult campaign = executor.run_plan(base, p, options.seed, so);
 
   PlanDigest digest;
@@ -198,8 +160,30 @@ inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& o
 }
 
 plan::Plan build_campaign_plan(const RunConfig& base, const CampaignOptions& options) {
-  std::optional<plan::GoldenProfile> profile;
-  return plan_campaign(base, options, &profile);
+  if (options.plan.mode == plan::PlanOptions::Mode::kFromFile) {
+    std::ifstream in(options.plan.plan_file);
+    if (!in) {
+      throw std::runtime_error("cannot open plan file: " + options.plan.plan_file);
+    }
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::string error;
+    auto loaded = plan::Plan::parse(buf.str(), &error);
+    if (!loaded) {
+      throw std::runtime_error("bad plan file " + options.plan.plan_file + ": " + error);
+    }
+    const std::string mismatch =
+        plan::validate_plan(*loaded, base, options.seed, options.iterations);
+    if (!mismatch.empty()) {
+      throw std::runtime_error(options.plan.plan_file + ": " + mismatch);
+    }
+    return *loaded;
+  }
+  // The plan covers the *raw* sweep, so functions the golden run never
+  // touched are logged as pruned rather than silently absent from the file.
+  return plan::build_plan(base, campaign_sweep(base, options, /*functions=*/nullptr),
+                          plan::golden_profile(base, options.seed, options.iterations),
+                          options.seed, options.iterations);
 }
 
 WorkloadSetResult run_workload_set(
@@ -220,7 +204,8 @@ WorkloadSetResult run_workload_set(
   // Profiling pass: which functions does this workload activate at all?
   // With snapshots on, the full golden profile doubles as the profiling pass
   // (same seed derivation, so `activated` is the same set) and additionally
-  // resolves every fault's injection site for checkpoint placement.
+  // counts every function's golden invocations, which prove the faults
+  // golden-tail synthesis serves can never fire.
   std::optional<plan::GoldenProfile> profile;
   if (options.snapshots) {
     profile = plan::golden_profile(base, options.seed, options.iterations);

@@ -109,7 +109,6 @@ RunResult FaultInjectionRun::execute(const std::optional<inject::FaultSpec>& fau
 
   // --- arm the injector ---------------------------------------------------------
   interceptor_ = inject::Interceptor{};
-  if (cfg_.checkpoints != nullptr) interceptor_.set_checkpoints(*cfg_.checkpoints);
   interceptor_.set_trace_limit(cfg_.trace_limit);
   if (cfg_.golden_capture > 0) {
     interceptor_.set_golden_capture(cfg_.workload.target_image, cfg_.golden_capture);
@@ -282,7 +281,6 @@ RunResult FaultInjectionRun::execute_topology(const std::optional<inject::FaultS
   // (image, fn) — numbers the tier's calls even when another tier runs the
   // same application.
   interceptor_ = inject::Interceptor{};
-  if (cfg_.checkpoints != nullptr) interceptor_.set_checkpoints(*cfg_.checkpoints);
   interceptor_.set_trace_limit(cfg_.trace_limit);
   if (cfg_.golden_capture > 0) {
     interceptor_.set_golden_capture(cfg_.workload.target_image, cfg_.golden_capture);

@@ -58,11 +58,6 @@ struct RunConfig {
   /// interceptor().captured_calls(). Off for injection runs.
   int golden_capture = 0;
 
-  /// Snapshot-execution checkpoints (src/snap/): when non-null, the plan is
-  /// installed on the interceptor at the start of execute(), firing the
-  /// callback at each golden-run call site. The pointee must outlive the run.
-  const inject::Interceptor::CheckpointPlan* checkpoints = nullptr;
-
   // Application tuning knobs (defaults reproduce the paper's setup).
   apps::ApacheConfig apache;
   apps::IisConfig iis;
@@ -110,9 +105,8 @@ class FaultInjectionRun {
   /// paper's "activated functions" (Table 1).
   const std::set<nt::Fn>& activated_functions() const;
 
-  /// The world, accessible after execute() for inspection in tests — and
-  /// *during* execute() from checkpoint callbacks (snapshot capture needs the
-  /// live simulation, both machines and the network mid-run).
+  /// The world, accessible after execute() for inspection in tests and for
+  /// snapshot capture (src/snap/).
   nt::Machine& target();
   nt::Machine& control();
   sim::Simulation& simulation();

@@ -8,9 +8,7 @@
 #include <thread>
 
 #include "exec/sink.h"
-#include "plan/checkpoints.h"
-#include "sim/rng.h"
-#include "snap/fork_runner.h"
+#include "snap/synthesis.h"
 
 namespace dts::exec {
 
@@ -150,86 +148,21 @@ void run_pool(std::size_t count, const ExecOptions& options,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-// True when the campaign may route runs through the snapshot/fork phase.
-// The phase costs one host golden run, so a single pending fault never pays.
-bool snapshot_phase_applicable(const ExecOptions& options,
-                               const plan::GoldenProfile* profile,
-                               const core::RunConfig& base, std::size_t pending) {
-  return options.snapshots && profile != nullptr && pending >= 2 &&
-         snap::unsupported_reason(base, options.trace != obs::TraceMode::kOff).empty();
-}
-
-// Latest golden call site (max syscall seq the profile observed) — the
-// checkpoint that lets profile-proven never-firing faults replay only the
-// run's tail.
-std::uint64_t profile_tail_site(const plan::GoldenProfile& profile) {
-  std::uint64_t tail = 0;
-  for (const auto& [fn, calls] : profile.calls) {
-    for (const plan::GoldenCall& c : calls) tail = std::max(tail, c.call_site);
-  }
-  return tail;
-}
-
 void emit_snap_metrics(obs::MetricsRegistry* metrics, const core::RunConfig& base,
-                       const snap::ForkStats& st) {
+                       std::uint64_t synthesized, std::uint64_t fallback,
+                       std::uint64_t skipped_sim_us) {
   if (metrics == nullptr) return;
   const obs::Labels set_labels = {{"workload", base.workload.name},
                                   {"middleware", middleware_label(base)}};
-  metrics->counter("dts_snap_checkpoints_total", set_labels,
-                   "checkpoints planned across host golden runs")
-      .inc(st.checkpoints_planned);
-  metrics->counter("dts_snap_snapshots_total", set_labels,
-                   "COW world snapshots captured at checkpoints")
-      .inc(st.snapshots_taken);
-  metrics->counter("dts_snap_forked_runs_total", set_labels,
-                   "campaign runs executed as forked snapshot children")
-      .inc(st.forked_runs);
   metrics->counter("dts_snap_synthesized_runs_total", set_labels,
                    "never-firing runs synthesized from the host golden run")
-      .inc(st.synthesized_runs);
+      .inc(synthesized);
   metrics->counter("dts_snap_fallback_runs_total", set_labels,
-                   "snapshot-phase runs that fell back to full execution")
-      .inc(st.fallback_runs);
-  metrics->counter("dts_snap_identity_checks_total", set_labels,
-                   "snapshot-identity validations (child pre-arm + parent self-check)")
-      .inc(st.identity_checks);
-  metrics->counter("dts_snap_cow_violations_total", set_labels,
-                   "snapshot digests invalidated by in-place payload mutation")
-      .inc(st.cow_violations);
-  metrics->counter("dts_snap_shared_blocks_total", set_labels,
-                   "memory/file payloads structure-shared at capture")
-      .inc(st.shared_blocks);
-  metrics->counter("dts_snap_copied_blocks_total", set_labels,
-                   "memory/file payloads deep-copied at capture")
-      .inc(st.copied_blocks);
-  metrics->counter("dts_snap_shared_bytes_total", set_labels,
-                   "payload bytes structure-shared at capture")
-      .inc(st.shared_bytes);
-  metrics->counter("dts_snap_copied_bytes_total", set_labels,
-                   "payload bytes deep-copied at capture")
-      .inc(st.copied_bytes);
+                   "never-firing runs executed in full after a failed synthesis gate")
+      .inc(fallback);
   metrics->counter("dts_snap_skipped_sim_us_total", set_labels,
-                   "golden-prefix simulated microseconds not re-executed")
-      .inc(st.skipped_sim_us);
-}
-
-// Executes the snapshot/fork phase and returns the indices that still need a
-// full run. `record` fires once per forked or synthesized result, in
-// deterministic fork order, on the calling thread.
-std::vector<std::size_t> run_snapshot_phase(
-    const core::RunConfig& base, const ExecOptions& options,
-    std::uint64_t campaign_seed, std::uint64_t campaign_digest,
-    std::uint64_t tail_site, const std::vector<snap::ForkItem>& items,
-    const std::function<void(const snap::ChildOutcome&)>& record) {
-  snap::ForkRunner::Options ropts;
-  ropts.campaign_seed = campaign_seed;
-  ropts.campaign_digest = campaign_digest;
-  ropts.jobs = effective_jobs(options.jobs);
-  ropts.tail_site = tail_site;
-  snap::ForkRunner runner(base, ropts);
-  std::vector<std::size_t> fallback = runner.run(items, record);
-  emit_snap_metrics(options.metrics, base, runner.stats());
-  return fallback;
+                   "simulated microseconds of synthesized runs not executed")
+      .inc(skipped_sim_us);
 }
 
 }  // namespace
@@ -351,51 +284,38 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
     sink.record(rec, slot.result, worker);
   };
 
-  // --- snapshot/fork phase ---------------------------------------------------
-  // One host golden run captures COW snapshots at planned checkpoints; each
-  // fault whose injection site the profile resolves forks from the nearest
-  // checkpoint and executes only the suffix. Forked records reach the sink
-  // exactly as full runs do (the merge below then guarantees byte-identical
-  // campaign output either way); whatever cannot be forked stays in
-  // `pending` for the thread pool.
-  if (snapshot_phase_applicable(options_, snapshot_profile_, base, pending.size())) {
-    const plan::GoldenProfile& profile = *snapshot_profile_;
-    const std::uint64_t tail_site = profile_tail_site(profile);
-    std::vector<snap::ForkItem> items;
-    std::vector<std::size_t> next_pending;
+  // --- golden-tail synthesis ------------------------------------------------
+  // A fault whose invocation lies beyond its function's golden call count can
+  // never fire, so its run is the golden run: with snapshots on, one host
+  // golden run stands in for all of them (src/snap/synthesis.h). Their records
+  // reach the sink exactly as full runs do, and the merge below keeps the
+  // campaign output byte-identical either way. Every other fault — and every
+  // never-firing one when a synthesis gate fails — stays in `pending` for the
+  // worker pool.
+  if (options_.snapshots && snapshot_profile_ != nullptr &&
+      snap::unsupported_reason(base, options_.trace != obs::TraceMode::kOff).empty()) {
+    const auto& counts = snapshot_profile_->invocation_counts;
+    std::vector<snap::TailItem> tail;
+    std::vector<std::size_t> full;
     for (std::size_t i : pending) {
       const inject::FaultSpec& fault = list.faults[i];
-      snap::ForkItem item;
-      item.index = i;
-      item.fault = fault;
-      item.seed = sim::Rng::mix(campaign_seed, sim::Rng::hash(fault.id()));
-      if (auto site = plan::injection_site(profile, fault)) {
-        item.mode = snap::ForkItem::Mode::kAtSite;
-        item.site = *site;
-        items.push_back(item);
-        continue;
+      const auto it = counts.find(fault.fn);
+      if (fault.invocation > (it == counts.end() ? 0 : it->second)) {
+        tail.push_back({i, fault});
+      } else {
+        full.push_back(i);
       }
-      const auto cnt = profile.invocation_counts.find(fault.fn);
-      const int count = cnt == profile.invocation_counts.end() ? 0 : cnt->second;
-      if (tail_site > 0 && fault.invocation > count) {
-        // Profile-proven never-firing: the run IS the golden run; its result
-        // is synthesized from the host run's end state.
-        item.mode = snap::ForkItem::Mode::kGoldenTail;
-        item.fn_called = count > 0;
-        items.push_back(item);
-        continue;
-      }
-      // Reached but outside the profile's capture window: full run.
-      next_pending.push_back(i);
     }
-    if (!items.empty()) {
-      std::vector<std::size_t> fallbacks = run_snapshot_phase(
-          base, options_, campaign_seed, campaign_digest, tail_site, items,
-          [&](const snap::ChildOutcome& o) { complete(o.index, o.result, o.record, 0); });
-      next_pending.insert(next_pending.end(), fallbacks.begin(), fallbacks.end());
-      std::sort(next_pending.begin(), next_pending.end());
-      pending = std::move(next_pending);
+    std::vector<snap::SynthesizedRun> synthesized =
+        snap::synthesize_golden_tail(base, campaign_seed, campaign_digest, tail);
+    std::uint64_t skipped_sim_us = 0;
+    for (snap::SynthesizedRun& s : synthesized) {
+      skipped_sim_us += s.record.sim_us;
+      complete(s.index, std::move(s.result), s.record, 0);
     }
+    if (!synthesized.empty()) pending = std::move(full);
+    emit_snap_metrics(options_.metrics, base, synthesized.size(),
+                      tail.size() - synthesized.size(), skipped_sim_us);
   }
 
   run_pool(pending.size(), options_, [&](int worker, std::size_t item) {
@@ -410,7 +330,7 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
     complete(i, std::move(run.result), run.record, worker);
     return true;
   });
-  // Fully resumed (or forked): no worker reported the final state.
+  // Fully resumed (or synthesized): no worker reported the final state.
   if (pending.empty()) sink.report();
   out.executed = sink.executed();
 
@@ -439,9 +359,21 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
   // only resume another planned campaign.
   const std::uint64_t campaign_digest = plan::sweep_digest(plan);
 
-  // Engaged once the entry's run completed (here or in a resumed journal).
-  // Most entries of a planned sweep never run, so an empty slot stays cheap.
-  std::vector<std::optional<core::RunResult>> results(n);
+  // One result slot per kExecute entry, engaged once the entry's run
+  // completed (here or in a resumed journal): most entries of a planned sweep
+  // never run. `executable` holds the entries' indices in ascending order, so
+  // result(idx) finds an entry's slot by binary search; slots are distinct,
+  // so pool threads fill them without locking.
+  std::vector<std::size_t> executable;
+  executable.reserve(plan.executable_count());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (plan.entries[i].disposition == plan::Disposition::kExecute) executable.push_back(i);
+  }
+  std::vector<std::optional<core::RunResult>> results(executable.size());
+  const auto result = [&](std::size_t idx) -> std::optional<core::RunResult>& {
+    return results[static_cast<std::size_t>(
+        std::lower_bound(executable.begin(), executable.end(), idx) - executable.begin())];
+  };
   auto resumed = load_resumed_runs(
       options_, base, campaign_seed, campaign_digest, n,
       [&plan](std::size_t i, const std::string& id) {
@@ -449,16 +381,17 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
         return e.disposition == plan::Disposition::kExecute && e.fault.id() == id;
       });
   out.reused = resumed.size();
-  for (auto& [i, run] : resumed) results[i] = std::move(run.result);
+  for (auto& [i, run] : resumed) result(i) = std::move(run.result);
 
   RunSink sink(base, options_, campaign_seed, n, config_text_);
   // Planned records carry their sampling stratum.
-  const auto complete = [&](std::size_t idx, core::RunResult result, JournalRecord rec,
-                            int worker) {
+  const auto complete = [&](std::size_t idx, core::RunResult run_result,
+                            JournalRecord rec, int worker) {
     const inject::FaultSpec& fault = plan.entries[idx].fault;
     rec.stratum = plan::to_string(plan::StratumKey{fault.fn, fault.type});
-    results[idx] = std::move(result);
-    sink.record(rec, *results[idx], worker);
+    std::optional<core::RunResult>& slot = result(idx);
+    slot = std::move(run_result);
+    sink.record(rec, *slot, worker);
   };
 
   plan::AdaptiveSampler sampler(plan, sampler_options);
@@ -475,42 +408,10 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
 
     std::vector<std::size_t> fresh;
     for (std::size_t idx : batch) {
-      if (results[idx]) {
+      if (result(idx)) {
         sink.skipped();
       } else {
         fresh.push_back(idx);
-      }
-    }
-
-    // Snapshot/fork phase, per round: plan entries carry their golden call
-    // site directly (golden_known), so forked items need no profile lookup;
-    // the profile still provides the tail checkpoint. Leftovers stay in
-    // `fresh` for the round's worker pool.
-    if (snapshot_phase_applicable(options_, snapshot_profile_, base, fresh.size())) {
-      const std::uint64_t tail_site = profile_tail_site(*snapshot_profile_);
-      std::vector<snap::ForkItem> items;
-      std::vector<std::size_t> next_fresh;
-      for (std::size_t idx : fresh) {
-        const plan::PlanEntry& entry = plan.entries[idx];
-        if (!entry.golden_known) {
-          next_fresh.push_back(idx);
-          continue;
-        }
-        snap::ForkItem item;
-        item.index = idx;
-        item.fault = entry.fault;
-        item.seed = sim::Rng::mix(campaign_seed, sim::Rng::hash(entry.fault.id()));
-        item.mode = snap::ForkItem::Mode::kAtSite;
-        item.site = entry.call_site;
-        items.push_back(item);
-      }
-      if (!items.empty()) {
-        std::vector<std::size_t> fallbacks = run_snapshot_phase(
-            base, options_, campaign_seed, campaign_digest, tail_site, items,
-            [&](const snap::ChildOutcome& o) { complete(o.index, o.result, o.record, 0); });
-        next_fresh.insert(next_fresh.end(), fallbacks.begin(), fallbacks.end());
-        std::sort(next_fresh.begin(), next_fresh.end());
-        fresh = std::move(next_fresh);
       }
     }
 
@@ -524,7 +425,7 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
     });
 
     for (std::size_t idx : batch) {
-      const core::RunResult& r = *results[idx];
+      const core::RunResult& r = *result(idx);
       sampler.record(idx, r.activated, r.outcome == core::Outcome::kFailure);
     }
   }
@@ -535,20 +436,22 @@ PlanCampaignResult CampaignExecutor::run_plan(const core::RunConfig& base,
   // Assemble plan-entry-order output: executed results as-is, duplicates
   // attributed to their representative's run, pruned entries synthesized as
   // non-activated records (what executing them would have classified as).
+  // A representative precedes its duplicates, so its result is copied, never
+  // moved: they copy it again after it has been emitted.
   out.runs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const plan::PlanEntry& e = plan.entries[i];
     switch (e.disposition) {
       case plan::Disposition::kExecute:
-        if (results[i]) {
-          out.runs.push_back(std::move(*results[i]));
+        if (const auto& r = result(i)) {
+          out.runs.push_back(*r);
         } else {
           ++out.unsampled;
         }
         break;
       case plan::Disposition::kDuplicate:
-        if (results[e.duplicate_of]) {
-          core::RunResult r = *results[e.duplicate_of];
+        if (const auto& rep = result(e.duplicate_of)) {
+          core::RunResult r = *rep;
           r.fault = e.fault;
           r.detail = "deduplicated: same corrupted word as " +
                      plan.entries[e.duplicate_of].fault.id();

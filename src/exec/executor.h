@@ -8,7 +8,7 @@
 // rule is replayed serially over the completed results during the merge, so
 // the output at jobs=N is byte-identical to jobs=1
 // (core::serialize_workload_set round-trips match exactly). Every executed
-// run, threaded or forked, is finished into its record and handed to one
+// run, threaded or synthesized, is finished into its record and handed to one
 // exec::RunSink (exec/sink.h), the same sink the distributed coordinator
 // feeds.
 #pragma once
@@ -93,13 +93,15 @@ struct ExecOptions {
   obs::fleet::StallDetector* stall = nullptr;
   obs::fleet::StatusBoard* status = nullptr;
 
-  /// Fork each campaign run from a COW snapshot taken during one shared
-  /// golden run instead of replaying the fault-free prefix (POSIX only).
-  /// Campaign output stays byte-identical to the unsnapshotted path at any
-  /// jobs count: anything not provably resumable — unknown injection sites,
-  /// jitter/tracing configs, semantic RNG draws in the prefix, abnormal
-  /// child exits (see snap::unsupported_reason) — silently falls back to a
-  /// full run, so the result cache key deliberately ignores this flag.
+  /// Synthesize the records of never-firing faults (invocation beyond the
+  /// golden call count) from one shared host golden run instead of running
+  /// each (src/snap/synthesis.h); every other fault runs in full. Campaign
+  /// output stays byte-identical to the plain path at any jobs count:
+  /// configurations synthesis cannot serve (jitter, tracing, topology — see
+  /// snap::unsupported_reason) and host runs that fail a gate silently fall
+  /// back to full runs, so the result cache key deliberately ignores this
+  /// flag. Planned campaigns never execute a never-firing fault (the pruner
+  /// drops them), so the flag does not change how they run.
   bool snapshots = false;
 };
 
@@ -176,9 +178,9 @@ class CampaignExecutor {
   /// outlive the executor. `config_text` (the campaign's
   /// core::serialize_config) is embedded in the journal header so `ntdts
   /// replay` rebuilds the exact RunConfig from the journal alone; empty keeps
-  /// the identity fields only. `snapshot_profile` places the snapshot
-  /// checkpoints and resolves each fault's injection site; without one,
-  /// options.snapshots has no effect. It must outlive the executor too.
+  /// the identity fields only. `snapshot_profile` gives run() the golden call
+  /// counts that prove a fault never fires; without one, options.snapshots
+  /// has no effect. It must outlive the executor too.
   explicit CampaignExecutor(const ExecOptions& options, std::string config_text = {},
                             const plan::GoldenProfile* snapshot_profile = nullptr)
       : options_(options),

@@ -54,11 +54,11 @@
 // about parse the same way.
 //
 // The record is also the one run record every execution path produces
-// (exec/sink.h finish_run) and the payload of the dist RESULT frame and the
-// snapshot fork pipe, which encode it with the same field codec
-// (write_record_fields). Those two additionally carry the wire-only fields
-// "req" (per-request results), "detail" and "sp" (middleware spans):
-// results.csv and the run sink need them, the journal never writes them.
+// (exec/sink.h finish_run) and the payload of the dist RESULT frame, which
+// encodes it with the same field codec (write_record_fields). The frame
+// additionally carries the wire-only fields "req" (per-request results),
+// "detail" and "sp" (middleware spans): results.csv and the run sink need
+// them, the journal never writes them.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +91,8 @@ struct JournalRecord {
   std::string run_line;    // core::serialize_run_line payload
 
   // v2 fields; zero/empty when reading a v1 journal.
-  std::uint64_t wall_us = 0;  // host wall-clock time of the run
+  std::uint64_t wall_us = 0;  // host wall-clock time of the run (0 for a
+                              // synthesized run, which does no work of its own)
   std::uint64_t sim_us = 0;   // simulated time the run consumed
   std::string forensics;      // syscall-trace dump (empty = not captured)
   std::string stratum;        // plan sampling stratum, "fn/type" (empty =
@@ -124,9 +125,9 @@ struct JournalRecord {
   std::string spans;     // exec::encode_spans of the middleware spans
 };
 
-/// The record field codec the journal, the dist RESULT frame and the fork
-/// pipe share: appends `"i":..,"fault":..,...` (no braces) to *out, eliding
-/// empty optional fields. `wire` adds the wire-only fields.
+/// The record field codec the journal and the dist RESULT frame share:
+/// appends `"i":..,"fault":..,...` (no braces) to *out, eliding empty
+/// optional fields. `wire` adds the wire-only fields.
 void write_record_fields(std::string* out, const JournalRecord& rec, bool wire);
 
 /// Parses what write_record_fields wrote (any mix of optional fields, so

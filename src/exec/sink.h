@@ -1,9 +1,9 @@
 // One run record, one sink. finish_run() turns a finished FaultInjectionRun
-// into its exec::JournalRecord on every path that executes a fault — the
-// executor's thread workers, the snapshot fork child and golden-tail
-// synthesis (src/snap/), and `ntdts worker` (src/dist/). Records that cross a
-// process boundary travel in the journal's own field codec, so the record a
-// run produces does not depend on which path ran it. RunSink is the one
+// into its exec::JournalRecord on every path that produces a fault's record —
+// the executor's thread workers, golden-tail synthesis (src/snap/), and
+// `ntdts worker` (src/dist/). Records that cross a process boundary travel in
+// the journal's own field codec, so the record a run produces does not depend
+// on which path ran it. RunSink is the one
 // consumer: journal, forensics files, stall detector, status board, per-run
 // metrics and the progress callback all read the record it is handed.
 #pragma once

@@ -65,7 +65,6 @@ MinimizeResult minimize_repro(const core::RunConfig& base,
     c.seed = run_seed;
     c.trace_limit = 0;  // minimisation runs need speed, not traces
     c.golden_capture = 0;
-    c.checkpoints = nullptr;
     ++out.runs_tried;
     return core::execute_run(c, fault);
   };

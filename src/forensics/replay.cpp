@@ -126,7 +126,6 @@ std::optional<ReplayResult> replay_record(const exec::JournalFile& file,
   cfg->seed = sim::Rng::mix(file.key.seed, sim::Rng::hash(rec.fault_id));
   cfg->trace_limit = std::max(cfg->trace_limit, opts.trace_depth);
   cfg->golden_capture = 0;
-  cfg->checkpoints = nullptr;  // snapshot-mode journals replay as full runs
 
   core::FaultInjectionRun run(*cfg);
   out.run = run.execute(*fault);

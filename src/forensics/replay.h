@@ -13,9 +13,8 @@
 // replay doubles as the simulator's nondeterminism detector. This holds
 // regardless of how the journal was produced: --jobs=N, --snapshots=on and
 // distributed runs all journal results proven byte-identical to in-process
-// serial execution, so replay always re-executes as a plain full run (in
-// particular, snapshot-mode journals fall back to full-run replay — no
-// checkpoint plan is installed).
+// serial execution, so replay always re-executes as a plain full run (a
+// synthesized record replays as the full run it stands for).
 #pragma once
 
 #include <optional>

@@ -95,20 +95,6 @@ bool Interceptor::target_function_called() const {
 }
 
 void Interceptor::on_call(const nt::Process& proc, nt::CallRecord& rec) {
-  // Checkpoints fire before ANY other effect of this call (counting,
-  // corruption, tracing, dispatch): a forked child resuming from inside the
-  // callback sees the call exactly as the golden run did at this seq. The
-  // callback returning false cancels the remaining sites without destroying
-  // the std::function we are executing inside.
-  while (checkpoints_ && next_checkpoint_ < checkpoints_->sites.size() &&
-         checkpoints_->sites[next_checkpoint_] <= rec.seq) {
-    const std::uint64_t site = checkpoints_->sites[next_checkpoint_++];
-    if (!checkpoints_->on_checkpoint(site)) {
-      next_checkpoint_ = checkpoints_->sites.size();
-      break;
-    }
-  }
-
   ++calls_observed_;
   const std::string& image = proc.image();
 

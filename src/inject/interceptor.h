@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -148,28 +147,6 @@ class Interceptor final : public nt::SyscallHook {
     return captured_;
   }
 
-  /// Checkpoint plan for snapshot execution (src/snap/): `sites` are
-  /// ascending machine-wide syscall sequence numbers (CallRecord::seq, as
-  /// captured by the golden-run profiler); when the run reaches each site the
-  /// callback fires at the very top of on_call — before the call is counted,
-  /// corrupted, or dispatched — so a world capture taken inside it precedes
-  /// any effect of the call itself. The callback returns true to keep firing
-  /// at later sites, false to cancel all remaining checkpoints (what a forked
-  /// child does after arming its fault).
-  struct CheckpointPlan {
-    std::vector<std::uint64_t> sites;
-    std::function<bool(std::uint64_t site)> on_checkpoint;
-  };
-
-  void set_checkpoints(CheckpointPlan plan) {
-    checkpoints_ = std::move(plan);
-    next_checkpoint_ = 0;
-  }
-  void clear_checkpoints() {
-    checkpoints_.reset();
-    next_checkpoint_ = 0;
-  }
-
   // nt::SyscallHook
   void on_call(const nt::Process& proc, nt::CallRecord& rec) override;
   void on_result(const nt::Process& proc, const nt::CallRecord& rec,
@@ -194,9 +171,6 @@ class Interceptor final : public nt::SyscallHook {
   std::string capture_image_;
   int capture_max_invocations_ = 0;
   std::map<nt::Fn, std::vector<CapturedCall>> captured_;
-
-  std::optional<CheckpointPlan> checkpoints_;
-  std::size_t next_checkpoint_ = 0;
 
   obs::SyscallTrace trace_;
 };

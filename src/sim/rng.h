@@ -7,8 +7,8 @@
 // Snapshot support (src/snap/): the generator's complete state is the four
 // state words plus the draw cursor — there is no hidden global state (no
 // static engines, no thread-local caches; hash()/mix() are pure functions).
-// cursor()/reseed() let a forked run swap in its own seed and fast-forward
-// to the exact draw position the snapshotted prefix had reached.
+// cursor()/reseed() let a run resumed from a snapshot swap in its own seed
+// and fast-forward to the exact draw position the snapshot had reached.
 #pragma once
 
 #include <array>

@@ -54,10 +54,10 @@ class Simulation {
 
   /// Called by simulated kernel code whenever a root-RNG draw's *value*
   /// escapes into machine state (e.g. GetTempFileName's unique suffix). A
-  /// golden-prefix fork is only valid for a different per-fault seed while
-  /// this count is zero: the prefix trajectory is seed-invariant, but an
-  /// escaped draw value is not. The fork runner checks this at every
-  /// checkpoint and falls back to full runs once it goes positive.
+  /// golden run stands in for a run under a different per-fault seed only
+  /// while this count is zero: the trajectory is seed-invariant, but an
+  /// escaped draw value is not. Golden-tail synthesis (src/snap/) checks it
+  /// after the host run and falls back to full runs when it is positive.
   void note_semantic_rng_draw() { ++semantic_rng_draws_; }
   std::uint64_t semantic_rng_draws() const { return semantic_rng_draws_; }
 

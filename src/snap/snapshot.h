@@ -1,20 +1,17 @@
 // World snapshots: copy-on-write capture/restore of a complete run world.
 //
-// A WorldSnapshot is the value state of one FaultInjectionRun mid-execute —
-// simulation kernel (clock, event queue, RNG state + cursor), both machines
-// (processes with address spaces and handle tables, filesystem, registry,
-// SCM, event log) and the network. Memory pages and file contents are
-// structure-shared with the live world (see VirtualMemory / Filesystem):
-// capturing at every checkpoint of a campaign costs map copies, not deep
-// copies, and the first post-capture write to any shared payload clones it.
+// A WorldSnapshot is the value state of one FaultInjectionRun — simulation
+// kernel (clock, event queue, RNG state + cursor), both machines (processes
+// with address spaces and handle tables, filesystem, registry, SCM, event
+// log) and the network. Memory pages and file contents are structure-shared
+// with the live world (see VirtualMemory / Filesystem): repeated captures
+// cost map copies, not deep copies, and the first post-capture write to any
+// shared payload clones it.
 //
-// Two consumers:
-//  - in-memory restore (tests, single-world rewind): restore_world() puts the
-//    captured value state back into the world that captured it;
-//  - fork execution (src/snap/fork_runner.h): live coroutine frames cannot be
-//    value-copied, so cross-run resume forks the host process at the
-//    checkpoint instead — the in-memory snapshot then serves as the identity
-//    witness (digest) and the COW accounting record.
+// restore_world() puts the captured value state back into the world that
+// captured it (tests, single-world rewind). Live coroutine frames cannot be
+// value-copied, so a snapshot never moves a run into another process or
+// world; it is the building block for cloning a template world per run.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +24,7 @@
 namespace dts::snap {
 
 struct WorldSnapshot {
-  std::uint64_t site = 0;  // golden-run call site this was captured at
+  std::uint64_t site = 0;  // caller's label, e.g. the syscall seq at capture
   sim::Simulation::Snapshot sim;
   nt::Machine::Snapshot target;
   nt::Machine::Snapshot control;
@@ -36,8 +33,7 @@ struct WorldSnapshot {
   std::uint64_t digest = 0;  // world_digest() at capture time
 };
 
-/// Captures the live world of `run` (typically from a checkpoint callback,
-/// mid-execute). Fills `cow` and `digest`.
+/// Captures the live world of `run`. Fills `cow` and `digest`.
 WorldSnapshot capture_world(core::FaultInjectionRun& run, std::uint64_t site);
 
 /// Restores a snapshot into the world that captured it. Returns false
@@ -48,9 +44,7 @@ bool restore_world(core::FaultInjectionRun& run, const WorldSnapshot& snap);
 /// Order-stable FNV-1a digest over the snapshot's full value state — file
 /// and memory *contents* included, so a shared COW payload mutated in place
 /// after capture changes the digest. Recomputing a stored snapshot's digest
-/// after the host run completes is therefore a COW-violation self-check, and
-/// plan::snapshot_identity folds this digest into the campaign identity a
-/// forked child validates before arming its fault.
+/// after the world ran on is therefore a COW-violation self-check.
 std::uint64_t world_digest(const WorldSnapshot& snap);
 
 }  // namespace dts::snap

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Drives the ntdts command line on a small capped campaign: every flag
-# combination ntdts rejects exits 2, and the combinations a campaign's one
-# options struct makes possible run to completion (exit 0).
+# combination ntdts rejects exits 2, the combinations a campaign's one
+# options struct makes possible run to completion (exit 0), and a planned
+# campaign's file does not change with --snapshots=on.
 #
 #   usage: cli_test.sh <path-to-ntdts> <scratch-dir>
 set -u
@@ -53,6 +54,13 @@ expect 2 single Apache1 'ReadFile.hFile#1:zero' watchd x
 expect 0 run "$dir/capped.ini" "$dir/workers-traced" --workers=2 --trace=failures
 expect 0 run "$dir/list.ini" "$dir/list-snapshots" --snapshots=on --jobs=2
 expect 0 single Apache1 'ReadFile.hFile#1:zero' watchd 3
+# A planned campaign writes the same campaign file with snapshots on.
+expect 0 run "$dir/capped.ini" "$dir/planned" --plan-auto
+expect 0 run "$dir/capped.ini" "$dir/planned-snapshots" --plan-auto --snapshots=on --jobs=2
+if ! cmp -s "$dir/planned/campaign.dts" "$dir/planned-snapshots/campaign.dts"; then
+  echo "FAIL: --plan-auto campaign.dts differs with --snapshots=on --jobs=2"
+  failed=1
+fi
 
 if [ "$failed" -eq 0 ]; then
   echo "PASS: ntdts exit codes"

@@ -375,12 +375,12 @@ TEST(DistCampaign, TwoWorkerProcessesMatchSerialByteIdentical) {
 /// One campaign's output on one execution path: the set, its journal, its
 /// middleware-span observation counts and summed sim microseconds keyed by
 /// span name (worker labels of a fleet's telemetry folded together) and how
-/// many runs were forked.
+/// many runs were synthesized.
 struct PathOutput {
   core::WorkloadSetResult set;
   exec::JournalFile journal;
   std::map<std::string, std::pair<std::uint64_t, std::int64_t>> spans;
-  std::uint64_t forked = 0;
+  std::uint64_t synthesized = 0;
 };
 
 /// The journal's records in fault order, each rendered in the record codec
@@ -433,7 +433,7 @@ PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
   EXPECT_TRUE(file.has_value()) << error;
   if (file) out.journal = std::move(*file);
   for (const obs::MetricSample& s : metrics.snapshot()) {
-    if (s.name == "dts_snap_forked_runs_total") out.forked += s.counter_value;
+    if (s.name == "dts_snap_synthesized_runs_total") out.synthesized += s.counter_value;
     if (s.kind != 'h' || s.name != "dts_middleware_span_seconds") continue;
     const std::size_t at = s.labels.find("span=\"");
     const std::string span = s.labels.substr(at + 6, s.labels.find('"', at + 6) - at - 6);
@@ -444,34 +444,36 @@ PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
   return out;
 }
 
-// One run record, whichever path executed the fault: the same capped
-// Apache1/MSCS sweep on the thread pool, forked from snapshots and on a
-// two-worker fleet journals identical records apart from wall time and the
-// lease in the execution index — and the wire-only fields reach results.csv
-// (requests, detail) and the span metrics identically too.
+// One run record, whichever path produced it: the same capped two-invocation
+// Apache1/MSCS sweep on the thread pool, with never-firing runs synthesized
+// from the golden run, and on a two-worker fleet journals identical records
+// apart from wall time and the lease in the execution index — and the
+// wire-only fields reach results.csv (requests, detail) and the span metrics
+// identically too.
 TEST(DistCampaign, ThreadForkAndWorkerPathsYieldIdenticalRecords) {
   const core::RunConfig cfg = make_config("Apache1", mw::MiddlewareKind::kMscs);
   core::CampaignOptions opt;
   opt.seed = 7;
-  opt.max_faults = 24;
+  opt.iterations = 2;
+  opt.max_faults = 48;
   opt.jobs = 2;
   const PathOutput threads = run_path(cfg, opt, temp_path("xpath_threads.jsonl"), 0);
-  core::CampaignOptions forked = opt;
-  forked.snapshots = true;
-  const PathOutput fork = run_path(cfg, forked, temp_path("xpath_fork.jsonl"), 0);
+  core::CampaignOptions synthesized = opt;
+  synthesized.snapshots = true;
+  const PathOutput synth = run_path(cfg, synthesized, temp_path("xpath_synth.jsonl"), 0);
   core::CampaignOptions fleet = opt;
   fleet.jobs = 1;
   const PathOutput workers = run_path(cfg, fleet, temp_path("xpath_workers.jsonl"), 2);
 
   const std::vector<std::string> expected = normalized_records(threads.journal);
   ASSERT_FALSE(expected.empty());
-  EXPECT_GT(fork.forked, 0u);
-  EXPECT_EQ(normalized_records(fork.journal), expected);
+  EXPECT_GT(synth.synthesized, 0u);
+  EXPECT_EQ(normalized_records(synth.journal), expected);
   EXPECT_EQ(normalized_records(workers.journal), expected);
-  EXPECT_EQ(core::runs_csv(fork.set), core::runs_csv(threads.set));
+  EXPECT_EQ(core::runs_csv(synth.set), core::runs_csv(threads.set));
   EXPECT_EQ(core::runs_csv(workers.set), core::runs_csv(threads.set));
   EXPECT_FALSE(threads.spans.empty());
-  EXPECT_EQ(fork.spans, threads.spans);
+  EXPECT_EQ(synth.spans, threads.spans);
   EXPECT_EQ(workers.spans, threads.spans);
 }
 

@@ -468,14 +468,15 @@ std::size_t chrome_run_events(const obs::MetricsRegistry& m) {
 }
 
 // Every executed run reaches the metrics the same way, whichever path ran it:
-// exhaustive threads, plan rounds and forked snapshot children each record one
-// wall-time observation and one Chrome run event per fresh simulation, and a
-// forked campaign counts the same activations and middleware spans as the
-// full-run campaign it reproduces.
+// exhaustive threads, plan rounds and golden-tail synthesis each record one
+// wall-time observation and one Chrome run event per run record, and a
+// campaign with synthesized runs counts the same activations and middleware
+// spans as the full-run campaign it reproduces.
 TEST(Exec, MetricsCountEveryExecutedRunOnEveryPath) {
   const core::RunConfig cfg = make_config("Apache1", mw::MiddlewareKind::kMscs);
   core::CampaignOptions opt;
   opt.seed = 7;
+  opt.iterations = 2;
   opt.max_faults = 40;
   opt.jobs = 2;
 
@@ -497,11 +498,11 @@ TEST(Exec, MetricsCountEveryExecutedRunOnEveryPath) {
   obs::MetricsRegistry plan_metrics;
   (void)campaign(planned, &plan_metrics);
 
-  core::CampaignOptions forked = opt;
-  forked.snapshots = true;
+  core::CampaignOptions synthesized = opt;
+  synthesized.snapshots = true;
   obs::MetricsRegistry snap_metrics;
-  const core::WorkloadSetResult snap = campaign(forked, &snap_metrics);
-  EXPECT_GT(total(counter_values(snap_metrics, "dts_snap_forked_runs_total")), 0u);
+  const core::WorkloadSetResult snap = campaign(synthesized, &snap_metrics);
+  EXPECT_GT(total(counter_values(snap_metrics, "dts_snap_synthesized_runs_total")), 0u);
   EXPECT_EQ(core::serialize_workload_set(snap), core::serialize_workload_set(full));
   EXPECT_EQ(snap.executed_runs, full.executed_runs);
   EXPECT_EQ(counter_values(snap_metrics, "dts_activations_total"),

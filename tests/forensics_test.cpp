@@ -26,7 +26,6 @@
 #include "obs/fleet/status.h"
 #include "obs/metrics.h"
 #include "sim/rng.h"
-#include "snap/fork_runner.h"
 
 namespace dts {
 namespace {
@@ -200,7 +199,6 @@ TEST(ForensicsReplay, MatchesJournalAtAnyJobsCount) {
 }
 
 TEST(ForensicsReplay, MatchesSnapshotModeJournal) {
-  if (!snap::snapshots_supported()) GTEST_SKIP() << "no fork on this platform";
   replay_whole_journal(campaign_journal("forensics_snap.jsonl", 2, true),
                        "snapshots=on");
 }

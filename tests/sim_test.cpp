@@ -386,9 +386,9 @@ TEST(Simulation, DeterministicReplay) {
 
 // Snapshot-execution contract (src/snap/): reseed(seed, k) must land the
 // generator exactly where a fresh Rng(seed) is after k raw draws — there is
-// no hidden global state outside the four state words and the cursor. A
-// forked run relies on this to swap in its per-fault seed mid-run while
-// keeping the raw-draw alignment of the shared golden prefix.
+// no hidden global state outside the four state words and the cursor. A run
+// resumed from a shared snapshot relies on this to swap in its per-fault seed
+// mid-run while keeping the raw-draw alignment of the snapshot.
 TEST(Rng, ReseedReplayMatchesFreshGenerator) {
   Rng fresh(42);
   // Mix raw and rejection-sampled draws so the replay must count raw next()
@@ -398,7 +398,7 @@ TEST(Rng, ReseedReplayMatchesFreshGenerator) {
   (void)fresh.uniform01();
   const std::uint64_t k = fresh.cursor();
 
-  Rng other(7);  // arbitrary diverged generator, as in a forked child
+  Rng other(7);  // arbitrary diverged generator, as in a resumed run
   for (int i = 0; i < 3; ++i) other.next();
   other.reseed(42, k);
 

@@ -1,9 +1,9 @@
 // Tests for the snapshot subsystem (src/snap/): per-component COW
-// capture/restore round-trips, world digests, checkpoint placement, and the
-// correctness bar of the fork execution path — campaign output byte-identical
-// to the unsnapshotted executor at any jobs count, including across journal
-// resume in either direction. Labelled `snap` in CTest (also in the ASan and
-// TSan preset filters).
+// capture/restore round-trips, world digests, and the correctness bar of
+// golden-tail synthesis — campaign output byte-identical to the plain
+// executor at any jobs count, including across journal resume in either
+// direction, with exact synthesis accounting. Labelled `snap` in CTest (also
+// in the ASan and TSan preset filters).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -26,11 +26,11 @@
 #include "ntsim/registry.h"
 #include "ntsim/scm.h"
 #include "obs/metrics.h"
-#include "plan/checkpoints.h"
+#include "plan/profiler.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
-#include "snap/fork_runner.h"
 #include "snap/snapshot.h"
+#include "snap/synthesis.h"
 
 namespace dts {
 namespace {
@@ -253,27 +253,6 @@ TEST(SnapWorld, CaptureRestoreDigestStability) {
   EXPECT_EQ(snap::world_digest(s1), s1.digest);
 }
 
-TEST(SnapWorld, SnapshotIdentityFoldsAllParts) {
-  const std::uint64_t id = plan::snapshot_identity(1, 2, 3);
-  EXPECT_NE(id, plan::snapshot_identity(9, 2, 3));
-  EXPECT_NE(id, plan::snapshot_identity(1, 9, 3));
-  EXPECT_NE(id, plan::snapshot_identity(1, 2, 9));
-}
-
-TEST(SnapWorld, CheckpointPlacement) {
-  using plan::place_checkpoints;
-  // Dedup + sort; unbounded keeps every distinct site.
-  EXPECT_EQ(place_checkpoints({5, 1, 5, 3}, 0),
-            (std::vector<std::uint64_t>{1, 3, 5}));
-  // Capped placement keeps the earliest site and lands only on real sites.
-  const auto placed = place_checkpoints({10, 20, 30, 40, 50, 60, 70, 80}, 3);
-  ASSERT_EQ(placed.size(), 3u);
-  EXPECT_EQ(placed.front(), 10u);
-  EXPECT_EQ(placed.back(), 80u);
-  EXPECT_EQ(place_checkpoints({10, 20, 30}, 1), (std::vector<std::uint64_t>{10}));
-  EXPECT_TRUE(place_checkpoints({}, 4).empty());
-}
-
 // --- the correctness bar ----------------------------------------------------
 
 core::RunConfig apache_config() {
@@ -292,6 +271,15 @@ std::string campaign_output(const core::RunConfig& cfg, bool snapshots, int jobs
   return core::serialize_workload_set(core::run_workload_set(cfg, opt));
 }
 
+// Sum of a counter series over all its label sets.
+std::uint64_t counter_total(const obs::MetricsRegistry& metrics, const std::string& name) {
+  std::uint64_t total = 0;
+  for (const obs::MetricSample& s : metrics.snapshot()) {
+    if (s.kind == 'c' && s.name == name) total += s.counter_value;
+  }
+  return total;
+}
+
 // Campaign output with snapshots on must be byte-identical to the default
 // executor at jobs 1, 2 and 8 — the subsystem's acceptance bar.
 TEST(SnapCampaign, ByteIdenticalAcrossModesAndJobs) {
@@ -302,7 +290,7 @@ TEST(SnapCampaign, ByteIdenticalAcrossModesAndJobs) {
   EXPECT_EQ(campaign_output(cfg, /*snapshots=*/true, 8, 18), baseline);
 }
 
-// Planned campaigns (plan entries carry their own call sites) must agree too.
+// Planned campaigns must agree too (a plan prunes every never-firing fault).
 TEST(SnapCampaign, PlannedCampaignByteIdentical) {
   const core::RunConfig cfg = apache_config();
   core::CampaignOptions opt;
@@ -354,12 +342,11 @@ TEST(SnapCampaign, JournalResumesAcrossSnapshotModes) {
   }
 }
 
-// An explicit fault list honours snapshots too: it forks, runs every listed
-// fault, and serializes byte-identically to the full-run campaign. Its second
-// invocations sit past the one-invocation capture window, so they take the
-// golden-tail and full-run paths.
+// An explicit fault list honours snapshots too: it synthesizes the second
+// invocations of functions the golden run calls once, runs every other
+// listed fault in full, and serializes byte-identically to the full-run
+// campaign.
 TEST(SnapCampaign, ExplicitFaultListForksAndStaysByteIdentical) {
-  if (!snap::snapshots_supported()) GTEST_SKIP() << "no fork on this platform";
   core::RunConfig cfg = apache_config();
   cfg.middleware = mw::MiddlewareKind::kMscs;
   core::CampaignOptions opt;
@@ -377,43 +364,53 @@ TEST(SnapCampaign, ExplicitFaultListForksAndStaysByteIdentical) {
   opt.snapshots = true;
   opt.jobs = 2;
   opt.metrics = &metrics;
-  const core::WorkloadSetResult forked = core::run_workload_set(cfg, opt, list);
-  EXPECT_EQ(core::serialize_workload_set(forked), core::serialize_workload_set(plain));
-  std::uint64_t forked_runs = 0;
-  for (const obs::MetricSample& s : metrics.snapshot()) {
-    if (s.name == "dts_snap_forked_runs_total") forked_runs += s.counter_value;
-  }
-  EXPECT_GT(forked_runs, 0u) << "explicit fault list ignored snapshots";
+  const core::WorkloadSetResult synthesized = core::run_workload_set(cfg, opt, list);
+  EXPECT_EQ(core::serialize_workload_set(synthesized), core::serialize_workload_set(plain));
+  EXPECT_GT(counter_total(metrics, "dts_snap_synthesized_runs_total"), 0u)
+      << "explicit fault list ignored snapshots";
 }
 
-// Guard against the subsystem silently degenerating into all-fallback: on a
-// POSIX host the campaign above must actually fork most of its runs from
-// snapshots, and the metrics must show it.
-TEST(SnapFork, CampaignActuallyForks) {
-  if (!snap::snapshots_supported()) GTEST_SKIP() << "no fork on this platform";
-  obs::MetricsRegistry metrics;
+// Synthesis accounting on a deep sweep (I=4): exactly the faults whose
+// invocation exceeds the golden call count are synthesized, none falls back,
+// every other fault takes a full run on a pool worker, and the set is
+// byte-identical to the plain campaign at jobs 1 and 2.
+TEST(SnapCampaign, SynthesisAccountingIsExact) {
+  const core::RunConfig cfg = apache_config();
   core::CampaignOptions opt;
-  opt.seed = 7;
-  opt.max_faults = 18;
-  opt.snapshots = true;
-  opt.metrics = &metrics;
-  (void)core::run_workload_set(apache_config(), opt);
-
-  std::uint64_t forked = 0, snapshots = 0, violations = 0, shared_bytes = 0;
-  for (const obs::MetricSample& s : metrics.snapshot()) {
-    if (s.name == "dts_snap_forked_runs_total") forked += s.counter_value;
-    if (s.name == "dts_snap_snapshots_total") snapshots += s.counter_value;
-    if (s.name == "dts_snap_cow_violations_total") violations += s.counter_value;
-    if (s.name == "dts_snap_shared_bytes_total") shared_bytes += s.counter_value;
+  opt.seed = 4099;
+  opt.iterations = 4;
+  const plan::GoldenProfile profile = plan::golden_profile(cfg, opt.seed, opt.iterations);
+  const inject::FaultList sweep = core::campaign_sweep(cfg, opt, &profile.activated);
+  std::uint64_t never_fire = 0;
+  for (const inject::FaultSpec& f : sweep.faults) {
+    const auto it = profile.invocation_counts.find(f.fn);
+    never_fire += f.invocation > (it == profile.invocation_counts.end() ? 0 : it->second);
   }
-  EXPECT_GT(forked, 0u) << "snapshot campaign never forked a run";
-  EXPECT_GT(snapshots, 0u);
-  EXPECT_GT(shared_bytes, 0u) << "snapshots are not structure-sharing";
-  EXPECT_EQ(violations, 0u) << "COW self-check tripped";
+  ASSERT_GT(never_fire, 0u);
+  ASSERT_LT(never_fire, sweep.faults.size());
+
+  const std::string plain = core::serialize_workload_set(core::run_workload_set(cfg, opt));
+  for (const int jobs : {1, 2}) {
+    obs::MetricsRegistry metrics;
+    core::CampaignOptions snap_opt = opt;
+    snap_opt.snapshots = true;
+    snap_opt.jobs = jobs;
+    snap_opt.metrics = &metrics;
+    const core::WorkloadSetResult set = core::run_workload_set(cfg, snap_opt);
+    EXPECT_EQ(core::serialize_workload_set(set), plain) << "jobs=" << jobs;
+    ASSERT_EQ(set.runs.size(), sweep.faults.size());
+    EXPECT_EQ(set.executed_runs, sweep.faults.size()) << "jobs=" << jobs;
+    EXPECT_EQ(counter_total(metrics, "dts_snap_synthesized_runs_total"), never_fire)
+        << "jobs=" << jobs;
+    EXPECT_EQ(counter_total(metrics, "dts_snap_fallback_runs_total"), 0u) << "jobs=" << jobs;
+    EXPECT_EQ(counter_total(metrics, "dts_exec_worker_runs_total"),
+              sweep.faults.size() - never_fire)
+        << "jobs=" << jobs;
+  }
 }
 
-// The fallback path must execute every item on a platform (or configuration)
-// where forking is unsupported — nothing is ever dropped.
+// Configurations synthesis cannot serve are named, so the executor runs every
+// fault of them in full — nothing is ever dropped.
 TEST(SnapFork, UnsupportedConfigurationsFallBack) {
   core::RunConfig cfg = apache_config();
   EXPECT_EQ(snap::unsupported_reason(cfg, /*tracing=*/false), "");

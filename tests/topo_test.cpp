@@ -7,12 +7,14 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "core/campaign.h"
 #include "core/config.h"
 #include "dist/coordinator.h"
 #include "exec/journal.h"
+#include "exec/sink.h"
 #include "forensics/replay.h"
 #include "forensics/signature.h"
 #include "inject/fault.h"
@@ -345,6 +347,40 @@ TEST(TopoSnap, SnapshotModeFallsBackToFullRunsByteIdentical) {
   opt.jobs = 8;
   const std::string on = core::serialize_workload_set(core::run_workload_set(cfg.run, opt));
   EXPECT_EQ(off, on);
+}
+
+// A planned duplicate copies its representative's whole result. The planned
+// app-tier set round-trips through the campaign file, and every duplicate
+// carries its representative's topology stats and per-request results.
+TEST(TopoPlan, DuplicatesCopyTheirRepresentative) {
+  core::DtsConfig cfg = parse_or_die(
+      "[test]\nmiddleware = none\nseed = 7\n\n[topology]\n"
+      "topology = lb:1*apache -> app:1*iis -> db:1*sql_server\ntier = app\n"
+      "requests = 2\n");
+  core::CampaignOptions opt = cfg.campaign;
+  opt.jobs = 2;
+  opt.plan.mode = plan::PlanOptions::Mode::kAuto;
+  const core::WorkloadSetResult set = core::run_workload_set(cfg.run, opt);
+
+  std::map<std::string, const core::RunResult*> by_id;
+  for (const core::RunResult& r : set.runs) by_id[r.fault.id()] = &r;
+  const std::string dedup = "deduplicated: same corrupted word as ";
+  std::size_t duplicates = 0;
+  for (const core::RunResult& dup : set.runs) {
+    if (dup.detail.rfind(dedup, 0) != 0) continue;
+    ++duplicates;
+    const core::RunResult& rep = *by_id.at(dup.detail.substr(dedup.size()));
+    EXPECT_EQ(dup.topo, rep.topo) << dup.fault.id();
+    EXPECT_EQ(exec::encode_requests(dup.requests), exec::encode_requests(rep.requests))
+        << dup.fault.id();
+  }
+  ASSERT_GT(duplicates, 0u);
+
+  const std::string text = core::serialize_workload_set(set);
+  std::string error;
+  const auto reloaded = core::deserialize_workload_set(text, &error);
+  ASSERT_TRUE(reloaded.has_value()) << error;
+  EXPECT_EQ(core::serialize_workload_set(*reloaded), text);
 }
 
 TEST(TopoDist, CoordinatorWorkersMatchSerialByteIdentical) {

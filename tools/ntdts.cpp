@@ -92,9 +92,10 @@ int usage() {
       "            [--forensics-depth=N] [--metrics-out=PATH]\n"
       "        --jobs=N   parallel campaign workers (0 = all hardware threads;\n"
       "                   output is byte-identical at any job count)\n"
-      "        --snapshots=on|off  fork each run from a COW snapshot of the\n"
-      "                   shared golden prefix instead of replaying it (POSIX\n"
-      "                   only; output stays byte-identical, default off)\n"
+      "        --snapshots=on|off  synthesize the runs of faults the golden\n"
+      "                   run proves never fire from one shared golden run\n"
+      "                   instead of running each (a plan prunes them anyway;\n"
+      "                   output stays byte-identical, default off)\n"
       "        --model=NAME[,NAME...]  fault models to sweep: paper (default;\n"
       "                   the DSN-2000 parameter corruptions), mutation (MINIX\n"
       "                   faultlib-style operators), oserror (error-return /\n"
@@ -845,13 +846,13 @@ int cmd_run(int argc, char** argv) {
     }
     if (campaign.snapshots) {
       std::cerr << "ntdts run: --snapshots=on cannot be combined with "
-                   "--workers/--listen (snapshot forking is in-process only)\n";
+                   "--workers/--listen (golden-tail synthesis is in-process only)\n";
       return 2;
     }
   }
   if (campaign.snapshots && campaign.trace != obs::TraceMode::kOff) {
     std::cerr << "ntdts run: --snapshots=on cannot be combined with --trace "
-                 "(a forked run's trace would be missing its skipped prefix)\n";
+                 "(a synthesized run has no syscall trace of its own)\n";
     return 2;
   }
   if (campaign.plan.mode == plan::PlanOptions::Mode::kAuto) {
