@@ -261,9 +261,11 @@ sim::Task apache_worker(Ctx c, ApacheConfig cfg, nt::net::Network* network,
 
 }  // namespace
 
-std::string apache_index_content(std::size_t size) {
+const std::string& apache_index_content(std::size_t size) {
   // Deterministic, and memoized: campaigns regenerate it thousands of times.
   // Mutex-guarded — parallel campaign workers install Apache concurrently.
+  // Map nodes never move and entries are never erased or modified, so the
+  // returned reference may be read on any thread without the lock.
   static std::mutex cache_mu;
   static std::map<std::size_t, std::string> cache;
   std::lock_guard<std::mutex> lock(cache_mu);
@@ -280,13 +282,12 @@ std::string apache_index_content(std::size_t size) {
   }
   body += "</body></html>\n";
   body.resize(size, ' ');
-  cache.emplace(size, body);
-  return body;
+  return cache.emplace(size, std::move(body)).first->second;
 }
 
-std::string install_apache(nt::Machine& machine, nt::net::Network& network,
-                           const ApacheConfig& cfg) {
-  const std::string index = apache_index_content(cfg.index_size);
+const std::string& install_apache(nt::Machine& machine, nt::net::Network& network,
+                                  const ApacheConfig& cfg) {
+  const std::string& index = apache_index_content(cfg.index_size);
   machine.fs().put_file(cfg.doc_root + "\\index.html", index);
   machine.fs().mkdirs(cfg.log_dir);
   machine.fs().put_file(cfg.conf_path, "[server]\ndocumentroot=" + cfg.doc_root +

@@ -50,11 +50,14 @@ struct ApacheConfig {
 
 /// Installs the Apache programs, document tree, configuration file and SCM
 /// service registration on a machine. Returns the static index.html content
-/// (what a correct response must carry).
-std::string install_apache(nt::Machine& machine, nt::net::Network& network,
-                           const ApacheConfig& cfg = {});
+/// (what a correct response must carry): the memoized page of
+/// apache_index_content, valid for the life of the process.
+const std::string& install_apache(nt::Machine& machine, nt::net::Network& network,
+                                  const ApacheConfig& cfg = {});
 
-/// Deterministic content of the 115 kB static document.
-std::string apache_index_content(std::size_t size);
+/// Deterministic content of the 115 kB static document. Memoized per size:
+/// the reference stays valid (and the bytes unchanged) for the life of the
+/// process, so callers on any thread may hold it instead of copying.
+const std::string& apache_index_content(std::size_t size);
 
 }  // namespace dts::apps

@@ -115,7 +115,7 @@ sim::CoTask<void> serve_session(Ctx c, const Api& api, const FtpConfig& cfg,
         ctrl->send("425 Can't open data connection.\r\n");
         continue;
       }
-      data_sock->send(payload);
+      data_sock->send(std::move(payload));
       // Give the payload time to drain before the FIN (ordering is handled
       // by the stream, but the explicit close should follow the data).
       data_sock->close();
@@ -204,14 +204,7 @@ sim::CoTask<std::optional<std::string>> ftp_fetch(Ctx c, nt::net::Network* net,
   auto data = co_await net->connect(c, server_machine, data_port);
   if (data == nullptr) co_return std::nullopt;
   std::string payload;
-  for (;;) {
-    const sim::Duration left = remaining();
-    if (left <= sim::Duration{}) co_return std::nullopt;
-    auto chunk = co_await data->recv(c, 65536, left);
-    if (!chunk) co_return std::nullopt;  // timeout
-    if (chunk->empty()) break;           // transfer complete
-    payload += *chunk;
-  }
+  if (!co_await data->recv_to_eof(c, deadline, payload)) co_return std::nullopt;  // timeout
   if (!co_await expect("226")) co_return std::nullopt;
   ctrl->send("QUIT\r\n");
   co_return payload;

@@ -49,14 +49,26 @@ std::string_view reason_phrase(int status) {
 
 std::string format_response(int status, std::string_view content_type, std::string_view body,
                             std::string_view server_name) {
-  std::ostringstream out;
-  out << "HTTP/1.0 " << status << ' ' << reason_phrase(status) << "\r\n"
-      << "Server: " << server_name << "\r\n"
-      << "Content-Type: " << content_type << "\r\n"
-      << "Content-Length: " << body.size() << "\r\n"
-      << "Connection: close\r\n\r\n"
-      << body;
-  return out.str();
+  // Header first (small), then one reservation and one copy of the body.
+  std::string out = "HTTP/1.0 " + std::to_string(status) + ' ';
+  out.append(reason_phrase(status))
+      .append("\r\nServer: ")
+      .append(server_name)
+      .append("\r\nContent-Type: ")
+      .append(content_type)
+      .append("\r\nContent-Length: ")
+      .append(std::to_string(body.size()))
+      .append("\r\nConnection: close\r\n\r\n");
+  out.reserve(out.size() + body.size());
+  out.append(body);
+  return out;
+}
+
+bool http_ok(std::string_view reply, std::string_view expected_body) {
+  if (!reply.starts_with("HTTP/1.0 200")) return false;
+  const auto sep = reply.find("\r\n\r\n");
+  if (sep == std::string_view::npos) return false;
+  return reply.substr(sep + 4) == expected_body;
 }
 
 sim::CoTask<std::optional<Request>> read_request(Ctx c, nt::net::Socket& sock,
@@ -179,7 +191,7 @@ sim::CoTask<std::optional<std::string>> run_cgi(const Api& api, const std::strin
     }
     const Word n = api.read_u32(n_read);
     if (n == 0) break;
-    output += api.mem().read_bytes(buffer, n);
+    api.mem().append_to(buffer, n, output);
   }
 
   (void)co_await api(Fn::WaitForSingleObject, h_proc, 1000);

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "apps/winapp.h"
 #include "ntsim/netsim.h"
@@ -34,6 +35,11 @@ std::optional<Request> parse_request(const std::string& raw);
 /// Formats a full HTTP/1.0 response.
 std::string format_response(int status, std::string_view content_type, std::string_view body,
                             std::string_view server_name);
+
+/// True if `reply` is an HTTP/1.0 200 response whose body (everything after
+/// the first blank line) is exactly `expected_body` — the reply check of the
+/// DTS HttpClient and of the topology relays.
+bool http_ok(std::string_view reply, std::string_view expected_body);
 
 std::string_view reason_phrase(int status);
 

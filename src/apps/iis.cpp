@@ -3,6 +3,8 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <string_view>
+#include <tuple>
 
 #include "apps/apache.h"  // apache_index_content (shared static-page generator)
 #include "apps/http.h"
@@ -217,11 +219,14 @@ sim::CoTask<void> iis_log_request(const Api& api, const IisConfig& cfg, IisState
 
 /// Serves a static file with IIS's request-path machinery: header parsing
 /// through the lstr/locale functions, a file-mapping content cache warmed on
-/// first use, then CreateFileA + GetFileSize + ReadFile.
-sim::CoTask<std::pair<int, std::string>> iis_serve_static(const Api& api,
-                                                          const IisConfig& cfg,
-                                                          IisState* state,
-                                                          const http::Request& req) {
+/// first use, then CreateFileA + GetFileSize + ReadFile. The body is a view
+/// of a string literal or of its content-cache entry (entries are never
+/// evicted, so the view lives as long as `state`).
+sim::CoTask<std::pair<int, std::string_view>> iis_serve_static(const Api& api,
+                                                               const IisConfig& cfg,
+                                                               IisState* state,
+                                                               const http::Request& req) {
+  using Reply = std::pair<int, std::string_view>;
   // Header / URL processing (user-mode string machinery, request-path
   // first invocations).
   const Ptr urlbuf = api.buf(520);
@@ -257,19 +262,19 @@ sim::CoTask<std::pair<int, std::string>> iis_serve_static(const Api& api,
   // Cache hit: serve the remembered body, bypassing the file system.
   if (auto hit = state->content_cache.find(full); hit != state->content_cache.end()) {
     co_await api.cpu(cfg.static_request_cost / 4);  // cached responses are cheap
-    co_return std::pair{200, hit->second};
+    co_return Reply{200, hit->second};
   }
 
   const Word attrs = co_await api(Fn::GetFileAttributesA, api.str(full).addr);
   if (attrs == nt::kInvalidFileAttributes) {
-    co_return std::pair{404, std::string("<html><body><h1>404 Object Not Found</h1></body></html>")};
+    co_return Reply{404, "<html><body><h1>404 Object Not Found</h1></body></html>"};
   }
   co_await api.cpu(cfg.static_request_cost);
 
   const Word h = co_await api(Fn::CreateFileA, api.str(full).addr, nt::kGenericRead, 1, 0,
                               nt::kOpenExisting, 0, 0);
   if (h == nt::kInvalidHandleValue) {
-    co_return std::pair{500, std::string("<html><body><h1>500 Server Error</h1></body></html>")};
+    co_return Reply{500, "<html><body><h1>500 Server Error</h1></body></html>"};
   }
   const Ptr size_high = api.buf(4);
   const Word size = co_await api(Fn::GetFileSize, h, size_high.addr);
@@ -288,13 +293,15 @@ sim::CoTask<std::pair<int, std::string>> iis_serve_static(const Api& api,
       if (co_await api(Fn::ReadFile, h, buffer.addr, want, n_read.addr, 0) == 0) break;
       const Word n = api.read_u32(n_read);
       if (n == 0) break;
-      body += api.mem().read_bytes(buffer, n);
+      api.mem().append_to(buffer, n, body);
       remaining -= n;
     }
   }
   (void)co_await api(Fn::CloseHandle, h);
-  state->content_cache.emplace(full, body);  // whatever we computed is cached
-  co_return std::pair{200, std::move(body)};
+  // Whatever we computed is cached. Only the worker thread fills the cache,
+  // and it found no entry above, so this always inserts.
+  const auto cached = state->content_cache.try_emplace(full, std::move(body)).first;
+  co_return Reply{200, cached->second};
 }
 
 /// The worker thread: drains the queue and serves requests.
@@ -323,20 +330,20 @@ sim::Task iis_worker_thread(Ctx c, IisConfig cfg, std::shared_ptr<IisState> stat
     auto req = co_await http::read_request(c, *sock, sim::Duration::seconds(30));
     if (!req) continue;
 
-    std::string body;
+    std::string cgi_body;   // owns a CGI result; `body` views it or a static body
+    std::string_view body;
     int status = 200;
     if (req->path().rfind("/cgi-bin/", 0) == 0 || req->path().rfind("/scripts/", 0) == 0) {
       auto out = co_await http::run_cgi(api, "cgi.exe", *req, cfg.cgi_timeout);
       if (out) {
-        body = std::move(*out);
+        cgi_body = std::move(*out);
+        body = cgi_body;
       } else {
         status = 500;
         body = "<html><body><h1>500 Server Error</h1></body></html>";
       }
     } else {
-      auto [st, b] = co_await iis_serve_static(api, cfg, state.get(), *req);
-      status = st;
-      body = std::move(b);
+      std::tie(status, body) = co_await iis_serve_static(api, cfg, state.get(), *req);
     }
     sock->send(http::format_response(status, "text/html", body, "Microsoft-IIS/3.0"));
     co_await iis_log_request(api, cfg, state.get(),
@@ -379,9 +386,9 @@ sim::Task gopher_service(Ctx c, IisConfig cfg, nt::net::Network* network) {
       reply += ".\r\n";
     } else {
       auto content = co_await read_file_syscall(api, cfg.gopher_root + "\\" + *selector);
-      reply = content ? *content : std::string("3'" + *selector + "' does not exist\r\n.\r\n");
+      reply = content ? std::move(*content) : "3'" + *selector + "' does not exist\r\n.\r\n";
     }
-    sock->send(reply);
+    sock->send(std::move(reply));
     co_await nt::sleep_in_sim(c, sim::Duration::millis(200));
   }
 }
@@ -447,13 +454,13 @@ sim::Task iis_main(Ctx c, IisConfig cfg, nt::net::Network* network) {
 
 }  // namespace
 
-std::string ftp_download_content() {
+const std::string& ftp_download_content() {
   return apache_index_content(48 * 1024);  // 48 kB binary-ish payload
 }
 
-std::string install_iis(nt::Machine& machine, nt::net::Network& network,
-                        const IisConfig& cfg) {
-  const std::string index = apache_index_content(cfg.index_size);  // same generator
+const std::string& install_iis(nt::Machine& machine, nt::net::Network& network,
+                               const IisConfig& cfg) {
+  const std::string& index = apache_index_content(cfg.index_size);  // same generator
   machine.fs().put_file(cfg.doc_root + "\\index.html", index);
   if (cfg.enable_ftp) {
     machine.fs().put_file(cfg.ftp.root + "\\download.bin", ftp_download_content());

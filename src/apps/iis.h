@@ -50,12 +50,13 @@ struct IisConfig {
   std::string gopher_root = "C:\\InetPub\\gophroot";
 };
 
-/// Contents of the file the FTP workload downloads (ftproot\download.bin).
-std::string ftp_download_content();
+/// Contents of the file the FTP workload downloads (ftproot\download.bin);
+/// memoized like apache_index_content.
+const std::string& ftp_download_content();
 
 /// Installs the IIS program, content and service registration. Returns the
-/// static index.html content.
-std::string install_iis(nt::Machine& machine, nt::net::Network& network,
-                        const IisConfig& cfg = {});
+/// static index.html content (memoized, valid for the life of the process).
+const std::string& install_iis(nt::Machine& machine, nt::net::Network& network,
+                               const IisConfig& cfg = {});
 
 }  // namespace dts::apps

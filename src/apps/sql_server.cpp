@@ -61,7 +61,7 @@ sim::Task sql_pipe_listener(Ctx c, SqlServerConfig cfg, std::shared_ptr<SqlState
       if (co_await api(Fn::ReadFile, h_pipe, buffer.addr, 4096, n_out.addr, 0) == 0) break;
       const Word n = api.read_u32(n_out);
       if (n == 0) break;
-      request += api.mem().read_bytes(buffer, n);
+      api.mem().append_to(buffer, n, request);
       if (request.find('\n') != std::string::npos) break;
     }
     while (!request.empty() && (request.back() == '\n' || request.back() == '\r')) {
@@ -263,7 +263,7 @@ sim::Task sql_main(Ctx c, SqlServerConfig cfg, nt::net::Network* network) {
       // How much actually arrived? Zero requested bytes reads nothing and
       // recovery sees a truncated image.
       if (want == 0) break;
-      image += api.mem().read_bytes(chunk, want);
+      api.mem().append_to(chunk, want, image);
       offset += want;
     }
     (void)co_await api(Fn::CloseHandle, h_db);

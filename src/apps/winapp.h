@@ -75,7 +75,7 @@ inline sim::CoTask<std::optional<std::string>> read_file_syscall(const Api& api,
     }
     const Word n = api.read_u32(n_read);
     if (n == 0) break;
-    out += api.mem().read_bytes(buffer, n);
+    api.mem().append_to(buffer, n, out);
   }
   (void)co_await api(Fn::CloseHandle, h);
   co_return out;

@@ -1,9 +1,9 @@
 #include "core/clients.h"
 
-#include "apps/ftp.h"
-
 #include <functional>
 
+#include "apps/ftp.h"
+#include "apps/http.h"
 #include "ntsim/kernel.h"
 
 namespace dts::core {
@@ -45,21 +45,7 @@ sim::CoTask<RequestResult> attempt_request(
     // Collect the reply until EOF, bounded by the response timeout.
     const sim::TimePoint deadline = c.m().sim().now() + p.config.response_timeout;
     std::string reply;
-    bool timed_out = false;
-    for (;;) {
-      const sim::Duration remaining = deadline - c.m().sim().now();
-      if (remaining <= sim::Duration{}) {
-        timed_out = true;
-        break;
-      }
-      auto chunk = co_await sock->recv(c, 65536, remaining);
-      if (!chunk) {
-        timed_out = true;
-        break;
-      }
-      if (chunk->empty()) break;  // EOF: reply complete (or connection reset)
-      reply += *chunk;
-    }
+    const bool timed_out = !co_await sock->recv_to_eof(c, deadline, reply);
 
     if (!reply.empty()) result.any_response = true;
     if (timed_out) {
@@ -81,13 +67,6 @@ sim::CoTask<RequestResult> attempt_request(
   co_return result;
 }
 
-bool http_ok(const std::string& reply, const std::string& expected_body) {
-  if (reply.rfind("HTTP/1.0 200", 0) != 0) return false;
-  const auto sep = reply.find("\r\n\r\n");
-  if (sep == std::string::npos) return false;
-  return reply.substr(sep + 4) == expected_body;
-}
-
 void finish(Ctx c, const ClientParams& p) {
   p.report->finished = true;
   p.report->finished_at = c.m().sim().now();
@@ -96,7 +75,7 @@ void finish(Ctx c, const ClientParams& p) {
 }  // namespace
 
 sim::Task http_client_program(Ctx c, nt::net::Network* net, ClientParams params,
-                              std::string expected_index, std::string expected_cgi) {
+                              std::string_view expected_index, std::string expected_cgi) {
   params.report->started_at = c.m().sim().now();
   co_await wait_for_server(c, net, params);
   // Whether or not the server came up, run the requests: a down server shows
@@ -104,12 +83,12 @@ sim::Task http_client_program(Ctx c, nt::net::Network* net, ClientParams params,
 
   auto r1 = co_await attempt_request(
       c, net, params, "GET /index.html HTTP/1.0\r\nHost: target\r\n\r\n",
-      [&](const std::string& reply) { return http_ok(reply, expected_index); });
+      [&](const std::string& reply) { return apps::http::http_ok(reply, expected_index); });
   params.report->requests.push_back(std::move(r1));
 
   auto r2 = co_await attempt_request(
       c, net, params, "GET /cgi-bin/test.cgi?id=42 HTTP/1.0\r\nHost: target\r\n\r\n",
-      [&](const std::string& reply) { return http_ok(reply, expected_cgi); });
+      [&](const std::string& reply) { return apps::http::http_ok(reply, expected_cgi); });
   params.report->requests.push_back(std::move(r2));
 
   finish(c, params);

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/outcome.h"
 #include "ntsim/netsim.h"
@@ -33,8 +34,10 @@ struct ClientParams {
 
 /// HttpClient: two requests — GET /index.html (expects `expected_index`) and
 /// GET /cgi-bin/test.cgi?id=42 (expects the CGI body for query "id=42").
+/// `expected_index` is a view, not a copy: it must outlive the program (the
+/// memoized page that install_apache/install_iis return does).
 sim::Task http_client_program(nt::Ctx c, nt::net::Network* net, ClientParams params,
-                              std::string expected_index, std::string expected_cgi);
+                              std::string_view expected_index, std::string expected_cgi);
 
 /// SqlClient: one SELECT over the seeded table, reply must match exactly.
 sim::Task sql_client_program(nt::Ctx c, nt::net::Network* net, ClientParams params,

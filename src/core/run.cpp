@@ -76,7 +76,7 @@ RunResult FaultInjectionRun::execute(const std::optional<inject::FaultSpec>& fau
   if (!cfg_.topo.empty()) return execute_topology(fault);
 
   // --- install the server -----------------------------------------------------
-  std::string expected_index;
+  std::string_view expected_index;  // the memoized page; outlives the run
   switch (cfg_.workload.server) {
     case ServerKind::kApache:
       expected_index = apps::install_apache(w.target, w.network, cfg_.apache);

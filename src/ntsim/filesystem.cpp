@@ -181,16 +181,17 @@ Win32Error Filesystem::open(std::string_view path, Dword access, Dword dispositi
 }
 
 Win32Error Filesystem::read(const std::string& canonical, Word offset, Word size,
-                            std::string* out) const {
+                            Slice* out) const {
   auto it = files_.find(canonical);
   if (it == files_.end()) return Win32Error::kFileNotFound;
   const std::string& c = it->second.data();
   if (offset >= c.size()) {
-    out->clear();
+    *out = Slice{};
     return Win32Error::kSuccess;  // EOF: zero bytes read
   }
   const Word avail = static_cast<Word>(c.size()) - offset;
-  *out = c.substr(offset, std::min(size, avail));
+  out->content = it->second.content;
+  out->bytes = std::string_view(c).substr(offset, std::min(size, avail));
   return Win32Error::kSuccess;
 }
 

@@ -87,10 +87,16 @@ class Filesystem {
   Win32Error open(std::string_view path, Dword access, Dword disposition,
                   std::string* canonical, bool* created);
 
-  /// Reads up to `size` bytes at `offset`. Returns bytes actually read
-  /// (0 at/after EOF).
-  Win32Error read(const std::string& canonical, Word offset, Word size,
-                  std::string* out) const;
+  /// Bytes read from a file, not copied: `bytes` views `content`, which the
+  /// slice keeps alive. A later write to the file clones the content first
+  /// (copy-on-write, as for a snapshot), so the slice keeps the bytes as read.
+  struct Slice {
+    std::shared_ptr<const std::string> content;
+    std::string_view bytes;
+  };
+
+  /// Reads up to `size` bytes at `offset`; `out->bytes` is empty at/after EOF.
+  Win32Error read(const std::string& canonical, Word offset, Word size, Slice* out) const;
 
   /// Writes at `offset`, extending the file as needed.
   Win32Error write(const std::string& canonical, Word offset, std::string_view data);

@@ -264,13 +264,16 @@ sim::CoTask<Word> Kernel32::do_read_file(Ctx c, const CallRecord& r, bool ex) {
   auto obj = s.resolve(h);
   if (obj == nullptr) co_return s.fail(Win32Error::kInvalidHandle);
 
-  std::string data;
+  // File bytes stay pinned in the file system across the I/O delay below;
+  // pipe bytes are drained into `piped`. Either way `data` views them.
+  Filesystem::Slice file_bytes;
+  std::string piped;
+  std::string_view data;
   if (auto* f = dynamic_cast<FileObject*>(obj.get())) {
     const auto canonical = Filesystem::fold(*Filesystem::normalize(f->path()));
-    std::string chunk;
-    const Win32Error e = machine_->fs().read(canonical, f->offset(), to_read, &chunk);
+    const Win32Error e = machine_->fs().read(canonical, f->offset(), to_read, &file_bytes);
     if (e != Win32Error::kSuccess) co_return s.fail(e);
-    data = std::move(chunk);
+    data = file_bytes.bytes;
     f->set_offset(f->offset() + static_cast<Word>(data.size()));
   } else if (auto* pr = dynamic_cast<PipeReadObject*>(obj.get())) {
     PipeBuffer& buf = pr->buffer();
@@ -283,11 +286,12 @@ sim::CoTask<Word> Kernel32::do_read_file(Ctx c, const CallRecord& r, bool ex) {
       co_return s.fail(Win32Error::kBrokenPipe);  // pipe EOF
     }
     const Word n = std::min<Word>(to_read, static_cast<Word>(buf.data.size()));
-    data.reserve(n);
+    piped.reserve(n);
     for (Word i = 0; i < n; ++i) {
-      data.push_back(static_cast<char>(buf.data.front()));
+      piped.push_back(static_cast<char>(buf.data.front()));
       buf.data.pop_front();
     }
+    data = piped;
     if (buf.write_end != nullptr) buf.write_end->wake_all();  // room available
   } else if (auto* np = dynamic_cast<NamedPipeEndObject*>(obj.get())) {
     PipeBuffer& buf = np->inbound();
@@ -298,11 +302,12 @@ sim::CoTask<Word> Kernel32::do_read_file(Ctx c, const CallRecord& r, bool ex) {
     }
     if (buf.data.empty()) co_return s.fail(Win32Error::kBrokenPipe);
     const Word n = std::min<Word>(to_read, static_cast<Word>(buf.data.size()));
-    data.reserve(n);
+    piped.reserve(n);
     for (Word i = 0; i < n; ++i) {
-      data.push_back(static_cast<char>(buf.data.front()));
+      piped.push_back(static_cast<char>(buf.data.front()));
       buf.data.pop_front();
     }
+    data = piped;
     if (np->peer() != nullptr) np->peer()->wake_all();  // room for the writer
   } else {
     co_return s.fail(Win32Error::kInvalidHandle);

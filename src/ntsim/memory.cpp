@@ -119,6 +119,13 @@ std::string VirtualMemory::read_bytes(Ptr p, Word size) const {
   return out;
 }
 
+void VirtualMemory::append_to(Ptr p, Word size, std::string& out) const {
+  Word off = 0;
+  const Block* b = find(p.addr, size, &off);
+  if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
+  out.append(reinterpret_cast<const char*>(b->bytes->data()) + off, size);
+}
+
 void VirtualMemory::write_cstr(Ptr p, std::string_view s) {
   write_bytes(p, s);
   std::byte nul{0};

@@ -57,6 +57,11 @@ class VirtualMemory {
   void write_bytes(Ptr p, std::string_view s);
   std::string read_bytes(Ptr p, Word size) const;
 
+  /// Appends the `size` bytes at `p` to `out`, straight from the block (no
+  /// temporary). On an invalid range throws AccessViolation with `out`
+  /// unchanged.
+  void append_to(Ptr p, Word size, std::string& out) const;
+
   /// Writes `s` plus a NUL terminator.
   void write_cstr(Ptr p, std::string_view s);
 

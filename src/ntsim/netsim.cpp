@@ -6,9 +6,22 @@
 
 namespace dts::nt::net {
 
+namespace {
+
+/// Appends `bytes` to `to`, taking the buffer itself when `to` is empty.
+void append_or_adopt(std::string& to, std::string&& bytes) {
+  if (to.empty()) {
+    to = std::move(bytes);
+  } else {
+    to += bytes;
+  }
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- Socket
 
-void Socket::send(std::string_view data) {
+void Socket::send(std::string data) {
   if (closed_ || data.empty()) return;
   sim::Simulation& sim = net_->sim();
   const NetworkConfig& cfg = cfg_;  // the link this connection was made over
@@ -21,10 +34,9 @@ void Socket::send(std::string_view data) {
   tx_->earliest_delivery = deliver_at;
 
   std::shared_ptr<Stream> tx = tx_;
-  std::string payload{data};
-  sim.schedule_at(deliver_at, [&sim, tx, payload = std::move(payload)] {
+  sim.schedule_at(deliver_at, [&sim, tx, payload = std::move(data)]() mutable {
     if (tx->eof) return;  // connection already reset
-    tx->buffer += payload;
+    append_or_adopt(tx->buffer, std::move(payload));
     tx->wake_readers(sim);
   });
 }
@@ -35,9 +47,15 @@ sim::CoTask<std::optional<std::string>> Socket::recv(Ctx c, std::size_t max,
   const sim::TimePoint deadline = sim.now() + timeout.value_or(sim::Duration{});
   for (;;) {
     if (!rx_->buffer.empty()) {
-      const std::size_t n = std::min(max, rx_->buffer.size());
-      std::string out = rx_->buffer.substr(0, n);
-      rx_->buffer.erase(0, n);
+      std::string& buffer = rx_->buffer;
+      std::string out;
+      if (max >= buffer.size()) {
+        out = std::move(buffer);
+        buffer.clear();
+      } else {
+        out = buffer.substr(0, max);
+        buffer.erase(0, max);
+      }
       co_return out;
     }
     if (rx_->eof) co_return std::string{};  // orderly EOF / reset
@@ -89,9 +107,24 @@ sim::CoTask<std::optional<std::string>> Socket::recv_exactly(
     }
     auto chunk = co_await recv(c, n - out.size(), remaining);
     if (!chunk || chunk->empty()) co_return std::nullopt;  // timeout or EOF
-    out += *chunk;
+    append_or_adopt(out, std::move(*chunk));
   }
   co_return out;
+}
+
+sim::CoTask<bool> Socket::recv_to_eof(Ctx c, sim::TimePoint deadline, std::string& out) {
+  sim::Simulation& sim = net_->sim();
+  for (;;) {
+    const sim::Duration remaining = deadline - sim.now();
+    if (remaining <= sim::Duration{}) co_return false;
+    // Take everything delivered so far: a read that finds data never
+    // suspends, so the read size is invisible to the simulation, and a
+    // whole-buffer read moves instead of copying.
+    auto chunk = co_await recv(c, std::string::npos, remaining);
+    if (!chunk) co_return false;         // timeout
+    if (chunk->empty()) co_return true;  // EOF: reply complete (or connection reset)
+    append_or_adopt(out, std::move(*chunk));
+  }
 }
 
 void Socket::close() {

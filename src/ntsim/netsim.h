@@ -64,10 +64,13 @@ class Socket {
 
   /// Queues data for delivery to the peer after latency + size/bandwidth.
   /// Never blocks (unbounded send buffer). Data sent after close is dropped.
-  void send(std::string_view data);
+  /// Takes ownership of the payload: a sender that moves its buffer in
+  /// hands the peer the same bytes without a copy.
+  void send(std::string data);
 
   /// Receives up to `max` bytes. Blocks until data, EOF or timeout. Returns
-  /// nullopt on timeout; empty string on EOF.
+  /// nullopt on timeout; empty string on EOF. A read that takes everything
+  /// delivered moves the buffer out instead of copying it.
   sim::CoTask<std::optional<std::string>> recv(Ctx c, std::size_t max,
                                                std::optional<sim::Duration> timeout = {});
 
@@ -81,6 +84,11 @@ class Socket {
   /// Receives exactly `n` bytes (or nullopt on EOF/timeout).
   sim::CoTask<std::optional<std::string>> recv_exactly(Ctx c, std::size_t n,
                                                        std::optional<sim::Duration> timeout = {});
+
+  /// Receives until the peer closes (true) or `deadline` passes (false),
+  /// appending what arrives to `out` — the whole reply of a request/close
+  /// exchange. `out` keeps what arrived before a timeout.
+  sim::CoTask<bool> recv_to_eof(Ctx c, sim::TimePoint deadline, std::string& out);
 
   /// True once the peer has closed and all delivered data was consumed.
   bool at_eof() const { return rx_->buffer.empty() && rx_->eof; }

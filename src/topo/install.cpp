@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "apps/http.h"
+
 namespace dts::topo {
 
 namespace {
@@ -26,13 +28,9 @@ std::int64_t now_us(Ctx c) {
   return (c.m().sim().now() - sim::TimePoint{}).count_micros();
 }
 
-bool http_ok(const std::string& reply, const std::string& expected_body) {
-  if (reply.rfind("HTTP/1.0 200", 0) != 0) return false;
-  const auto sep = reply.find("\r\n\r\n");
-  if (sep == std::string::npos) return false;
-  return reply.substr(sep + 4) == expected_body;
-}
-
+/// Per-instance relay settings. Built once per instance and shared (as
+/// std::shared_ptr<const RelayParams>) by the relay program and every
+/// connection it serves: `expected` is the 115 kB page for HTTP tiers.
 struct RelayParams {
   std::string self;            // this instance's machine name
   std::string tier;            // owning tier's name (span label)
@@ -47,6 +45,7 @@ struct RelayParams {
   obs::rtrace::TraceLog* trace = nullptr;  // null/disabled = tracing off
 };
 
+/// Per-balancer settings, shared like RelayParams.
 struct LbParams {
   std::string self;
   std::string tier;                   // owning tier's name (span label)
@@ -73,14 +72,7 @@ sim::CoTask<std::optional<std::string>> exchange(Ctx c, nt::net::Network* net,
     co_return co_await sock->recv_until(c, "\n", 4096, remaining);
   }
   std::string reply;
-  for (;;) {
-    const sim::Duration remaining = deadline - c.m().sim().now();
-    if (remaining <= sim::Duration{}) co_return std::nullopt;
-    auto chunk = co_await sock->recv(c, 65536, remaining);
-    if (!chunk) co_return std::nullopt;  // timeout
-    if (chunk->empty()) break;           // EOF: reply complete
-    reply += *chunk;
-  }
+  if (!co_await sock->recv_to_eof(c, deadline, reply)) co_return std::nullopt;  // timeout
   if (reply.empty()) co_return std::nullopt;  // reset before any data
   co_return reply;
 }
@@ -89,8 +81,9 @@ sim::CoTask<std::optional<std::string>> exchange(Ctx c, nt::net::Network* net,
 /// the downstream chain; "OK" only when both succeed. With tracing on, the
 /// connection, the local check and the downstream forward each become a span,
 /// and the forwarded line carries the forward span as the new parent.
-sim::Task relay_conn(Ctx c, nt::net::Network* net, RelayParams p,
+sim::Task relay_conn(Ctx c, nt::net::Network* net, std::shared_ptr<const RelayParams> params,
                      std::shared_ptr<nt::net::Socket> sock) {
+  const RelayParams& p = *params;
   auto line = co_await sock->recv_until(c, "\n", 4096, p.hop_timeout);
   if (!line) co_return;
   const std::string id = request_id(*line);
@@ -107,7 +100,7 @@ sim::Task relay_conn(Ctx c, nt::net::Network* net, RelayParams p,
                                   : 0;
   auto reply = co_await exchange(c, net, p.self, p.app_port, p.check_request, p.hop_timeout,
                                  /*until_eof=*/true);
-  if (reply) ok = p.http ? http_ok(*reply, p.expected) : *reply == p.expected;
+  if (reply) ok = p.http ? apps::http::http_ok(*reply, p.expected) : *reply == p.expected;
   if (tl != nullptr) {
     tl->end_span(check, now_us(c), ok ? "ok" : (reply ? "err" : "timeout"));
   }
@@ -129,7 +122,8 @@ sim::Task relay_conn(Ctx c, nt::net::Network* net, RelayParams p,
   sock->send((ok ? "OK " : "ERR ") + id + "\n");
 }
 
-sim::Task relay_program(Ctx c, nt::net::Network* net, RelayParams p) {
+sim::Task relay_program(Ctx c, nt::net::Network* net, std::shared_ptr<const RelayParams> params) {
+  const RelayParams& p = *params;
   // Wait (bounded) for the local application and the downstream balancer;
   // listen regardless once the deadline passes so a dead dependency shows up
   // as error replies, not refused connections the balancer cannot tell apart
@@ -146,15 +140,17 @@ sim::Task relay_program(Ctx c, nt::net::Network* net, RelayParams p) {
   for (;;) {
     auto sock = co_await listener->accept(c);
     if (sock == nullptr) continue;
-    c.proc().spawn_thread([net, p, sock](Ctx tc) { return relay_conn(tc, net, p, sock); });
+    c.proc().spawn_thread(
+        [net, params, sock](Ctx tc) { return relay_conn(tc, net, params, sock); });
   }
 }
 
 /// Serves one accepted balancer connection: round-robin over the backends,
 /// failing over on refusal, timeout or an error reply. Redundancy masking
 /// happens exactly here.
-sim::Task lb_conn(Ctx c, nt::net::Network* net, LbParams p, std::shared_ptr<std::size_t> rr,
-                  std::shared_ptr<nt::net::Socket> sock) {
+sim::Task lb_conn(Ctx c, nt::net::Network* net, std::shared_ptr<const LbParams> params,
+                  std::shared_ptr<std::size_t> rr, std::shared_ptr<nt::net::Socket> sock) {
+  const LbParams& p = *params;
   auto line = co_await sock->recv_until(c, "\n", 4096, p.hop_timeout);
   if (!line) co_return;
   const std::string id = request_id(*line);
@@ -182,7 +178,7 @@ sim::Task lb_conn(Ctx c, nt::net::Network* net, LbParams p, std::shared_ptr<std:
     }
     if (ok) {
       if (tl != nullptr) tl->end_span(span, now_us(c), "ok");
-      sock->send(*reply);
+      sock->send(std::move(*reply));
       co_return;
     }
   }
@@ -190,7 +186,8 @@ sim::Task lb_conn(Ctx c, nt::net::Network* net, LbParams p, std::shared_ptr<std:
   sock->send("ERR " + id + "\n");
 }
 
-sim::Task lb_program(Ctx c, nt::net::Network* net, LbParams p) {
+sim::Task lb_program(Ctx c, nt::net::Network* net, std::shared_ptr<const LbParams> params) {
+  const LbParams& p = *params;
   const sim::TimePoint deadline = c.m().sim().now() + p.ready_timeout;
   for (;;) {
     bool all_up = true;
@@ -207,7 +204,7 @@ sim::Task lb_program(Ctx c, nt::net::Network* net, LbParams p) {
     auto sock = co_await listener->accept(c);
     if (sock == nullptr) continue;
     c.proc().spawn_thread(
-        [net, p, rr, sock](Ctx tc) { return lb_conn(tc, net, p, rr, sock); });
+        [net, params, rr, sock](Ctx tc) { return lb_conn(tc, net, params, rr, sock); });
   }
 }
 
@@ -242,32 +239,32 @@ TopologyRuntime install_topology(sim::Simulation& sim, nt::net::Network& net,
                                  .jitter = params.jitter}));
       nt::Machine& m = *machines.back();
 
-      RelayParams rp;
-      rp.self = name;
-      rp.tier = tier.name;
-      rp.next_lb = next_lb;
-      rp.ready_timeout = params.ready_timeout;
-      rp.ready_poll = params.ready_poll;
-      rp.hop_timeout = params.hop_timeout;
-      rp.trace = params.trace;
+      auto rp = std::make_shared<RelayParams>();
+      rp->self = name;
+      rp->tier = tier.name;
+      rp->next_lb = next_lb;
+      rp->ready_timeout = params.ready_timeout;
+      rp->ready_poll = params.ready_poll;
+      rp->hop_timeout = params.hop_timeout;
+      rp->trace = params.trace;
       if (tier.app == "apache") {
-        rp.expected = apps::install_apache(m, net, params.apache);
+        rp->expected = apps::install_apache(m, net, params.apache);
         m.scm().start_service(params.apache.service_name);
-        rp.app_port = params.apache.port;
-        rp.http = true;
-        rp.check_request = "GET /index.html HTTP/1.0\r\nHost: target\r\n\r\n";
+        rp->app_port = params.apache.port;
+        rp->http = true;
+        rp->check_request = "GET /index.html HTTP/1.0\r\nHost: target\r\n\r\n";
       } else if (tier.app == "iis") {
-        rp.expected = apps::install_iis(m, net, params.iis);
+        rp->expected = apps::install_iis(m, net, params.iis);
         m.scm().start_service(params.iis.service_name);
-        rp.app_port = params.iis.port;
-        rp.http = true;
-        rp.check_request = "GET /index.html HTTP/1.0\r\nHost: target\r\n\r\n";
+        rp->app_port = params.iis.port;
+        rp->http = true;
+        rp->check_request = "GET /index.html HTTP/1.0\r\nHost: target\r\n\r\n";
       } else {  // sql_server (parse_topology admits nothing else)
-        rp.expected = apps::install_sql_server(m, net, params.sql);
+        rp->expected = apps::install_sql_server(m, net, params.sql);
         m.scm().start_service(params.sql.service_name);
-        rp.app_port = params.sql.port;
-        rp.http = false;
-        rp.check_request = apps::sql_client_query() + "\n";
+        rp->app_port = params.sql.port;
+        rp->http = false;
+        rp->check_request = apps::sql_client_query() + "\n";
       }
       m.register_program("relayd.exe",
                          [np, rp](Ctx c) { return relay_program(c, np, rp); });
@@ -282,14 +279,14 @@ TopologyRuntime install_topology(sim::Simulation& sim, nt::net::Network& net,
                                .cpu_scale = params.cpu_scale,
                                .jitter = params.jitter}));
     nt::Machine& lb = *machines.back();
-    LbParams lp;
-    lp.self = tr.lb;
-    lp.tier = tier.name;
-    lp.backends = tr.instances;
-    lp.ready_timeout = params.ready_timeout;
-    lp.ready_poll = params.ready_poll;
-    lp.hop_timeout = params.hop_timeout;
-    lp.trace = params.trace;
+    auto lp = std::make_shared<LbParams>();
+    lp->self = tr.lb;
+    lp->tier = tier.name;
+    lp->backends = tr.instances;
+    lp->ready_timeout = params.ready_timeout;
+    lp->ready_poll = params.ready_poll;
+    lp->hop_timeout = params.hop_timeout;
+    lp->trace = params.trace;
     lb.register_program("lbd.exe", [np, lp](Ctx c) { return lb_program(c, np, lp); });
     lb.start_process("lbd.exe", "lbd.exe");
 

@@ -248,6 +248,29 @@ TEST(Http, FormatResponse) {
   EXPECT_NE(r.find("Content-Length: 3"), std::string::npos);
   EXPECT_NE(r.find("Server: TestServer"), std::string::npos);
   EXPECT_EQ(r.substr(r.size() - 3), "<x>");
+  // The exact bytes: header order, CRLFs and the blank line are pinned.
+  EXPECT_EQ(r,
+            "HTTP/1.0 404 Not Found\r\n"
+            "Server: TestServer\r\n"
+            "Content-Type: text/html\r\n"
+            "Content-Length: 3\r\n"
+            "Connection: close\r\n"
+            "\r\n"
+            "<x>");
+
+  const std::string& body = apache_index_content(4096);
+  const std::string ok = http::format_response(200, "text/html", body, "Apache/1.3.3 (WinNT)");
+  EXPECT_EQ(ok,
+            "HTTP/1.0 200 OK\r\n"
+            "Server: Apache/1.3.3 (WinNT)\r\n"
+            "Content-Type: text/html\r\n"
+            "Content-Length: 4096\r\n"
+            "Connection: close\r\n"
+            "\r\n" +
+                body);
+  EXPECT_TRUE(http::http_ok(ok, body));
+  EXPECT_FALSE(http::http_ok(r, "<x>"));  // not a 200
+  EXPECT_FALSE(http::http_ok(ok, body.substr(1)));
 }
 
 }  // namespace

@@ -59,6 +59,27 @@ TEST(VirtualMemory, OutOfBlockAccessFaults) {
   EXPECT_THROW(vm.read_u32(p.offset(6)), AccessViolation);
 }
 
+TEST(VirtualMemory, AppendToAppendsExactBytes) {
+  VirtualMemory vm;
+  Ptr p = vm.alloc(8);
+  vm.write_bytes(p, std::string_view("ab\0cdefg", 8));
+  std::string out = "xy";
+  vm.append_to(p.offset(1), 6, out);
+  EXPECT_EQ(out, std::string("xyb\0cdef", 8));
+  vm.append_to(p, 0, out);  // an empty range appends nothing
+  EXPECT_EQ(out.size(), 8u);
+}
+
+TEST(VirtualMemory, AppendToOffBlockFaultsAndLeavesOutUnchanged) {
+  VirtualMemory vm;
+  Ptr p = vm.alloc(8);
+  vm.write_bytes(p, "01234567");
+  std::string out = "keep";
+  EXPECT_THROW(vm.append_to(p.offset(4), 5, out), AccessViolation);  // one past the end
+  EXPECT_THROW(vm.append_to(Ptr{0}, 1, out), AccessViolation);
+  EXPECT_EQ(out, "keep");
+}
+
 TEST(VirtualMemory, GuardGapsBetweenBlocks) {
   VirtualMemory vm;
   Ptr a = vm.alloc(16);
@@ -155,13 +176,17 @@ TEST(Filesystem, ReadWriteOffsets) {
   Filesystem fs;
   fs.put_file("C:\\f", "0123456789");
   const std::string key = Filesystem::fold(*Filesystem::normalize("C:\\f"));
-  std::string out;
+  Filesystem::Slice out;
   EXPECT_EQ(fs.read(key, 3, 4, &out), Win32Error::kSuccess);
-  EXPECT_EQ(out, "3456");
-  EXPECT_EQ(fs.read(key, 100, 4, &out), Win32Error::kSuccess);
-  EXPECT_EQ(out, "");  // EOF
+  EXPECT_EQ(out.bytes, "3456");
   EXPECT_EQ(fs.write(key, 8, "XYZ"), Win32Error::kSuccess);
   EXPECT_EQ(fs.get_file("C:\\f"), "01234567XYZ");
+  // A slice keeps the bytes as read, even when its range is overwritten.
+  EXPECT_EQ(fs.write(key, 3, "ab"), Win32Error::kSuccess);
+  EXPECT_EQ(fs.get_file("C:\\f"), "012ab567XYZ");
+  EXPECT_EQ(out.bytes, "3456");
+  EXPECT_EQ(fs.read(key, 100, 4, &out), Win32Error::kSuccess);
+  EXPECT_EQ(out.bytes, "");  // EOF
 }
 
 TEST(Filesystem, ListAndMatch) {

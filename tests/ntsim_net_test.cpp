@@ -2,6 +2,9 @@
 // refusal when no listener exists, resets on process death.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ntsim/kernel.h"
 #include "ntsim/netsim.h"
 
@@ -163,6 +166,134 @@ TEST(Net, RecvUntilFindsDelimiter) {
   w.simu.run_until(w.simu.now() + Duration::seconds(10));
   EXPECT_EQ(line1, "GET / HTTP/1.0\r\n");
   EXPECT_EQ(line2, "Host: x\r\n");
+}
+
+// A page-sized payload followed by a short one, read back in 64 kB partial
+// reads: every byte arrives, in order. The first read copies a prefix out of
+// the receive buffer; the last takes (moves) the whole remainder.
+TEST(Net, LargeSendThenShortSendArriveInOrderThroughPartialReads) {
+  NetWorld w;
+  std::string page(118 * 1024, '\0');
+  for (std::size_t i = 0; i < page.size(); ++i) page[i] = static_cast<char>('a' + i % 23);
+  std::string got;
+  std::vector<std::size_t> sizes;
+  bool eof = false;
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto sock = co_await listener->accept(c);
+    sock->send(page);
+    sock->send("tail");
+    sock->close();
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto sock = co_await w.net.connect(c, "target", 80);
+    if (sock == nullptr) co_return;
+    co_await sleep_in_sim(c, Duration::seconds(1));  // both sends delivered
+    for (;;) {
+      auto chunk = co_await sock->recv(c, 65536, Duration::seconds(5));
+      if (!chunk) co_return;  // timeout
+      if (chunk->empty()) break;
+      sizes.push_back(chunk->size());
+      got += *chunk;
+    }
+    eof = true;
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(10));
+  EXPECT_TRUE(eof);
+  EXPECT_EQ(got, page + "tail");
+  const std::vector<std::size_t> expected{65536, page.size() + 4 - 65536};
+  EXPECT_EQ(sizes, expected);
+}
+
+// recv_to_eof collects everything up to the peer's close (true); at the
+// deadline it reports false and keeps what arrived.
+TEST(Net, RecvToEofCollectsUntilCloseOrDeadline) {
+  NetWorld w;
+  std::string closed_reply, open_reply;
+  bool closed_ok = false, open_ok = true;
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto first = co_await listener->accept(c);
+    first->send("part one, ");
+    first->send("part two");
+    first->close();
+    auto second = co_await listener->accept(c);
+    second->send("never closed");
+    co_await sleep_in_sim(c, Duration::seconds(30));
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto a = co_await w.net.connect(c, "target", 80);
+    closed_ok = co_await a->recv_to_eof(c, c.m().sim().now() + Duration::seconds(5), closed_reply);
+    auto b = co_await w.net.connect(c, "target", 80);
+    open_ok = co_await b->recv_to_eof(c, c.m().sim().now() + Duration::seconds(2), open_reply);
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(20));
+  EXPECT_TRUE(closed_ok);
+  EXPECT_EQ(closed_reply, "part one, part two");
+  EXPECT_FALSE(open_ok);
+  EXPECT_EQ(open_reply, "never closed");
+}
+
+// recv_until must see a delimiter whose bytes arrive in two deliveries.
+TEST(Net, RecvUntilFindsDelimiterSplitAcrossDeliveries) {
+  NetWorld w;
+  std::optional<std::string> line1, line2;
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto sock = co_await listener->accept(c);
+    line1 = co_await sock->recv_until(c, "\r\n", 4096, Duration::seconds(5));
+    line2 = co_await sock->recv_until(c, "\r\n", 4096, Duration::seconds(5));
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto sock = co_await w.net.connect(c, "target", 80);
+    sock->send("REQ 1\r");
+    co_await sleep_in_sim(c, Duration::millis(100));  // the reader waits in between
+    sock->send("\nREQ 2\r\n");
+    co_await sleep_in_sim(c, Duration::seconds(1));
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(10));
+  EXPECT_EQ(line1, "REQ 1\r\n");
+  EXPECT_EQ(line2, "REQ 2\r\n");
+}
+
+// Data sent before close() arrives; a send after close() delivers nothing.
+TEST(Net, SendAfterCloseDeliversNothing) {
+  NetWorld w;
+  std::string got;
+  bool eof = false;
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto sock = co_await listener->accept(c);
+    for (;;) {
+      auto chunk = co_await sock->recv(c, 4096, Duration::seconds(5));
+      if (!chunk) co_return;  // timeout
+      if (chunk->empty()) break;
+      got += *chunk;
+    }
+    eof = true;
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto sock = co_await w.net.connect(c, "target", 80);
+    sock->send("before");
+    sock->close();
+    sock->send("after");
+    co_await sleep_in_sim(c, Duration::seconds(1));
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(10));
+  EXPECT_TRUE(eof);
+  EXPECT_EQ(got, "before");
 }
 
 // A network partition in this model is the listener going away (the service
