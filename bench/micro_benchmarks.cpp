@@ -28,15 +28,22 @@ void BM_SimEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimEventThroughput);
 
+/// Alloc/write/read/free cycles. The bump allocator never reuses a freed
+/// range (simulated addresses decide pointer-corruption outcomes), so one
+/// address space would run out after ~490k cycles: each iteration runs a
+/// fixed batch in a fresh one instead.
 void BM_VirtualMemoryAllocFree(benchmark::State& state) {
-  nt::VirtualMemory vm;
+  constexpr int kBatch = 1024;
   for (auto _ : state) {
-    nt::Ptr p = vm.alloc(256);
-    vm.write_u32(p, 42);
-    benchmark::DoNotOptimize(vm.read_u32(p));
-    vm.free(p);
+    nt::VirtualMemory vm;
+    for (int i = 0; i < kBatch; ++i) {
+      nt::Ptr p = vm.alloc(256);
+      vm.write_u32(p, 42);
+      benchmark::DoNotOptimize(vm.read_u32(p));
+      vm.free(p);
+    }
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_VirtualMemoryAllocFree);
 

@@ -57,11 +57,7 @@ FaultInjectionRun::~FaultInjectionRun() = default;
 
 nt::Machine& FaultInjectionRun::target() { return world_->target; }
 
-nt::Machine& FaultInjectionRun::control() { return world_->control; }
-
 sim::Simulation& FaultInjectionRun::simulation() { return world_->simulation; }
-
-nt::net::Network& FaultInjectionRun::network() { return world_->network; }
 
 const obs::SpanLog& FaultInjectionRun::spans() const { return world_->spans; }
 

@@ -105,12 +105,10 @@ class FaultInjectionRun {
   /// paper's "activated functions" (Table 1).
   const std::set<nt::Fn>& activated_functions() const;
 
-  /// The world, accessible after execute() for inspection in tests and for
-  /// snapshot capture (src/snap/).
+  /// The target machine and the simulation, accessible after execute() for
+  /// inspection (examples, golden-tail synthesis, the benchmark).
   nt::Machine& target();
-  nt::Machine& control();
   sim::Simulation& simulation();
-  nt::net::Network& network();
   const inject::Interceptor& interceptor() const { return interceptor_; }
   inject::Interceptor& interceptor() { return interceptor_; }
 

@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "exec/sink.h"
-#include "snap/synthesis.h"
+#include "exec/synthesis.h"
 
 namespace dts::exec {
 
@@ -287,15 +287,15 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
   // --- golden-tail synthesis ------------------------------------------------
   // A fault whose invocation lies beyond its function's golden call count can
   // never fire, so its run is the golden run: with snapshots on, one host
-  // golden run stands in for all of them (src/snap/synthesis.h). Their records
+  // golden run stands in for all of them (exec/synthesis.h). Their records
   // reach the sink exactly as full runs do, and the merge below keeps the
   // campaign output byte-identical either way. Every other fault — and every
   // never-firing one when a synthesis gate fails — stays in `pending` for the
   // worker pool.
   if (options_.snapshots && snapshot_profile_ != nullptr &&
-      snap::unsupported_reason(base, options_.trace != obs::TraceMode::kOff).empty()) {
+      unsupported_reason(base, options_.trace != obs::TraceMode::kOff).empty()) {
     const auto& counts = snapshot_profile_->invocation_counts;
-    std::vector<snap::TailItem> tail;
+    std::vector<TailItem> tail;
     std::vector<std::size_t> full;
     for (std::size_t i : pending) {
       const inject::FaultSpec& fault = list.faults[i];
@@ -306,10 +306,10 @@ CampaignResult CampaignExecutor::run(const core::RunConfig& base,
         full.push_back(i);
       }
     }
-    std::vector<snap::SynthesizedRun> synthesized =
-        snap::synthesize_golden_tail(base, campaign_seed, campaign_digest, tail);
+    std::vector<SynthesizedRun> synthesized =
+        synthesize_golden_tail(base, campaign_seed, campaign_digest, tail);
     std::uint64_t skipped_sim_us = 0;
-    for (snap::SynthesizedRun& s : synthesized) {
+    for (SynthesizedRun& s : synthesized) {
       skipped_sim_us += s.record.sim_us;
       complete(s.index, std::move(s.result), s.record, 0);
     }

@@ -95,10 +95,10 @@ struct ExecOptions {
 
   /// Synthesize the records of never-firing faults (invocation beyond the
   /// golden call count) from one shared host golden run instead of running
-  /// each (src/snap/synthesis.h); every other fault runs in full. Campaign
+  /// each (exec/synthesis.h); every other fault runs in full. Campaign
   /// output stays byte-identical to the plain path at any jobs count:
   /// configurations synthesis cannot serve (jitter, tracing, topology — see
-  /// snap::unsupported_reason) and host runs that fail a gate silently fall
+  /// unsupported_reason) and host runs that fail a gate silently fall
   /// back to full runs, so the result cache key deliberately ignores this
   /// flag. Planned campaigns never execute a never-firing fault (the pruner
   /// drops them), so the flag does not change how they run.

@@ -1,6 +1,6 @@
 // One run record, one sink. finish_run() turns a finished FaultInjectionRun
 // into its exec::JournalRecord on every path that produces a fault's record —
-// the executor's thread workers, golden-tail synthesis (src/snap/), and
+// the executor's thread workers, golden-tail synthesis (exec/synthesis.h), and
 // `ntdts worker` (src/dist/). Records that cross a process boundary travel in
 // the journal's own field codec, so the record a run produces does not depend
 // on which path ran it. RunSink is the one

@@ -1,11 +1,11 @@
-#include "snap/synthesis.h"
+#include "exec/synthesis.h"
 
 #include <optional>
 
 #include "exec/sink.h"
 #include "sim/rng.h"
 
-namespace dts::snap {
+namespace dts::exec {
 
 std::string unsupported_reason(const core::RunConfig& base, bool tracing) {
   if (base.target_jitter > 0.0) {
@@ -62,12 +62,11 @@ std::vector<SynthesizedRun> synthesize_golden_tail(const core::RunConfig& base,
     // run's too. The fault never fires, so there is no injection context;
     // the host ran unarmed, so whether the fault's function was called is
     // read from its invocation count.
-    s.record = exec::finish_run(run, s.result, {campaign_digest, 0, item.index},
-                                /*wall_us=*/0);
+    s.record = finish_run(run, s.result, {campaign_digest, 0, item.index}, /*wall_us=*/0);
     s.record.fn_called = icpt.invocations(item.fault.target_image, item.fault.fn) > 0;
     out.push_back(std::move(s));
   }
   return out;
 }
 
-}  // namespace dts::snap
+}  // namespace dts::exec

@@ -22,7 +22,7 @@
 #include "core/run.h"
 #include "exec/journal.h"
 
-namespace dts::snap {
+namespace dts::exec {
 
 /// Human-readable reason golden-tail synthesis cannot serve this
 /// configuration (empty = it can). `tracing` = the executor wants per-run
@@ -40,7 +40,7 @@ struct TailItem {
 struct SynthesizedRun {
   std::size_t index = 0;
   core::RunResult result;
-  exec::JournalRecord record;
+  JournalRecord record;
 };
 
 /// Executes one host golden run of `base` and synthesizes a record for every
@@ -53,4 +53,4 @@ std::vector<SynthesizedRun> synthesize_golden_tail(const core::RunConfig& base,
                                                    std::uint64_t campaign_digest,
                                                    const std::vector<TailItem>& items);
 
-}  // namespace dts::snap
+}  // namespace dts::exec

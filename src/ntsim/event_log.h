@@ -21,8 +21,6 @@ struct EventLogEntry {
   std::string source;
   std::uint32_t event_id = 0;
   std::string message;
-
-  friend bool operator==(const EventLogEntry&, const EventLogEntry&) = default;
 };
 
 class EventLog {
@@ -46,21 +44,6 @@ class EventLog {
   std::size_t count(std::string_view source, std::uint32_t event_id) const;
 
   void clear() { entries_.clear(); }
-
-  // --- snapshots (src/snap/) ------------------------------------------------
-
-  struct Snapshot {
-    std::vector<EventLogEntry> entries;
-    std::size_t retention = 0;
-
-    friend bool operator==(const Snapshot&, const Snapshot&) = default;
-  };
-
-  Snapshot capture() const { return Snapshot{entries_, retention_}; }
-  void restore(const Snapshot& s) {
-    entries_ = s.entries;
-    retention_ = s.retention;
-  }
 
  private:
   std::vector<EventLogEntry> entries_;

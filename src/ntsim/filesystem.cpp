@@ -301,46 +301,8 @@ std::string& Filesystem::writable(FileNode& node) {
     node.content = std::make_shared<std::string>();
   } else if (node.content.use_count() > 1) {
     node.content = std::make_shared<std::string>(*node.content);
-    ++cow_copies_;
   }
   return *node.content;
-}
-
-bool operator==(const Filesystem::Snapshot& a, const Filesystem::Snapshot& b) {
-  if (a.dirs != b.dirs || a.files.size() != b.files.size()) return false;
-  auto ia = a.files.begin();
-  auto ib = b.files.begin();
-  for (; ia != a.files.end(); ++ia, ++ib) {
-    if (ia->first != ib->first ||
-        ia->second.display_path != ib->second.display_path) {
-      return false;
-    }
-    if (ia->second.content != ib->second.content &&
-        ia->second.data() != ib->second.data()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Filesystem::Snapshot Filesystem::capture(CowStats* stats) const {
-  if (stats != nullptr) {
-    for (const auto& [key, node] : files_) {
-      if (node.content.use_count() > 1) {
-        ++stats->shared_blocks;
-        stats->shared_bytes += node.data().size();
-      } else {
-        ++stats->copied_blocks;
-        stats->copied_bytes += node.data().size();
-      }
-    }
-  }
-  return Snapshot{files_, dirs_};
-}
-
-void Filesystem::restore(const Snapshot& s) {
-  files_ = s.files;
-  dirs_ = s.dirs;
 }
 
 std::uint64_t Filesystem::total_bytes() const {

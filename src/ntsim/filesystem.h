@@ -89,7 +89,7 @@ class Filesystem {
 
   /// Bytes read from a file, not copied: `bytes` views `content`, which the
   /// slice keeps alive. A later write to the file clones the content first
-  /// (copy-on-write, as for a snapshot), so the slice keeps the bytes as read.
+  /// (copy-on-write), so the slice keeps the bytes as read.
   struct Slice {
     std::shared_ptr<const std::string> content;
     std::string_view bytes;
@@ -120,12 +120,10 @@ class Filesystem {
   std::uint64_t total_bytes() const;
   std::size_t file_count() const { return files_.size(); }
 
-  // --- snapshots (src/snap/) ------------------------------------------------
-  // File contents are copy-on-write, exactly like VirtualMemory blocks: a
-  // capture shares every content string with the live tree; the first write
-  // to a shared file clones it. CopyFile also structure-shares (a copied
-  // file costs nothing until one side is written).
-
+ private:
+  // File contents are copy-on-write: a Slice pins the content it read, and
+  // CopyFile shares the source's content with the copy. The first write to
+  // shared content clones it.
   struct FileNode {
     std::string display_path;  // case-preserving canonical path
     std::shared_ptr<std::string> content;
@@ -136,29 +134,13 @@ class Filesystem {
     }
   };
 
-  struct Snapshot {
-    std::map<std::string, FileNode> files;
-    std::map<std::string, std::string> dirs;
-
-    /// Deep equality (content bytes, not pointer identity).
-    friend bool operator==(const Snapshot& a, const Snapshot& b);
-  };
-
-  Snapshot capture(CowStats* stats = nullptr) const;
-  void restore(const Snapshot& s);
-
-  /// Content clones forced by writes to shared files since construction.
-  std::uint64_t cow_copies() const { return cow_copies_; }
-
- private:
   static std::optional<std::string> parent_of(std::string_view normalized);
 
-  /// The node's content string, cloned first if a snapshot still shares it.
+  /// The node's content string, cloned first if a slice or a copy shares it.
   std::string& writable(FileNode& node);
 
   std::map<std::string, FileNode> files_;     // keyed by folded path
   std::map<std::string, std::string> dirs_;   // folded path -> display path
-  std::uint64_t cow_copies_ = 0;
 };
 
 }  // namespace dts::nt

@@ -43,28 +43,6 @@ class HandleTable {
   auto begin() const { return table_.begin(); }
   auto end() const { return table_.end(); }
 
-  // --- snapshots (src/snap/) ------------------------------------------------
-  // A capture shares the kernel objects themselves (they are live objects
-  // wired to the simulation — only the handle→object mapping is state here).
-  // Equality is therefore handle values + object identity, and an in-memory
-  // restore is only meaningful within the world that captured it; snapshots
-  // of a *different* world go through the fork-based execution path.
-
-  struct Snapshot {
-    std::map<Word, std::shared_ptr<KernelObject>> table;
-    Word next = 0x10;
-
-    // shared_ptr comparison == pointer identity, which is exactly the
-    // equality that makes sense for live kernel objects.
-    friend bool operator==(const Snapshot&, const Snapshot&) = default;
-  };
-
-  Snapshot capture() const { return Snapshot{table_, next_}; }
-  void restore(const Snapshot& s) {
-    table_ = s.table;
-    next_ = s.next;
-  }
-
  private:
   std::map<Word, std::shared_ptr<KernelObject>> table_;
   Word next_ = 0x10;

@@ -150,48 +150,4 @@ std::size_t Machine::crashes_of(std::string_view image) const {
   return n;
 }
 
-Machine::Snapshot Machine::capture(CowStats* stats) const {
-  Snapshot s;
-  s.fs = fs_.capture(stats);
-  s.registry = registry_.capture();
-  s.event_log = event_log_.capture();
-  s.scm = scm_->capture();
-  for (const auto& [pid, proc] : processes_) {
-    ProcessSnapshot ps;
-    ps.image = proc->image();
-    ps.mem = proc->mem().capture(stats);
-    ps.handles = proc->handles().capture();
-    s.processes.emplace(pid, std::move(ps));
-  }
-  s.next_pid = next_pid_;
-  s.syscalls = syscalls_made;
-  s.exits = exit_history_;
-  s.starts = start_history_;
-  return s;
-}
-
-bool Machine::restore(const Snapshot& s) {
-  // Validate before touching anything: every snapshot pid must still be live
-  // with the same image, and no extra process may have appeared.
-  if (s.processes.size() != processes_.size()) return false;
-  for (const auto& [pid, ps] : s.processes) {
-    auto it = processes_.find(pid);
-    if (it == processes_.end() || it->second->image() != ps.image) return false;
-  }
-  fs_.restore(s.fs);
-  registry_.restore(s.registry);
-  event_log_.restore(s.event_log);
-  scm_->restore(s.scm);
-  for (const auto& [pid, ps] : s.processes) {
-    Process& p = *processes_.at(pid);
-    p.mem().restore(ps.mem);
-    p.handles().restore(ps.handles);
-  }
-  next_pid_ = s.next_pid;
-  syscalls_made = s.syscalls;
-  exit_history_ = s.exits;
-  start_history_ = s.starts;
-  return true;
-}
-
 }  // namespace dts::nt

@@ -41,16 +41,12 @@ struct ProcessExitRecord {
   Dword exit_code = 0;
   std::string reason;
   sim::TimePoint at;
-
-  friend bool operator==(const ProcessExitRecord&, const ProcessExitRecord&) = default;
 };
 
 struct ProcessStartRecord {
   Pid pid = 0;
   std::string image;
   sim::TimePoint at;
-
-  friend bool operator==(const ProcessStartRecord&, const ProcessStartRecord&) = default;
 };
 
 class Machine {
@@ -121,45 +117,6 @@ class Machine {
   std::size_t crashes_of(std::string_view image) const;
 
   std::uint64_t syscalls_made = 0;
-
-  // --- snapshots (src/snap/) ------------------------------------------------
-  // Captures every stateful component of the machine. Process address spaces
-  // and file contents are copy-on-write (see VirtualMemory / Filesystem);
-  // everything else is small value data. Coroutine frames (the live threads)
-  // are NOT captured — in-memory restore is only valid within the world that
-  // captured the snapshot and with the same live process set; cross-world
-  // resume goes through the fork-based execution path in src/snap/.
-
-  struct ProcessSnapshot {
-    std::string image;
-    VirtualMemory::Snapshot mem;
-    HandleTable::Snapshot handles;
-
-    friend bool operator==(const ProcessSnapshot&, const ProcessSnapshot&) = default;
-  };
-
-  struct Snapshot {
-    Filesystem::Snapshot fs;
-    Registry::Snapshot registry;
-    EventLog::Snapshot event_log;
-    Scm::Snapshot scm;
-    std::map<Pid, ProcessSnapshot> processes;
-    Pid next_pid = 100;
-    std::uint64_t syscalls = 0;
-    std::vector<ProcessExitRecord> exits;
-    std::vector<ProcessStartRecord> starts;
-
-    friend bool operator==(const Snapshot&, const Snapshot&) = default;
-  };
-
-  /// Captures the whole machine. `stats`, when given, accumulates COW
-  /// shared-vs-copied block counts across memory and filesystem captures.
-  Snapshot capture(CowStats* stats = nullptr) const;
-
-  /// Restores machine state. Returns false (touching nothing) if the live
-  /// process set does not match the snapshot's pid/image set — the world has
-  /// structurally diverged and an in-memory restore would dangle.
-  bool restore(const Snapshot& s);
 
  private:
   void teardown(Pid pid, Dword code, std::string reason);

@@ -6,7 +6,27 @@
 namespace dts::nt {
 
 namespace {
+
 constexpr Word kGuardGap = 4096;  // unmapped bytes between blocks
+
+/// The block of `blocks` containing [addr, addr+size), or nullptr: writable
+/// through a non-const map, read-only through a const one.
+template <typename Blocks>
+auto* find_block(Blocks& blocks, Word addr, Word size, Word* offset) {
+  using BlockPtr = decltype(&blocks.begin()->second);
+  if (addr == 0 || blocks.empty()) return BlockPtr{nullptr};
+  auto it = blocks.upper_bound(addr);
+  if (it == blocks.begin()) return BlockPtr{nullptr};
+  --it;
+  const Word base = it->first;
+  const Word block_size = it->second.size;
+  if (addr < base || addr - base > block_size) return BlockPtr{nullptr};
+  const Word off = addr - base;
+  if (size > block_size - off) return BlockPtr{nullptr};
+  if (offset != nullptr) *offset = off;
+  return &it->second;
+}
+
 }  // namespace
 
 Ptr VirtualMemory::alloc(Word size) {
@@ -20,24 +40,9 @@ Ptr VirtualMemory::alloc(Word size) {
   }
   const Word base = next_addr_;
   next_addr_ = base + static_cast<Word>(usable) + kGuardGap;
-  Block b;
-  b.size = size;
-  b.bytes = std::make_shared<std::vector<std::byte>>(size, std::byte{0});
-  blocks_.emplace(base, std::move(b));
+  blocks_.emplace(base, Block{size, std::vector<std::byte>(size, std::byte{0})});
   bytes_in_use_ += size;
   return Ptr{base};
-}
-
-std::vector<std::byte>& VirtualMemory::writable(const Block& b) {
-  // `b` lives in blocks_ (find() returns owned elements); the map is not
-  // resized here, so mutating the payload pointer through the const ref is
-  // safe — the same const_cast the pre-COW code did on the byte vector.
-  Block& block = const_cast<Block&>(b);
-  if (block.bytes.use_count() > 1) {
-    block.bytes = std::make_shared<std::vector<std::byte>>(*block.bytes);
-    ++cow_copies_;
-  }
-  return *block.bytes;
 }
 
 bool VirtualMemory::free(Ptr p) {
@@ -48,22 +53,8 @@ bool VirtualMemory::free(Ptr p) {
   return true;
 }
 
-const VirtualMemory::Block* VirtualMemory::find(Word addr, Word size, Word* offset) const {
-  if (addr == 0 || blocks_.empty()) return nullptr;
-  auto it = blocks_.upper_bound(addr);
-  if (it == blocks_.begin()) return nullptr;
-  --it;
-  const Word base = it->first;
-  const Block& b = it->second;
-  if (addr < base || addr - base > b.size) return nullptr;
-  const Word off = addr - base;
-  if (size > b.size - off) return nullptr;
-  if (offset != nullptr) *offset = off;
-  return &b;
-}
-
 bool VirtualMemory::valid(Ptr p, Word size) const {
-  return find(p.addr, size, nullptr) != nullptr;
+  return find_block(blocks_, p.addr, size, nullptr) != nullptr;
 }
 
 Word VirtualMemory::block_size(Ptr p) const {
@@ -73,16 +64,16 @@ Word VirtualMemory::block_size(Ptr p) const {
 
 void VirtualMemory::write(Ptr p, std::span<const std::byte> data) {
   Word off = 0;
-  const Block* b = find(p.addr, static_cast<Word>(data.size()), &off);
+  Block* b = find_block(blocks_, p.addr, static_cast<Word>(data.size()), &off);
   if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/true};
-  std::memcpy(writable(*b).data() + off, data.data(), data.size());
+  std::memcpy(b->bytes.data() + off, data.data(), data.size());
 }
 
 void VirtualMemory::read(Ptr p, std::span<std::byte> out) const {
   Word off = 0;
-  const Block* b = find(p.addr, static_cast<Word>(out.size()), &off);
+  const Block* b = find_block(blocks_, p.addr, static_cast<Word>(out.size()), &off);
   if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
-  std::memcpy(out.data(), b->bytes->data() + off, out.size());
+  std::memcpy(out.data(), b->bytes.data() + off, out.size());
 }
 
 std::vector<std::byte> VirtualMemory::read(Ptr p, Word size) const {
@@ -121,9 +112,9 @@ std::string VirtualMemory::read_bytes(Ptr p, Word size) const {
 
 void VirtualMemory::append_to(Ptr p, Word size, std::string& out) const {
   Word off = 0;
-  const Block* b = find(p.addr, size, &off);
+  const Block* b = find_block(blocks_, p.addr, size, &off);
   if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
-  out.append(reinterpret_cast<const char*>(b->bytes->data()) + off, size);
+  out.append(reinterpret_cast<const char*>(b->bytes.data()) + off, size);
 }
 
 void VirtualMemory::write_cstr(Ptr p, std::string_view s) {
@@ -149,46 +140,6 @@ Ptr VirtualMemory::alloc_cstr(std::string_view s) {
   Ptr p = alloc(static_cast<Word>(s.size()) + 1);
   write_cstr(p, s);
   return p;
-}
-
-bool operator==(const VirtualMemory::Snapshot& a, const VirtualMemory::Snapshot& b) {
-  if (a.next_addr != b.next_addr || a.bytes_in_use != b.bytes_in_use ||
-      a.blocks.size() != b.blocks.size()) {
-    return false;
-  }
-  auto ia = a.blocks.begin();
-  auto ib = b.blocks.begin();
-  for (; ia != a.blocks.end(); ++ia, ++ib) {
-    if (ia->first != ib->first || ia->second.size != ib->second.size) return false;
-    if (ia->second.bytes != ib->second.bytes && *ia->second.bytes != *ib->second.bytes) {
-      return false;
-    }
-  }
-  return true;
-}
-
-VirtualMemory::Snapshot VirtualMemory::capture(CowStats* stats) const {
-  if (stats != nullptr) {
-    for (const auto& [base, b] : blocks_) {
-      // use_count > 1 before this capture copies the map means an earlier
-      // snapshot still shares the payload — the block stayed clean.
-      if (b.bytes.use_count() > 1) {
-        ++stats->shared_blocks;
-        stats->shared_bytes += b.bytes->size();
-      } else {
-        ++stats->copied_blocks;
-        stats->copied_bytes += b.bytes->size();
-      }
-    }
-  }
-  return Snapshot{blocks_, next_addr_, bytes_in_use_};
-}
-
-void VirtualMemory::restore(const Snapshot& s) {
-  // Share the snapshot's payloads; the next write to any of them clones.
-  blocks_ = s.blocks;
-  next_addr_ = s.next_addr;
-  bytes_in_use_ = s.bytes_in_use;
 }
 
 }  // namespace dts::nt

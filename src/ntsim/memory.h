@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,47 +75,15 @@ class VirtualMemory {
   std::size_t live_blocks() const { return blocks_.size(); }
   std::uint64_t bytes_in_use() const { return bytes_in_use_; }
 
-  // --- snapshots (src/snap/) ------------------------------------------------
-  // Block payloads are copy-on-write: a capture copies the block map but
-  // structure-shares every payload vector with the live space; the first
-  // write to a shared block clones it. Hundreds of snapshots of an idle
-  // address space therefore cost one map copy each, not a deep copy.
-
+ private:
   struct Block {
     Word size = 0;
-    std::shared_ptr<std::vector<std::byte>> bytes;
+    std::vector<std::byte> bytes;
   };
-
-  struct Snapshot {
-    std::map<Word, Block> blocks;  // payloads shared with the live space
-    Word next_addr = kBaseAddress;
-    std::uint64_t bytes_in_use = 0;
-
-    /// Deep equality (payload contents, not pointer identity).
-    friend bool operator==(const Snapshot& a, const Snapshot& b);
-  };
-
-  /// Captures the full address space. `stats`, when given, accumulates how
-  /// many payloads were already structure-shared (a prior capture's pointer
-  /// still intact) vs privately owned at capture time.
-  Snapshot capture(CowStats* stats = nullptr) const;
-  void restore(const Snapshot& s);
-
-  /// Payload clones forced by writes to shared blocks since construction —
-  /// the copy half of the pages-shared/pages-copied snapshot metrics.
-  std::uint64_t cow_copies() const { return cow_copies_; }
-
- private:
-  /// Returns the block containing [addr, addr+size), or nullptr.
-  const Block* find(Word addr, Word size, Word* offset) const;
-
-  /// The block's payload, cloned first if a snapshot still shares it.
-  std::vector<std::byte>& writable(const Block& b);
 
   std::map<Word, Block> blocks_;  // keyed by base address
   Word next_addr_ = kBaseAddress;
   std::uint64_t bytes_in_use_ = 0;
-  std::uint64_t cow_copies_ = 0;
 };
 
 }  // namespace dts::nt

@@ -233,19 +233,4 @@ sim::CoTask<std::shared_ptr<Socket>> Network::connect(Ctx c, const std::string& 
   co_return client_sock;
 }
 
-Network::Snapshot Network::capture() const {
-  Snapshot s;
-  s.connections = connections_;
-  for (const auto& [key, listener] : listeners_) s.bound_ports.push_back(key);
-  return s;  // listeners_ is an ordered map, so bound_ports comes out sorted
-}
-
-bool Network::restore(const Snapshot& s) {
-  connections_ = s.connections;
-  std::vector<std::pair<std::string, std::uint16_t>> now;
-  now.reserve(listeners_.size());
-  for (const auto& [key, listener] : listeners_) now.push_back(key);
-  return now == s.bound_ports;
-}
-
 }  // namespace dts::nt::net

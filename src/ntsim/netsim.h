@@ -168,25 +168,6 @@ class Network {
 
   std::uint64_t connections_made() const { return connections_; }
 
-  // --- snapshots (src/snap/) ------------------------------------------------
-  // Listeners and sockets live inside coroutine frames the Network does not
-  // own, so a snapshot records only the connection counter plus which ports
-  // were bound (an identity check). Live wire state is covered by the
-  // fork-based execution path, never by in-memory restore.
-
-  struct Snapshot {
-    std::uint64_t connections = 0;
-    std::vector<std::pair<std::string, std::uint16_t>> bound_ports;  // sorted
-
-    friend bool operator==(const Snapshot&, const Snapshot&) = default;
-  };
-
-  Snapshot capture() const;
-
-  /// Restores the counter. Returns false if the currently bound port set
-  /// differs from the snapshot's (the world diverged structurally).
-  bool restore(const Snapshot& s);
-
  private:
   friend class Socket;
   friend class Listener;

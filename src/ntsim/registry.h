@@ -51,28 +51,13 @@ class Registry {
 
   std::size_t key_count() const { return keys_.size(); }
 
-  // --- snapshots (src/snap/) ------------------------------------------------
-  // The hive is plain value data (strings, DWORDs); a capture is a genuine
-  // deep copy — registries are small enough that COW would buy nothing.
-
+ private:
   struct Key {
     std::string display;                    // case-preserving path
     std::map<std::string, Value> values;    // folded name -> value
     std::map<std::string, std::string> value_display;  // folded -> display
-
-    friend bool operator==(const Key&, const Key&) = default;
   };
 
-  struct Snapshot {
-    std::map<std::string, Key> keys;
-
-    friend bool operator==(const Snapshot&, const Snapshot&) = default;
-  };
-
-  Snapshot capture() const { return Snapshot{keys_}; }
-  void restore(const Snapshot& s) { keys_ = s.keys; }
-
- private:
   static std::string fold(std::string_view s);
 
   std::map<std::string, Key> keys_;  // folded path -> key

@@ -33,8 +33,6 @@ struct ServiceConfig {
   /// declaring the start failed. The paper observed Apache holding the
   /// pending state longer than IIS; the hint is where that lives.
   sim::Duration start_wait_hint = sim::Duration::seconds(30);
-
-  friend bool operator==(const ServiceConfig&, const ServiceConfig&) = default;
 };
 
 struct ServiceStatus {
@@ -99,30 +97,8 @@ class Scm {
     ServiceState state = ServiceState::kStopped;
     Pid pid = 0;
     std::uint64_t pending_epoch = 0;  // invalidates stale deadline events
-
-    friend bool operator==(const Record&, const Record&) = default;
   };
 
- public:
-  // --- snapshots (src/snap/) ------------------------------------------------
-  // The service database is plain value data. Pending-state deadline events
-  // live in the sim event queue, not here; pending_epoch makes a restored
-  // database ignore deadline events armed after the capture.
-
-  struct Snapshot {
-    std::map<std::string, Record> services;
-    std::size_t starts = 0;
-
-    friend bool operator==(const Snapshot&, const Snapshot&) = default;
-  };
-
-  Snapshot capture() const { return Snapshot{services_, starts_}; }
-  void restore(const Snapshot& s) {
-    services_ = s.services;
-    starts_ = s.starts;
-  }
-
- private:
   void log(EventSeverity sev, std::uint32_t id, std::string msg);
   void arm_start_deadline(const std::string& name);
 

@@ -176,18 +176,6 @@ class RaisedException : public std::runtime_error {
   Dword code_;
 };
 
-/// Copy-on-write sharing accounting for snapshot capture (src/snap/):
-/// how many payload blocks of a component are structure-shared with live
-/// state or earlier snapshots vs privately owned, and the bytes covered.
-/// "Block" is the component's payload unit — a VirtualMemory allocation
-/// ("page") or one file's content run.
-struct CowStats {
-  std::uint64_t shared_blocks = 0;
-  std::uint64_t copied_blocks = 0;
-  std::uint64_t shared_bytes = 0;
-  std::uint64_t copied_bytes = 0;
-};
-
 /// Process exit codes used by the simulated NT for abnormal termination.
 constexpr Dword kExitCodeAccessViolation = 0xC0000005;  // STATUS_ACCESS_VIOLATION
 constexpr Dword kExitCodeStackOverflow = 0xC00000FD;

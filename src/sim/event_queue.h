@@ -14,25 +14,11 @@ namespace dts::sim {
 ///
 /// The heap is an explicit vector (std::push_heap/pop_heap — the exact
 /// algorithm std::priority_queue wraps, so pop order is unchanged) rather
-/// than std::priority_queue, whose container is inaccessible: snapshots
-/// (src/snap/) must capture and restore the pending-event set. A Snapshot
-/// copies the std::function callbacks, which is a shallow copy of their
-/// closures — restoring one is only meaningful within the world the capture
-/// came from (cross-world resume uses process-level fork instead).
+/// than std::priority_queue, whose top() is const: pop() moves the callback
+/// out of the heap instead of copying its closure.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
-
-  struct Event {
-    TimePoint at;
-    std::uint64_t seq = 0;
-    Callback fn;
-  };
-
-  struct Snapshot {
-    std::vector<Event> heap;  // raw heap array, not sorted
-    std::uint64_t next_seq = 0;
-  };
 
   /// Enqueues `fn` to run at time `at`. Returns a unique event id.
   std::uint64_t push(TimePoint at, Callback fn);
@@ -48,13 +34,12 @@ class EventQueue {
 
   void clear();
 
-  Snapshot capture() const { return Snapshot{heap_, next_seq_}; }
-  void restore(const Snapshot& s) {
-    heap_ = s.heap;
-    next_seq_ = s.next_seq;
-  }
-
  private:
+  struct Event {
+    TimePoint at;
+    std::uint64_t seq = 0;
+    Callback fn;
+  };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.at != b.at) return a.at > b.at;

@@ -20,15 +20,7 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& w : s_) w = splitmix64(x);
 }
 
-void Rng::reseed(std::uint64_t seed, std::uint64_t replay_draws) {
-  std::uint64_t x = seed;
-  for (auto& w : s_) w = splitmix64(x);
-  draws_ = 0;
-  for (std::uint64_t i = 0; i < replay_draws; ++i) next();
-}
-
 std::uint64_t Rng::next() {
-  ++draws_;
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
   const std::uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];

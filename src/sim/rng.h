@@ -4,11 +4,9 @@
 // seedable — we need bit-for-bit reproducible runs across platforms, so we
 // do not use std::mt19937 whose distributions are not portable.
 //
-// Snapshot support (src/snap/): the generator's complete state is the four
-// state words plus the draw cursor — there is no hidden global state (no
-// static engines, no thread-local caches; hash()/mix() are pure functions).
-// cursor()/reseed() let a run resumed from a snapshot swap in its own seed
-// and fast-forward to the exact draw position the snapshot had reached.
+// The generator's complete state is its four state words: there is no hidden
+// global state (no static engines, no thread-local caches; hash()/mix() are
+// pure functions), so one seed reproduces one stream.
 #pragma once
 
 #include <array>
@@ -38,21 +36,6 @@ class Rng {
   /// caller-supplied label, so subsystems cannot perturb each other's draws.
   Rng split(std::uint64_t label);
 
-  /// Number of raw next() calls made since construction or the last
-  /// reseed(). Counts *raw* draws, not API calls: uniform() uses rejection
-  /// sampling and may burn several next() values per call, and replaying the
-  /// cursor must replay exactly those.
-  std::uint64_t cursor() const { return draws_; }
-
-  /// Re-initializes from `seed` and replays `replay_draws` raw next() calls,
-  /// leaving the generator exactly where a fresh Rng{seed} would be after
-  /// that many draws. Snapshot restore for a different seed stream.
-  void reseed(std::uint64_t seed, std::uint64_t replay_draws = 0);
-
-  /// The raw state words (with the cursor, the generator's entire state) —
-  /// what snapshot digests fold in.
-  const std::array<std::uint64_t, 4>& state() const { return s_; }
-
   /// Stable 64-bit hash of a string, usable as a seed label.
   static std::uint64_t hash(std::string_view s);
 
@@ -61,7 +44,6 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> s_{};
-  std::uint64_t draws_ = 0;
 };
 
 }  // namespace dts::sim

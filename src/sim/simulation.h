@@ -26,38 +26,13 @@ class Simulation {
   TimePoint now() const { return now_; }
   Rng& rng() { return rng_; }
 
-  /// Complete value state of the kernel: clock, pending events, RNG (state +
-  /// cursor) and counters. Captured/restored by the snapshot subsystem
-  /// (src/snap/); the event-queue caveat in event_queue.h applies.
-  struct Snapshot {
-    TimePoint now;
-    EventQueue::Snapshot queue;
-    Rng rng{0};
-    std::uint64_t rng_cursor = 0;
-    bool stopped = false;
-    std::uint64_t events_processed = 0;
-    std::uint64_t semantic_rng_draws = 0;
-  };
-
-  Snapshot capture() const {
-    return Snapshot{now_,     queue_.capture(),  rng_, rng_.cursor(),
-                    stopped_, events_processed_, semantic_rng_draws_};
-  }
-  void restore(const Snapshot& s) {
-    now_ = s.now;
-    queue_.restore(s.queue);
-    rng_ = s.rng;
-    stopped_ = s.stopped;
-    events_processed_ = s.events_processed;
-    semantic_rng_draws_ = s.semantic_rng_draws;
-  }
-
   /// Called by simulated kernel code whenever a root-RNG draw's *value*
   /// escapes into machine state (e.g. GetTempFileName's unique suffix). A
   /// golden run stands in for a run under a different per-fault seed only
   /// while this count is zero: the trajectory is seed-invariant, but an
-  /// escaped draw value is not. Golden-tail synthesis (src/snap/) checks it
-  /// after the host run and falls back to full runs when it is positive.
+  /// escaped draw value is not. Golden-tail synthesis (src/exec/synthesis.h)
+  /// checks it after the host run and falls back to full runs when it is
+  /// positive.
   void note_semantic_rng_draw() { ++semantic_rng_draws_; }
   std::uint64_t semantic_rng_draws() const { return semantic_rng_draws_; }
 

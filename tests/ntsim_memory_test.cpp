@@ -185,6 +185,13 @@ TEST(Filesystem, ReadWriteOffsets) {
   EXPECT_EQ(fs.write(key, 3, "ab"), Win32Error::kSuccess);
   EXPECT_EQ(fs.get_file("C:\\f"), "012ab567XYZ");
   EXPECT_EQ(out.bytes, "3456");
+  // ... and when its file is truncated at the slice's first byte (in place,
+  // the shrink would write the string's terminator there).
+  Filesystem::Slice pinned;
+  EXPECT_EQ(fs.read(key, 3, 4, &pinned), Win32Error::kSuccess);
+  EXPECT_EQ(fs.truncate(key, 3), Win32Error::kSuccess);
+  EXPECT_EQ(fs.get_file("C:\\f"), "012");
+  EXPECT_EQ(pinned.bytes, "ab56");
   EXPECT_EQ(fs.read(key, 100, 4, &out), Win32Error::kSuccess);
   EXPECT_EQ(out.bytes, "");  // EOF
 }
@@ -212,9 +219,21 @@ TEST(Filesystem, MoveCopyDelete) {
   fs.mkdirs("C:\\b");
   EXPECT_EQ(fs.copy("C:\\a\\src.txt", "C:\\b\\copy.txt", true), Win32Error::kSuccess);
   EXPECT_EQ(fs.copy("C:\\a\\src.txt", "C:\\b\\copy.txt", true), Win32Error::kFileExists);
+  // A copy shares its source's content until one side is written: writing
+  // the copy leaves the source as it was, and truncating the source leaves
+  // a copy as it was.
+  const std::string src_key = Filesystem::fold(*Filesystem::normalize("C:\\a\\src.txt"));
+  const std::string copy_key = Filesystem::fold(*Filesystem::normalize("C:\\b\\copy.txt"));
+  EXPECT_EQ(fs.write(copy_key, 0, "CON"), Win32Error::kSuccess);
+  EXPECT_EQ(fs.get_file("C:\\b\\copy.txt"), "CONtent");
+  EXPECT_EQ(fs.get_file("C:\\a\\src.txt"), "content");
+  EXPECT_EQ(fs.copy("C:\\a\\src.txt", "C:\\b\\copy2.txt", true), Win32Error::kSuccess);
+  EXPECT_EQ(fs.truncate(src_key, 3), Win32Error::kSuccess);
+  EXPECT_EQ(fs.get_file("C:\\a\\src.txt"), "con");
+  EXPECT_EQ(fs.get_file("C:\\b\\copy2.txt"), "content");
   EXPECT_EQ(fs.move("C:\\a\\src.txt", "C:\\b\\moved.txt"), Win32Error::kSuccess);
   EXPECT_FALSE(fs.exists("C:\\a\\src.txt"));
-  EXPECT_EQ(fs.get_file("C:\\b\\moved.txt"), "content");
+  EXPECT_EQ(fs.get_file("C:\\b\\moved.txt"), "con");
   EXPECT_EQ(fs.remove("C:\\b\\moved.txt"), Win32Error::kSuccess);
   EXPECT_EQ(fs.remove("C:\\b\\moved.txt"), Win32Error::kFileNotFound);
 }

@@ -384,45 +384,5 @@ TEST(Simulation, DeterministicReplay) {
   EXPECT_NE(run_once(123), run_once(456));
 }
 
-// Snapshot-execution contract (src/snap/): reseed(seed, k) must land the
-// generator exactly where a fresh Rng(seed) is after k raw draws — there is
-// no hidden global state outside the four state words and the cursor. A run
-// resumed from a shared snapshot relies on this to swap in its per-fault seed
-// mid-run while keeping the raw-draw alignment of the snapshot.
-TEST(Rng, ReseedReplayMatchesFreshGenerator) {
-  Rng fresh(42);
-  // Mix raw and rejection-sampled draws so the replay must count raw next()
-  // calls, not API calls.
-  for (int i = 0; i < 7; ++i) fresh.next();
-  (void)fresh.uniform(0, 999);
-  (void)fresh.uniform01();
-  const std::uint64_t k = fresh.cursor();
-
-  Rng other(7);  // arbitrary diverged generator, as in a resumed run
-  for (int i = 0; i < 3; ++i) other.next();
-  other.reseed(42, k);
-
-  EXPECT_EQ(other.state(), fresh.state());
-  EXPECT_EQ(other.cursor(), fresh.cursor());
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(other.next(), fresh.next());
-}
-
-// Simulation capture/restore rewinds clock, RNG (state + cursor) and event
-// queue together: replaying from the snapshot reproduces the exact draws.
-TEST(Simulation, CaptureRestoreReplaysRngDraws) {
-  Simulation sim{99};
-  for (int i = 0; i < 5; ++i) sim.rng().next();
-
-  const Simulation::Snapshot snap = sim.capture();
-  std::vector<std::uint64_t> first;
-  for (int i = 0; i < 16; ++i) first.push_back(sim.rng().next());
-
-  sim.restore(snap);
-  EXPECT_EQ(sim.rng().cursor(), 5u);
-  std::vector<std::uint64_t> second;
-  for (int i = 0; i < 16; ++i) second.push_back(sim.rng().next());
-  EXPECT_EQ(first, second);
-}
-
 }  // namespace
 }  // namespace dts::sim

@@ -1,36 +1,21 @@
-// Tests for the snapshot subsystem (src/snap/): per-component COW
-// capture/restore round-trips, world digests, and the correctness bar of
-// golden-tail synthesis — campaign output byte-identical to the plain
-// executor at any jobs count, including across journal resume in either
-// direction, with exact synthesis accounting. Labelled `snap` in CTest (also
-// in the ASan and TSan preset filters).
+// Tests for snapshot execution (--snapshots=on, golden-tail synthesis in
+// exec/synthesis.h): campaign output byte-identical to the plain executor at
+// any jobs count, including across journal resume in either direction, with
+// exact synthesis accounting. Labelled `snap` in CTest (also in the ASan and
+// TSan preset filters).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/campaign.h"
-#include "ntsim/event_log.h"
-#include "ntsim/filesystem.h"
-#include "ntsim/handle_table.h"
-#include "ntsim/kernel.h"
-#include "ntsim/memory.h"
-#include "ntsim/netsim.h"
-#include "ntsim/object.h"
-#include "ntsim/registry.h"
-#include "ntsim/scm.h"
+#include "exec/synthesis.h"
 #include "obs/metrics.h"
 #include "plan/profiler.h"
-#include "sim/event_queue.h"
-#include "sim/simulation.h"
-#include "snap/snapshot.h"
-#include "snap/synthesis.h"
 
 namespace dts {
 namespace {
@@ -38,222 +23,6 @@ namespace {
 std::string temp_path(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
-
-// --- per-component round-trips: capture -> mutate -> restore -> deep equal ---
-
-TEST(SnapComponents, MemoryRoundTripAndCowSharing) {
-  nt::VirtualMemory mem;
-  const nt::Ptr a = mem.alloc(64);
-  const nt::Ptr b = mem.alloc(256);
-  mem.write_bytes(a, "hello snapshot");
-  mem.write_u32(b, 0xDEADBEEF);
-
-  nt::CowStats stats;
-  const nt::VirtualMemory::Snapshot s1 = mem.capture(&stats);
-  // First capture: nothing was shared yet, every payload privately owned.
-  EXPECT_EQ(stats.shared_blocks, 0u);
-  EXPECT_EQ(stats.copied_blocks, 2u);
-  EXPECT_GT(stats.copied_bytes, 0u);
-
-  // A second capture structure-shares with the first (use_count > 1).
-  nt::CowStats stats2;
-  const nt::VirtualMemory::Snapshot s2 = mem.capture(&stats2);
-  EXPECT_EQ(stats2.shared_blocks, 2u);
-  EXPECT_EQ(stats2.copied_blocks, 0u);
-  EXPECT_EQ(s1, s2);
-
-  // Mutate: the write must clone the shared payload, not corrupt s1.
-  mem.write_bytes(a, "mutated!!");
-  mem.write_u32(b, 0x1234);
-  const nt::Ptr c = mem.alloc(16);
-  mem.write_u32(c, 7);
-  EXPECT_GE(mem.cow_copies(), 2u);
-  const nt::VirtualMemory::Snapshot s3 = mem.capture(nullptr);
-  EXPECT_FALSE(s1 == s3);
-
-  mem.restore(s1);
-  EXPECT_EQ(mem.read_bytes(a, 14), "hello snapshot");
-  EXPECT_EQ(mem.read_u32(b), 0xDEADBEEF);
-  EXPECT_EQ(mem.capture(nullptr), s1);
-}
-
-TEST(SnapComponents, FilesystemRoundTripSharesContent) {
-  nt::Filesystem fs;
-  fs.put_file("C:\\inetpub\\wwwroot\\index.html", "<html>golden</html>");
-  fs.put_file("C:\\temp\\scratch.txt", "scratch");
-
-  nt::CowStats stats;
-  const nt::Filesystem::Snapshot s1 = fs.capture(&stats);
-
-  fs.put_file("C:\\temp\\scratch.txt", "overwritten");
-  fs.put_file("C:\\temp\\new.txt", "created after capture");
-  fs.mkdirs("C:\\later");
-  const nt::Filesystem::Snapshot s2 = fs.capture(nullptr);
-  EXPECT_FALSE(s1 == s2);
-
-  fs.restore(s1);
-  EXPECT_EQ(fs.get_file("C:\\temp\\scratch.txt").value_or(""), "scratch");
-  EXPECT_FALSE(fs.exists("C:\\temp\\new.txt"));
-  EXPECT_FALSE(fs.exists("C:\\later"));
-  EXPECT_EQ(fs.capture(nullptr), s1);
-}
-
-TEST(SnapComponents, RegistryRoundTrip) {
-  nt::Registry reg;
-  ASSERT_TRUE(reg.create_key("HKLM\\Software\\DTS"));
-  ASSERT_TRUE(reg.set_string("HKLM\\Software\\DTS", "version", "1.0"));
-  ASSERT_TRUE(reg.set_dword("HKLM\\Software\\DTS", "runs", 42));
-
-  const nt::Registry::Snapshot s1 = reg.capture();
-  ASSERT_TRUE(reg.set_dword("HKLM\\Software\\DTS", "runs", 43));
-  ASSERT_TRUE(reg.create_key("HKLM\\Software\\Other"));
-  ASSERT_TRUE(reg.delete_value("HKLM\\Software\\DTS", "version"));
-  EXPECT_FALSE(reg.capture() == s1);
-
-  reg.restore(s1);
-  EXPECT_EQ(reg.get_dword("HKLM\\Software\\DTS", "runs").value_or(0), 42u);
-  EXPECT_EQ(reg.get_string("HKLM\\Software\\DTS", "version").value_or(""), "1.0");
-  EXPECT_FALSE(reg.key_exists("HKLM\\Software\\Other"));
-  EXPECT_EQ(reg.capture(), s1);
-}
-
-TEST(SnapComponents, EventLogRoundTrip) {
-  nt::EventLog log;
-  log.write(sim::TimePoint{}, nt::EventSeverity::kInformation, "SCM", 1, "start");
-  log.write(sim::TimePoint{} + sim::Duration::seconds(1), nt::EventSeverity::kError,
-            "SCM", 2, "crash");
-
-  const nt::EventLog::Snapshot s1 = log.capture();
-  log.write(sim::TimePoint{} + sim::Duration::seconds(2),
-            nt::EventSeverity::kInformation, "SCM", 3, "restart");
-  log.set_retention(1);
-  EXPECT_FALSE(log.capture() == s1);
-
-  log.restore(s1);
-  EXPECT_EQ(log.entries().size(), 2u);
-  EXPECT_EQ(log.retention(), 0u);
-  EXPECT_EQ(log.capture(), s1);
-}
-
-TEST(SnapComponents, ScmRoundTrip) {
-  sim::Simulation sim(1);
-  nt::Machine machine(sim, nt::MachineConfig{.name = "target"});
-  nt::ServiceConfig svc;
-  svc.name = "W3SVC";
-  svc.image = "inetinfo.exe";
-  svc.command_line = "inetinfo.exe -svc";
-  machine.scm().register_service(svc);
-
-  const nt::Scm::Snapshot s1 = machine.scm().capture();
-  nt::ServiceConfig extra;
-  extra.name = "Apache";
-  extra.image = "apache.exe";
-  machine.scm().register_service(extra);
-  EXPECT_FALSE(machine.scm().capture() == s1);
-
-  machine.scm().restore(s1);
-  EXPECT_EQ(machine.scm().capture(), s1);
-}
-
-TEST(SnapComponents, HandleTableRoundTripSharesObjects) {
-  sim::Simulation sim(1);
-  nt::HandleTable table;
-  const nt::Handle h1 =
-      table.insert(std::make_shared<nt::EventObject>(sim, false, false));
-  const nt::Handle h2 =
-      table.insert(std::make_shared<nt::EventObject>(sim, true, true));
-
-  const nt::HandleTable::Snapshot s1 = table.capture();
-  ASSERT_TRUE(table.close(h1));
-  table.insert(std::make_shared<nt::EventObject>(sim, false, true));
-  EXPECT_FALSE(table.capture() == s1);
-
-  table.restore(s1);
-  // Pointer-identity equality: the restored table holds the *same* live
-  // kernel objects the capture saw.
-  EXPECT_EQ(table.capture(), s1);
-  EXPECT_EQ(table.get(h1), s1.table.at(h1.value));
-  EXPECT_EQ(table.get(h2), s1.table.at(h2.value));
-}
-
-TEST(SnapComponents, NetworkRoundTripAndDivergenceCheck) {
-  sim::Simulation sim(1);
-  nt::net::Network net(sim);
-  auto listener = net.listen("target", 80);
-  ASSERT_NE(listener, nullptr);
-
-  const nt::net::Network::Snapshot s1 = net.capture();
-  EXPECT_EQ(s1.bound_ports.size(), 1u);
-
-  // Same bound-port set: restore succeeds and carries the counter.
-  nt::net::Network::Snapshot altered = s1;
-  altered.connections = 42;
-  EXPECT_TRUE(net.restore(altered));
-  EXPECT_EQ(net.connections_made(), 42u);
-  EXPECT_EQ(net.capture(), altered);
-
-  // Structurally diverged world (extra bound port): restore refuses.
-  auto second = net.listen("target", 8080);
-  ASSERT_NE(second, nullptr);
-  EXPECT_FALSE(net.restore(s1));
-}
-
-TEST(SnapComponents, EventQueueRoundTripPreservesPopOrder) {
-  sim::EventQueue q;
-  std::vector<int> fired;
-  q.push(sim::TimePoint{} + sim::Duration::seconds(3), [&] { fired.push_back(3); });
-  q.push(sim::TimePoint{} + sim::Duration::seconds(1), [&] { fired.push_back(1); });
-  q.push(sim::TimePoint{} + sim::Duration::seconds(2), [&] { fired.push_back(2); });
-
-  const sim::EventQueue::Snapshot s1 = q.capture();
-  ASSERT_EQ(s1.heap.size(), 3u);
-
-  // Drain once, recording the (time-ordered) firing sequence.
-  while (!q.empty()) q.pop()();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-
-  // Restore and drain again: identical order, callbacks still live.
-  q.restore(s1);
-  EXPECT_EQ(q.size(), 3u);
-  while (!q.empty()) q.pop()();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 1, 2, 3}));
-
-  // Seq continuity: events pushed after a restore keep monotonic tie-break
-  // order relative to the snapshot's events.
-  q.restore(s1);
-  q.push(sim::TimePoint{} + sim::Duration::seconds(1), [&] { fired.push_back(9); });
-  fired.clear();
-  while (!q.empty()) q.pop()();
-  EXPECT_EQ(fired, (std::vector<int>{1, 9, 2, 3}));
-}
-
-// --- whole-world capture/restore and digests --------------------------------
-
-TEST(SnapWorld, CaptureRestoreDigestStability) {
-  core::RunConfig cfg;
-  cfg.workload = core::workload_by_name("Apache1");
-  cfg.seed = 7;
-  core::FaultInjectionRun run(cfg);
-  (void)run.execute(std::nullopt);
-
-  // Post-run world: capture, mutate, restore, digest must return.
-  const snap::WorldSnapshot s1 = snap::capture_world(run, 0);
-  EXPECT_EQ(s1.digest, snap::world_digest(s1));
-
-  run.target().fs().put_file("C:\\mutate.txt", "x");
-  const snap::WorldSnapshot s2 = snap::capture_world(run, 0);
-  EXPECT_NE(s1.digest, s2.digest);
-
-  ASSERT_TRUE(snap::restore_world(run, s1));
-  const snap::WorldSnapshot s3 = snap::capture_world(run, 0);
-  EXPECT_EQ(s1.digest, s3.digest);
-
-  // The stored snapshot's payloads were structure-shared across the mutation
-  // and restore; recomputing its digest must still match (COW held).
-  EXPECT_EQ(snap::world_digest(s1), s1.digest);
-}
-
-// --- the correctness bar ----------------------------------------------------
 
 core::RunConfig apache_config() {
   core::RunConfig cfg;
@@ -413,13 +182,13 @@ TEST(SnapCampaign, SynthesisAccountingIsExact) {
 // fault of them in full — nothing is ever dropped.
 TEST(SnapFork, UnsupportedConfigurationsFallBack) {
   core::RunConfig cfg = apache_config();
-  EXPECT_EQ(snap::unsupported_reason(cfg, /*tracing=*/false), "");
-  EXPECT_NE(snap::unsupported_reason(cfg, /*tracing=*/true), "");
+  EXPECT_EQ(exec::unsupported_reason(cfg, /*tracing=*/false), "");
+  EXPECT_NE(exec::unsupported_reason(cfg, /*tracing=*/true), "");
   cfg.target_jitter = 0.1;
-  EXPECT_NE(snap::unsupported_reason(cfg, /*tracing=*/false), "");
+  EXPECT_NE(exec::unsupported_reason(cfg, /*tracing=*/false), "");
   cfg.target_jitter = 0.0;
   cfg.golden_capture = 4;
-  EXPECT_NE(snap::unsupported_reason(cfg, /*tracing=*/false), "");
+  EXPECT_NE(exec::unsupported_reason(cfg, /*tracing=*/false), "");
 }
 
 }  // namespace

@@ -850,11 +850,6 @@ int cmd_run(int argc, char** argv) {
       return 2;
     }
   }
-  if (campaign.snapshots && campaign.trace != obs::TraceMode::kOff) {
-    std::cerr << "ntdts run: --snapshots=on cannot be combined with --trace "
-                 "(a synthesized run has no syscall trace of its own)\n";
-    return 2;
-  }
   if (campaign.plan.mode == plan::PlanOptions::Mode::kAuto) {
     campaign.plan.plan_out = out_dir + "/plan.json";
   }
