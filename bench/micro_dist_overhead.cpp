@@ -86,8 +86,9 @@ int main() {
     dist::DistOptions d;
     d.spawn_workers = 1;
     const auto d0 = std::chrono::steady_clock::now();
-    dist::Coordinator coordinator(cfg, list, campaign, d);
-    const exec::CampaignResult distributed = coordinator.run();
+    dist::Coordinator coordinator(campaign, d);
+    const exec::CampaignResult distributed =
+        exec::CampaignExecutor(campaign, {}, nullptr, &coordinator).run(cfg, list, kSeed);
     const std::chrono::duration<double> de = std::chrono::steady_clock::now() - d0;
 
     if (run_lines(distributed.runs) != run_lines(serial.runs)) {

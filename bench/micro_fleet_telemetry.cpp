@@ -80,8 +80,9 @@ DistSample run_distributed(const core::RunConfig& cfg, const inject::FaultList& 
   d.spawn_workers = 1;
   d.telemetry_ms = telemetry ? 50 : 0;
   const auto t0 = std::chrono::steady_clock::now();
-  dist::Coordinator coordinator(cfg, list, campaign, d);
-  const exec::CampaignResult result = coordinator.run();
+  dist::Coordinator coordinator(campaign, d);
+  const exec::CampaignResult result =
+      exec::CampaignExecutor(campaign, {}, nullptr, &coordinator).run(cfg, list, kSeed);
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - t0;
 
   DistSample sample;

@@ -97,48 +97,6 @@ std::set<nt::Fn> activated_from_plan(const plan::Plan& p) {
   return out;
 }
 
-/// Planned campaign path: build/load the plan, execute it, digest the
-/// decisions into the result.
-WorkloadSetResult run_planned_workload_set(const RunConfig& base,
-                                           const CampaignOptions& options) {
-  WorkloadSetResult result;
-  result.base_config = base;
-
-  const plan::Plan p = build_campaign_plan(base, options);
-  result.activated_functions = activated_from_plan(p);
-  if (!options.plan.plan_out.empty()) {
-    std::ofstream out(options.plan.plan_out);
-    if (!out) {
-      throw std::runtime_error("cannot write plan file: " + options.plan.plan_out);
-    }
-    out << p.serialize();
-  }
-
-  plan::SamplerOptions so;
-  so.ci_half_width = options.plan.ci_half_width;
-  so.min_stratum_trials = options.plan.min_stratum_trials;
-  so.batch = options.plan.batch;
-  so.seed = options.seed;
-
-  exec::CampaignExecutor executor(options, serialize_config({base, options, {}}));
-  exec::PlanCampaignResult campaign = executor.run_plan(base, p, options.seed, so);
-
-  PlanDigest digest;
-  digest.entries = p.entries.size();
-  digest.executable = p.executable_count();
-  digest.pruned = campaign.pruned;
-  digest.deduped = campaign.deduped;
-  digest.executed = campaign.executed;
-  digest.reused = campaign.reused;
-  digest.unsampled = campaign.unsampled;
-  digest.prune_histogram = p.prune_histogram();
-  digest.strata = std::move(campaign.strata);
-  result.plan_digest = std::move(digest);
-  result.executed_runs = campaign.executed;
-  result.runs = std::move(campaign.runs);
-  return result;
-}
-
 }  // namespace
 
 inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& options,
@@ -186,47 +144,75 @@ plan::Plan build_campaign_plan(const RunConfig& base, const CampaignOptions& opt
                           options.seed, options.iterations);
 }
 
-WorkloadSetResult run_workload_set(
-    const RunConfig& base, const CampaignOptions& options,
-    const std::optional<inject::FaultList>& explicit_faults) {
-  if (options.plan.mode != plan::PlanOptions::Mode::kExhaustive) {
-    if (explicit_faults) {
-      throw std::runtime_error(
-          "an explicit fault list cannot run under a campaign plan (the plan "
-          "decides what executes)");
-    }
-    return run_planned_workload_set(base, options);
+WorkloadSetResult run_workload_set(const RunConfig& base, const CampaignOptions& options,
+                                   const std::optional<inject::FaultList>& explicit_faults,
+                                   exec::RunPool* pool) {
+  const bool planned = options.plan.mode != plan::PlanOptions::Mode::kExhaustive;
+  if (planned && explicit_faults) {
+    throw std::runtime_error(
+        "an explicit fault list cannot run under a campaign plan (the plan "
+        "decides what executes)");
   }
-
   WorkloadSetResult result;
   result.base_config = base;
 
-  // Profiling pass: which functions does this workload activate at all?
-  // With snapshots on, the full golden profile doubles as the profiling pass
-  // (same seed derivation, so `activated` is the same set) and additionally
-  // counts every function's golden invocations, which prove the faults
-  // golden-tail synthesis serves can never fire.
+  std::optional<plan::Plan> p;
   std::optional<plan::GoldenProfile> profile;
-  if (options.snapshots) {
-    profile = plan::golden_profile(base, options.seed, options.iterations);
-    result.activated_functions = profile->activated;
-  } else {
-    result.activated_functions = profile_workload(base, options.seed);
-  }
   inject::FaultList sweep;
-  if (!explicit_faults) sweep = campaign_sweep(base, options, &result.activated_functions);
-  const inject::FaultList& list = explicit_faults ? *explicit_faults : sweep;
+  if (planned) {
+    p = build_campaign_plan(base, options);
+    result.activated_functions = activated_from_plan(*p);
+    if (!options.plan.plan_out.empty()) {
+      std::ofstream out(options.plan.plan_out);
+      if (!out) {
+        throw std::runtime_error("cannot write plan file: " + options.plan.plan_out);
+      }
+      out << p->serialize();
+    }
+  } else {
+    // Profiling pass: which functions does this workload activate at all?
+    // With snapshots on, the full golden profile doubles as the profiling
+    // pass (same seed derivation, so `activated` is the same set) and
+    // additionally counts every function's golden invocations, which prove
+    // the faults golden-tail synthesis serves can never fire.
+    if (options.snapshots) {
+      profile = plan::golden_profile(base, options.seed, options.iterations);
+      result.activated_functions = profile->activated;
+    } else {
+      result.activated_functions = profile_workload(base, options.seed);
+    }
+    if (!explicit_faults) sweep = campaign_sweep(base, options, &result.activated_functions);
+  }
 
-  // The executor applies the skip-uncalled rule (paper §4) to sweeps: once a
+  // Journal headers embed the serialized campaign, so `ntdts replay
+  // <journal> <xi>` reconstructs the exact run from the journal alone. The
+  // loop applies the skip-uncalled rule (paper §4) to sweeps: once a
   // function proves uncalled, the rest of its faults are skipped. With
   // profiling this rarely triggers, but nondeterminism can still starve a
-  // function of calls. Journal headers embed the serialized campaign, so
-  // `ntdts replay <journal> <xi>` reconstructs the exact run from the
-  // journal alone.
+  // function of calls. An explicit list runs every listed fault.
   exec::CampaignExecutor executor(options, serialize_config({base, options, {}}),
-                                  profile ? &*profile : nullptr);
+                                  profile ? &*profile : nullptr, pool);
   exec::CampaignResult campaign =
-      executor.run(base, list, options.seed, /*skip_uncalled=*/!explicit_faults);
+      planned ? executor.run_plan(base, *p, options.seed,
+                                  {.ci_half_width = options.plan.ci_half_width,
+                                   .min_stratum_trials = options.plan.min_stratum_trials,
+                                   .batch = options.plan.batch,
+                                   .seed = options.seed})
+              : executor.run(base, explicit_faults ? *explicit_faults : sweep, options.seed,
+                             /*skip_uncalled=*/!explicit_faults);
+  if (planned) {
+    PlanDigest digest;
+    digest.entries = p->entries.size();
+    digest.executable = p->executable_count();
+    digest.pruned = campaign.pruned;
+    digest.deduped = campaign.deduped;
+    digest.executed = campaign.executed;
+    digest.reused = campaign.reused;
+    digest.unsampled = campaign.unsampled;
+    digest.prune_histogram = p->prune_histogram();
+    digest.strata = std::move(campaign.strata);
+    result.plan_digest = std::move(digest);
+  }
   result.executed_runs = campaign.executed;
   result.runs = std::move(campaign.runs);
   return result;

@@ -56,8 +56,8 @@ struct WorkloadSetResult {
 };
 
 /// A campaign: the execution and output knobs of exec::ExecOptions (jobs,
-/// journal, progress, observability, snapshots), which the executor and the
-/// distributed coordinator read directly, plus the sweep they execute.
+/// journal, progress, observability, snapshots), which the campaign loop and
+/// the distributed coordinator read directly, plus the sweep they execute.
 struct CampaignOptions : exec::ExecOptions {
   /// How many invocations of each function to inject (the I axis). The paper
   /// uses 1: "only the first invocation of each function was injected".
@@ -84,19 +84,24 @@ struct CampaignOptions : exec::ExecOptions {
   std::string models;
 };
 
-/// Runs a complete workload set and returns its results. The sweep covers
-/// the functions a fault-free profiling pass activates (the paper-§4
-/// skip-uncalled rule prunes the rest as it runs), sampled down to
-/// options.max_faults. An explicit fault list replaces the sweep and runs in
-/// full — every listed fault executes — and cannot be combined with a plan.
+/// Runs a complete workload set and returns its results: the one campaign
+/// entry point, in-process and on a fleet. The sweep covers the functions a
+/// fault-free profiling pass activates (the paper-§4 skip-uncalled rule
+/// prunes the rest as it runs), sampled down to options.max_faults; a
+/// planned campaign (options.plan) executes its plan instead. An explicit
+/// fault list replaces the sweep and runs in full — every listed fault
+/// executes — and cannot be combined with a plan. `pool` runs the campaign's
+/// fresh runs (a dist::Coordinator for a worker fleet); null runs them on
+/// options.jobs threads.
 WorkloadSetResult run_workload_set(
     const RunConfig& base, const CampaignOptions& options = {},
-    const std::optional<inject::FaultList>& explicit_faults = std::nullopt);
+    const std::optional<inject::FaultList>& explicit_faults = std::nullopt,
+    exec::RunPool* pool = nullptr);
 
 /// The campaign's raw sweep: the model registry's faults for `functions`
 /// (null = the whole catalogue), iterations deep, sampled evenly down to
 /// max_faults, each stamped with the topology's faulted tier. The one sweep
-/// the exhaustive path, the planner and the distributed coordinator execute.
+/// the exhaustive path and the planner execute, in-process or on a fleet.
 inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& options,
                                  const std::set<nt::Fn>* functions);
 

@@ -24,7 +24,6 @@
 #include "obs/fleet/events.h"
 #include "obs/fleet/status.h"
 #include "obs/fleet/telemetry.h"
-#include "plan/plan.h"
 
 namespace dts::dist {
 
@@ -63,33 +62,21 @@ struct Conn {
 }  // namespace
 
 struct Coordinator::Impl {
-  core::RunConfig base;
-  inject::FaultList list;
   const core::CampaignOptions* campaign = nullptr;
   DistOptions options;
-  bool skip_uncalled = true;
 
   Listener listener;
-  std::uint64_t digest = 0;
   std::string welcome_line;  // identical for every worker; rendered once
-  std::string config_text;   // serialize_config text, journal v4 header
-  // The campaign's options minus the registry: per-run metrics arrive with
-  // the workers' telemetry, labelled by worker, so the coordinator's sink
-  // journals, writes forensics files, feeds stall detector and status board,
-  // and reports progress.
-  exec::ExecOptions sink_options;
 
-  std::vector<exec::CompletedRun> slots;
-  std::vector<std::string> fault_ids;  // pre-rendered, reused everywhere
-  std::deque<std::size_t> pending;     // ascending fault indices awaiting a lease
-  exec::UncalledProofs proofs;
-  std::unique_ptr<exec::RunSink> sink;
+  // The round being served. Leases and results are handled only while one
+  // is: serve() runs inside Coordinator::run.
+  const exec::Round* round = nullptr;
+  std::deque<std::size_t> pending;     // its ascending entry indices awaiting a lease
 
   std::vector<std::unique_ptr<Conn>> conns;
   std::uint64_t next_lease_id = 0;
   int next_worker_id = 0;
   std::size_t outstanding_total = 0;  // leased indices with no result yet
-  std::size_t reused = 0;
 
   std::vector<pid_t> children;  // spawned local workers not yet reaped
   int respawns_left = 0;
@@ -184,26 +171,23 @@ struct Coordinator::Impl {
           std::to_string(returned) + " unfinished faults returned to the queue");
   }
 
-  /// Leases the next contiguous shard to an idle worker. Faults already
-  /// proven uncalled are elided here (the serial sweep would skip them), so
-  /// wire time is only spent on faults that need a simulation.
+  /// Leases the next slice of the round to an idle worker. Entries the loop
+  /// elides by then (the serial sweep would skip them) are not leased, so
+  /// wire time is only spent on entries that need a simulation.
   void try_assign(Conn& c) {
     if (c.state != Conn::State::kIdle || pending.empty()) return;
-    const std::size_t shard = options.lease_size > 0
-                                  ? options.lease_size
-                                  : std::clamp<std::size_t>(slots.size() / 16, 1, 64);
+    const std::size_t shard =
+        options.lease_size > 0 ? options.lease_size
+                               : std::clamp<std::size_t>(round->fresh.size() / 16, 1, 64);
     Lease lease;
-    lease.digest = digest;
+    lease.digest = round->digest;
     ActiveLease active;
     while (!pending.empty() && lease.indices.size() < shard) {
       const std::size_t i = pending.front();
       pending.pop_front();
-      if (skip_uncalled && proofs.proven_before(list.faults[i].fn, i)) {
-        sink->skipped();
-        continue;
-      }
+      if (round->elide(i)) continue;
       lease.indices.push_back(i);
-      lease.fault_ids.push_back(fault_ids[i]);
+      lease.fault_ids.push_back(round->entries[i].fault.id());
       active.outstanding.insert(i);
     }
     if (lease.indices.empty()) return;  // everything up front elided
@@ -219,9 +203,10 @@ struct Coordinator::Impl {
     // On send failure the conn is marked dead; the sweep reassigns the lease.
   }
 
-  void record_result(Conn& c, const WireResult& r) {
+  void record_result(Conn& c, WireResult r) {
     if (!c.lease || r.lease_id != c.lease->id) return;  // stale, ignore
-    if (r.index >= slots.size() || fault_ids[r.index] != r.fault_id) {
+    if (r.index >= round->entries.size() ||
+        round->entries[r.index].fault.id() != r.fault_id) {
       c.dead = true;
       return;
     }
@@ -235,21 +220,15 @@ struct Coordinator::Impl {
                     "fresh runs streamed back per distributed worker")
           .inc();
     }
-
-    exec::CompletedRun& slot = slots[r.index];
-    if (slot.executed) return;  // at-most-once: first wins
-    if (!exec::result_from_record(r, base.workload.target_image, &slot.result)) {
+    core::RunResult result;
+    if (!exec::result_from_record(r, round->base.workload.target_image, &result)) {
       c.dead = true;
       return;
     }
-    slot.fn_called = r.fn_called;
-    slot.executed = true;
-    if (!slot.result.activated && !slot.fn_called) {
-      proofs.record(list.faults[r.index].fn, r.index);
-    }
-    // The record carries the run's causal name (campaign, lease, fault) as
-    // the worker minted it; it reaches the sink unchanged.
-    sink->record(r, slot.result, c.worker_id, r.lease_id);
+    // The record carries the run's causal name (campaign, lease, entry) as
+    // the worker minted it; it reaches the loop unchanged.
+    const std::uint64_t lease_id = r.lease_id;
+    round->done(r.index, std::move(result), std::move(r), c.worker_id, lease_id);
   }
 
   void record_telemetry(Conn& c, const std::string& line) {
@@ -295,7 +274,7 @@ struct Coordinator::Impl {
       }
       case MsgType::kReady: {
         const auto ready = decode_ready(line);
-        if (!ready || ready->digest != digest) {
+        if (!ready || ready->digest != round->digest) {
           // The worker validated against a different campaign; none of its
           // results would be trustworthy.
           send_msg(c, encode_error("campaign digest mismatch"));
@@ -318,8 +297,8 @@ struct Coordinator::Impl {
         return;
       }
       case MsgType::kResult:
-        if (const auto r = decode_result(line)) {
-          record_result(c, *r);
+        if (auto r = decode_result(line)) {
+          record_result(c, std::move(*r));
         } else {
           c.dead = true;
         }
@@ -520,15 +499,10 @@ struct Coordinator::Impl {
   }
 };
 
-Coordinator::Coordinator(core::RunConfig base, inject::FaultList list,
-                         const core::CampaignOptions& campaign, DistOptions options)
+Coordinator::Coordinator(const core::CampaignOptions& campaign, DistOptions options)
     : impl_(std::make_unique<Impl>()) {
-  impl_->base = std::move(base);
-  impl_->list = std::move(list);
   impl_->campaign = &campaign;
   impl_->options = std::move(options);
-  impl_->sink_options = campaign;
-  impl_->sink_options.metrics = nullptr;
   // No registry means nowhere to merge worker snapshots into — don't ask
   // workers to ship any.
   if (campaign.metrics == nullptr) impl_->options.telemetry_ms = 0;
@@ -540,25 +514,6 @@ Coordinator::Coordinator(core::RunConfig base, inject::FaultList list,
     throw std::runtime_error("cannot listen on " + impl_->options.listen_host + ":" +
                              std::to_string(impl_->options.listen_port) + ": " + error);
   }
-
-  impl_->digest = plan::sweep_digest(impl_->list);
-  impl_->fault_ids.reserve(impl_->list.faults.size());
-  for (const auto& f : impl_->list.faults) impl_->fault_ids.push_back(f.id());
-
-  // The same configuration text an in-process campaign journals.
-  impl_->config_text = core::serialize_config({impl_->base, campaign, {}});
-  Welcome welcome;
-  welcome.workload = impl_->base.workload.name;
-  welcome.middleware = static_cast<int>(impl_->base.middleware);
-  welcome.watchd_version = static_cast<int>(impl_->base.watchd_version);
-  welcome.seed = campaign.seed;
-  welcome.fault_count = impl_->list.faults.size();
-  welcome.digest = impl_->digest;
-  welcome.telemetry_ms = impl_->options.telemetry_ms;
-  welcome.config = impl_->config_text;
-  welcome.trace = campaign.trace;
-  welcome.forensics_depth = campaign.forensics_depth;
-  impl_->welcome_line = encode_welcome(welcome);
 
   if (campaign.metrics != nullptr) {
     obs::MetricsRegistry& m = *campaign.metrics;
@@ -580,6 +535,7 @@ Coordinator::Coordinator(core::RunConfig base, inject::FaultList list,
         &m.counter("dts_fleet_telemetry_frames_total", {},
                    "worker telemetry snapshots merged by the coordinator");
   }
+  if (impl_->options.on_listen) impl_->options.on_listen(port());
 }
 
 Coordinator::~Coordinator() {
@@ -594,48 +550,35 @@ Coordinator::~Coordinator() {
 
 std::uint16_t Coordinator::port() const { return impl_->listener.port(); }
 
-exec::CampaignResult Coordinator::run(bool skip_uncalled) {
+void Coordinator::run(const exec::Round& round) {
   Impl& im = *impl_;
-  const std::uint64_t seed = im.campaign->seed;
-  const std::size_t n = im.list.faults.size();
-  im.slots.assign(n, exec::CompletedRun{});
-  im.skip_uncalled = skip_uncalled;
-
-  auto resumed = exec::load_resumed_runs(
-      *im.campaign, im.base, seed, im.digest, n,
-      [&im](std::size_t i, const std::string& id) { return im.fault_ids[i] == id; });
-  im.reused = resumed.size();
-  for (auto& [i, run] : resumed) im.slots[i] = std::move(run);
-  for (std::size_t i = 0; i < n; ++i) {
-    const exec::CompletedRun& slot = im.slots[i];
-    if (!slot.executed) {
-      im.pending.push_back(i);
-    } else if (!slot.result.activated && !slot.fn_called) {
-      im.proofs.record(im.list.faults[i].fn, i);
-    }
-  }
-  im.sink = std::make_unique<exec::RunSink>(im.base, im.sink_options, seed, n,
-                                            im.config_text);
-  im.sink->start(n, im.reused);
-
-  if (im.pending.empty()) {
-    // Fully resumed (or an empty sweep): nothing to distribute.
-    im.sink->report();
-  } else {
+  if (im.welcome_line.empty()) {
+    // The first round with work: every worker of the campaign receives the
+    // configuration text the campaign journals.
+    Welcome welcome;
+    welcome.workload = round.base.workload.name;
+    welcome.middleware = static_cast<int>(round.base.middleware);
+    welcome.watchd_version = static_cast<int>(round.base.watchd_version);
+    welcome.seed = round.seed;
+    welcome.fault_count = round.entries.size();
+    welcome.digest = round.digest;
+    welcome.telemetry_ms = im.options.telemetry_ms;
+    welcome.config = core::serialize_config({round.base, *im.campaign, {}});
+    welcome.trace = im.campaign->trace;
+    welcome.forensics_depth = im.campaign->forensics_depth;
+    im.welcome_line = encode_welcome(welcome);
     im.respawns_left = im.options.spawn_workers;
     for (int w = 0; w < im.options.spawn_workers; ++w) im.spawn_one();
-    im.serve();
   }
-  im.shutdown();
-
-  // Same merge as the in-process executor: replay the skip rule serially so
-  // the distributed output is byte-identical to --jobs=1.
-  exec::CampaignResult out = exec::merge_completed_runs(im.base, im.list, seed,
-                                                       skip_uncalled, std::move(im.slots));
-  out.executed += im.sink->executed();
-  out.reused = im.reused;
-  return out;
+  im.round = &round;
+  im.pending.assign(round.fresh.begin(), round.fresh.end());
+  // Workers idle since the previous round take their leases at once.
+  for (auto& c : im.conns) im.try_assign(*c);
+  im.serve();
+  im.round = nullptr;
 }
+
+void Coordinator::finish() { impl_->shutdown(); }
 
 pid_t spawn_worker_process(const WorkerOptions& options, int close_fd) {
   const pid_t pid = ::fork();
@@ -643,27 +586,6 @@ pid_t spawn_worker_process(const WorkerOptions& options, int close_fd) {
   if (close_fd >= 0) ::close(close_fd);
   std::string error;
   _exit(run_worker(options, &error));
-}
-
-core::WorkloadSetResult run_workload_set_distributed(
-    const core::RunConfig& base, const core::CampaignOptions& options,
-    const DistOptions& dist, const std::optional<inject::FaultList>& explicit_faults) {
-  core::WorkloadSetResult result;
-  result.base_config = base;
-  result.activated_functions = core::profile_workload(base, options.seed);
-  // The same sweep as the in-process path, so a distributed campaign's merged
-  // output stays byte-identical to --jobs=1. Explicit lists execute in full,
-  // as in-process campaigns do.
-  inject::FaultList list = explicit_faults
-                               ? *explicit_faults
-                               : core::campaign_sweep(base, options,
-                                                      &result.activated_functions);
-  Coordinator coordinator(base, std::move(list), options, dist);
-  if (dist.on_listen) dist.on_listen(coordinator.port());
-  exec::CampaignResult campaign = coordinator.run(/*skip_uncalled=*/!explicit_faults);
-  result.executed_runs = campaign.executed;
-  result.runs = std::move(campaign.runs);
-  return result;
 }
 
 }  // namespace dts::dist

@@ -2,21 +2,21 @@
 // architecture, §3: management on the control machine, fault injection on
 // target machines — here scaled to a fleet of worker processes).
 //
-// The coordinator owns the fault list and the run journal. It leases
-// contiguous shards of the remaining sweep to connected workers, tracks
-// per-worker liveness via streamed results and heartbeats, expires leases
-// whose worker went silent, and returns the unfinished remainder of a lost
-// lease to the queue for reassignment. Completed runs are journalled exactly
-// as the in-process executor journals them (same key, same record schema),
-// so a distributed journal resumes an in-process campaign and vice versa;
-// at-most-once output is enforced the same way — the first record for a
-// fault index wins, later duplicates are dropped.
+// The coordinator is the campaign loop's second pool (exec::RunPool), next
+// to its thread pool: it owns no campaign. The loop (exec/executor.h) still
+// decides what runs, resumes, synthesizes, journals through its one sink and
+// assembles the output; the coordinator leases the entry indices of each
+// round's fresh batch to connected workers, tracks per-worker liveness via
+// streamed results and heartbeats, expires leases whose worker went silent,
+// and returns the unfinished remainder of a lost lease to the round's queue.
+// A leased entry the loop's skip-uncalled proof covers by the time its lease
+// is cut is elided instead. Workers stay connected across rounds and are
+// spawned at the first round with work, so a campaign with nothing fresh to
+// run spawns none.
 //
-// Output is merged through exec::merge_completed_runs, the same serial
-// replay of the paper-§4 skip-uncalled rule the in-process executor uses, so
-// a distributed campaign's results are byte-identical to `--jobs=1` no
-// matter how many workers ran it, which ones crashed, or how leases were
-// scheduled.
+// Because the loop is the same, a fleet campaign's output is byte-identical
+// to `--jobs=1` no matter how many workers ran it, which ones crashed, or how
+// leases were scheduled; its journal resumes in-process and vice versa.
 #pragma once
 
 #include <sys/types.h>
@@ -24,12 +24,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/campaign.h"
 #include "dist/worker.h"
-#include "inject/fault_list.h"
+#include "exec/executor.h"
 
 namespace dts::obs::fleet {
 class FleetEventLog;
@@ -48,7 +47,7 @@ struct DistOptions {
   /// (`ntdts worker --connect=host:port`).
   int spawn_workers = 0;
 
-  /// Faults per lease. 0 = auto (scales with the sweep size).
+  /// Faults per lease. 0 = auto (scales with the round's size).
   std::size_t lease_size = 0;
 
   /// A leased worker that streams neither results nor heartbeats for this
@@ -65,10 +64,10 @@ struct DistOptions {
   std::uint64_t telemetry_ms = 1000;
 
   /// Structured fleet event log: worker connect/disconnect, lease issue/
-  /// expiry/reassignment. Must outlive run(). Null = off.
+  /// expiry/reassignment. Must outlive the coordinator. Null = off.
   obs::fleet::FleetEventLog* events = nullptr;
 
-  /// Fired by run_workload_set_distributed once the listener is bound, with
+  /// Fired by the Coordinator constructor once the listener is bound, with
   /// the actual port — lets the CLI print a connect line before blocking.
   std::function<void(std::uint16_t)> on_listen;
 
@@ -76,36 +75,34 @@ struct DistOptions {
   WorkerOptions worker;
 };
 
-/// One campaign's coordinator. Binds its listener on construction (throws
-/// std::runtime_error when the endpoint is unavailable); run() serves until
-/// every fault is accounted for.
+/// A worker fleet as a pool of the campaign loop. Binds its listener on
+/// construction (throws std::runtime_error when the endpoint is unavailable);
+/// hand it to core::run_workload_set (or an exec::CampaignExecutor) to run a
+/// campaign's rounds on the fleet.
 ///
-/// The campaign's own options drive it, exactly as they drive the in-process
-/// executor: seed, journal and resume, metrics (dts_dist_* series, plus the
-/// workers' telemetry merged under worker="<id>" labels), status board, stall
-/// detector, progress, and the syscall trace mode and forensics depth the
-/// workers run under — their forensics dumps come back in the records and
-/// land in forensics_dir. Workers and the journal header receive the same
-/// serialized configuration an in-process campaign journals. `campaign` must
-/// outlive the coordinator.
-class Coordinator {
+/// The campaign's own options drive it, exactly as they drive the loop:
+/// seed, metrics (dts_dist_* series, plus the workers' telemetry merged under
+/// worker="<id>" labels), status board, and the syscall trace mode and
+/// forensics depth the workers run under — their forensics dumps come back
+/// in the records. Workers receive the serialized configuration the campaign
+/// journals. `campaign` must outlive the coordinator.
+class Coordinator final : public exec::RunPool {
  public:
-  Coordinator(core::RunConfig base, inject::FaultList list,
-              const core::CampaignOptions& campaign, DistOptions options);
-  ~Coordinator();
-
-  Coordinator(const Coordinator&) = delete;
-  Coordinator& operator=(const Coordinator&) = delete;
+  Coordinator(const core::CampaignOptions& campaign, DistOptions options);
+  ~Coordinator() override;
 
   /// The bound listen port (useful with listen_port = 0).
   std::uint16_t port() const;
 
-  /// Serves workers until the sweep is complete, then merges. Throws
-  /// std::runtime_error when the campaign can no longer make progress
-  /// (journal conflict, endpoint failure, or every worker lost with the
-  /// respawn budget exhausted). `skip_uncalled` as in
-  /// exec::CampaignExecutor::run: false for explicit fault lists.
-  exec::CampaignResult run(bool skip_uncalled = true);
+  /// Serves workers until every entry of the round is done or elided.
+  /// Throws std::runtime_error when the round can no longer make progress
+  /// (endpoint failure, or every worker lost with the respawn budget
+  /// exhausted).
+  void run(const exec::Round& round) override;
+
+  /// Ends the campaign: tells every worker it is done, drains their final
+  /// telemetry and reaps the spawned ones.
+  void finish() override;
 
  private:
   struct Impl;
@@ -117,14 +114,5 @@ class Coordinator {
 /// child when >= 0 (the coordinator's listener, so the child does not hold
 /// the port). Returns the child pid, or -1 on fork failure.
 pid_t spawn_worker_process(const WorkerOptions& options, int close_fd);
-
-/// Distributed twin of core::run_workload_set's exhaustive path: profiles,
-/// builds the campaign's sweep (or takes the explicit list — executed without
-/// the skip-uncalled rule, as in-process), then runs it through a
-/// Coordinator.
-core::WorkloadSetResult run_workload_set_distributed(
-    const core::RunConfig& base, const core::CampaignOptions& options,
-    const DistOptions& dist,
-    const std::optional<inject::FaultList>& explicit_faults = std::nullopt);
 
 }  // namespace dts::dist

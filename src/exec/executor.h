@@ -1,26 +1,27 @@
-// Parallel campaign execution: shards a fault list across a work-stealing
-// pool of workers, each executing FaultInjectionRun in its own fresh
-// simulation (runs are seed-isolated, DESIGN §4.3 — the sweep is
-// embarrassingly parallel), then merges results back into fault-list order.
+// The campaign loop: the one place that decides which faults of a campaign
+// run. Every campaign is a plan (src/plan/): an exhaustive sweep or an
+// explicit fault list enters as a plan whose entries all execute. The loop
+// issues the plan round by round from the adaptive sampler, behind a barrier,
+// and hands each round's fresh entries to a pool: this process's threads, or
+// a worker fleet (dist::Coordinator).
 //
 // Determinism guarantee: per-run seeds derive from (campaign seed, fault id)
-// only — never from worker id or schedule — and the paper-§4 skip-uncalled
-// rule is replayed serially over the completed results during the merge, so
-// the output at jobs=N is byte-identical to jobs=1
-// (core::serialize_workload_set round-trips match exactly). Every executed
-// run, threaded or synthesized, is finished into its record and handed to one
-// exec::RunSink (exec/sink.h), the same sink the distributed coordinator
-// feeds.
+// only, never from worker id or schedule; a round's composition depends only
+// on fully recorded earlier rounds; and the paper-§4 skip-uncalled rule elides
+// a fault only given a proof at a lower entry index and is replayed in entry
+// order when the output is assembled. So the output at jobs=N, or on a fleet,
+// is byte-identical to jobs=1 (core::serialize_workload_set round-trips match
+// exactly). Every run, threaded, leased or synthesized, is finished into its
+// record and handed to one exec::RunSink (exec/sink.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/run.h"
+#include "exec/journal.h"
 #include "exec/progress.h"
 #include "inject/fault_list.h"
 #include "obs/metrics.h"
@@ -105,11 +106,20 @@ struct ExecOptions {
   bool snapshots = false;
 };
 
+/// A campaign's outcome. `runs` is in entry order: executed results as-is,
+/// skip-uncalled records for the faults of a function proven uncalled
+/// (sweeps), duplicates carrying their representative's outcome under their
+/// own fault id, and pruned entries as non-activated records; entries an
+/// adaptive stratum stopped early are absent (counted in `unsampled`).
 struct CampaignResult {
-  std::vector<core::RunResult> runs;  // fault-list order
-  std::size_t executed = 0;  // fresh simulations run
-  std::size_t reused = 0;    // reloaded from the journal
-  std::size_t skipped = 0;   // skip-uncalled records in the merged output
+  std::vector<core::RunResult> runs;
+  std::size_t executed = 0;   // fresh runs recorded: executed or synthesized
+  std::size_t reused = 0;     // reloaded from the journal
+  std::size_t skipped = 0;    // skip-uncalled records in the output
+  std::size_t deduped = 0;    // duplicate records attributed to a shared run
+  std::size_t pruned = 0;     // provably inert records synthesized
+  std::size_t unsampled = 0;  // entries skipped by adaptive early stopping
+  std::vector<plan::StratumProgress> strata;  // planned campaigns only
 };
 
 /// Resolves a requested job count to a usable worker count. jobs >= 1 passes
@@ -120,56 +130,44 @@ int effective_jobs(int jobs, unsigned hardware_threads);
 /// Same, against the real std::thread::hardware_concurrency().
 int effective_jobs(int jobs);
 
-/// One fault of a campaign: its result once executed here or reloaded from
-/// a resume journal. `executed == false` marks a fault nobody ran (pending,
-/// elided under an uncalled-function proof, or lost to a crashed distributed
-/// worker).
+/// One entry of a campaign: its result once run here, on a fleet, or
+/// reloaded from a resume journal. `executed == false` marks an entry nobody
+/// ran (pending, elided under an uncalled-function proof, or unsampled).
 struct CompletedRun {
   core::RunResult result;
   bool fn_called = false;
   bool executed = false;
 };
 
-/// fn -> lowest fault index whose *executed* run proved the function uncalled.
-/// A worker may elide fault i only given a proof at index j < i: that is
-/// exactly the information the serial sweep has when it reaches i, which
-/// makes elision schedule-independent (an executed-but-serially-skipped run
-/// is discarded by the merge; a proof the serial sweep would have had always
-/// exists by induction over j). Thread-safe; shared by the in-process
-/// executor and the distributed coordinator.
-class UncalledProofs {
- public:
-  void record(nt::Fn fn, std::size_t index);
-  bool proven_before(nt::Fn fn, std::size_t index) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<nt::Fn, std::size_t> proofs_;
+/// One round of a campaign as the loop hands it to a pool: the campaign,
+/// constant across its rounds, and the round's fresh entries.
+struct Round {
+  const core::RunConfig& base;
+  std::uint64_t seed;    // campaign seed: run seeds derive from it and the fault id
+  std::uint64_t digest;  // campaign digest, stamped into every execution index
+  const std::vector<plan::PlanEntry>& entries;  // the whole campaign, by index
+  const std::vector<std::size_t>& fresh;        // this round's, ascending
+  /// Asked just before entry i would start: true means the loop elided it
+  /// (and counted it), so it must not run.
+  std::function<bool(std::size_t)> elide;
+  /// A finished run of entry i, with the worker that ran it and its lease
+  /// (0 = in-process). Thread-safe.
+  std::function<void(std::size_t, core::RunResult, JournalRecord, int, std::uint64_t)> done;
 };
 
-/// Serially replays the paper-§4 skip-uncalled rule over completed runs, in
-/// fault-list order, producing output byte-identical to a one-worker sweep
-/// regardless of how (or where — see src/dist/) the faults were executed.
-/// Unexecuted faults the skip rule does not cover are defensively executed
-/// here; the returned `executed` counts only those defensive runs. Shared by
-/// the in-process executor and the distributed coordinator.
-CampaignResult merge_completed_runs(const core::RunConfig& base,
-                                    const inject::FaultList& list,
-                                    std::uint64_t campaign_seed, bool skip_uncalled,
-                                    std::vector<CompletedRun> completed);
-
-/// Result of a planned campaign (run_plan). `runs` is in plan-entry order;
-/// pruned entries carry synthesized non-activated records, duplicates carry
-/// the representative's outcome under their own fault id, and entries an
-/// adaptive stratum stopped early are absent (counted in `unsampled`).
-struct PlanCampaignResult {
-  std::vector<core::RunResult> runs;
-  std::size_t executed = 0;   // fresh simulations run
-  std::size_t reused = 0;     // reloaded from the journal
-  std::size_t deduped = 0;    // duplicate records attributed to a shared run
-  std::size_t pruned = 0;     // provably inert records synthesized
-  std::size_t unsampled = 0;  // entries skipped by adaptive early stopping
-  std::vector<plan::StratumProgress> strata;
+/// Where a campaign's runs execute: this process's threads, or a worker fleet
+/// (dist::Coordinator). The loop decides what runs; a pool only runs it.
+class RunPool {
+ public:
+  RunPool() = default;
+  RunPool(const RunPool&) = delete;
+  RunPool& operator=(const RunPool&) = delete;
+  virtual ~RunPool() = default;
+  /// Runs every entry of round.fresh that round.elide does not claim, and
+  /// returns once each one is elided or done.
+  virtual void run(const Round& round) = 0;
+  /// Called once after the campaign's last round.
+  virtual void finish() {}
 };
 
 class CampaignExecutor {
@@ -178,20 +176,25 @@ class CampaignExecutor {
   /// outlive the executor. `config_text` (the campaign's
   /// core::serialize_config) is embedded in the journal header so `ntdts
   /// replay` rebuilds the exact RunConfig from the journal alone; empty keeps
-  /// the identity fields only. `snapshot_profile` gives run() the golden call
-  /// counts that prove a fault never fires; without one, options.snapshots
-  /// has no effect. It must outlive the executor too.
+  /// the identity fields only. `snapshot_profile` gives the loop the golden
+  /// call counts that prove a fault never fires; without one,
+  /// options.snapshots has no effect. `pool` runs each round's fresh entries;
+  /// null runs them on options.jobs threads of this process. Both must
+  /// outlive the executor too.
   explicit CampaignExecutor(const ExecOptions& options, std::string config_text = {},
-                            const plan::GoldenProfile* snapshot_profile = nullptr)
+                            const plan::GoldenProfile* snapshot_profile = nullptr,
+                            RunPool* pool = nullptr)
       : options_(options),
         config_text_(std::move(config_text)),
-        snapshot_profile_(snapshot_profile) {}
+        snapshot_profile_(snapshot_profile),
+        pool_(pool) {}
 
-  /// Executes every fault of `list` against `base`. Each run's seed is
-  /// sim::Rng::mix(campaign_seed, hash(fault.id())), matching the serial
-  /// campaign loop this subsystem replaces. `skip_uncalled` applies the
-  /// paper-§4 rule (campaign sweeps); explicit user-supplied fault lists pass
-  /// false, so every listed fault executes.
+  /// Executes every fault of `list` against `base`, as the plan whose entries
+  /// all execute. Each run's seed is sim::Rng::mix(campaign_seed,
+  /// hash(fault.id())); execution indices carry plan::sweep_digest(list) and
+  /// the journal key counts the list. `skip_uncalled` applies the paper-§4
+  /// rule (campaign sweeps); explicit user-supplied fault lists pass false,
+  /// so every listed fault executes.
   CampaignResult run(const core::RunConfig& base, const inject::FaultList& list,
                      std::uint64_t campaign_seed, bool skip_uncalled = true);
 
@@ -200,15 +203,25 @@ class CampaignExecutor {
   /// or synthesized. Per-run seeds derive exactly as in run(), so an entry's
   /// executed result is bit-identical to what the exhaustive sweep produces
   /// for the same fault. Journal records are tagged with their sampling
-  /// stratum; the journal key's fault count is the plan's entry count.
-  PlanCampaignResult run_plan(const core::RunConfig& base, const plan::Plan& plan,
-                              std::uint64_t campaign_seed,
-                              const plan::SamplerOptions& sampler_options);
+  /// stratum, execution indices carry plan::sweep_digest(plan), and the
+  /// journal key's fault count is the plan's entry count.
+  CampaignResult run_plan(const core::RunConfig& base, const plan::Plan& plan,
+                          std::uint64_t campaign_seed,
+                          const plan::SamplerOptions& sampler_options);
 
  private:
+  enum class Kind { kSweep, kList, kPlanned };
+
+  /// The loop both ways in share: resume, golden-tail synthesis, the rounds,
+  /// and the entry-order assembly.
+  CampaignResult run_rounds(const core::RunConfig& base, const plan::Plan& plan,
+                            std::uint64_t campaign_seed, std::uint64_t campaign_digest,
+                            const plan::SamplerOptions& sampler_options, Kind kind);
+
   const ExecOptions& options_;
   std::string config_text_;
   const plan::GoldenProfile* snapshot_profile_;
+  RunPool* pool_;
 };
 
 }  // namespace dts::exec

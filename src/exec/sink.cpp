@@ -316,7 +316,7 @@ obs::Counter& RunSink::activations(nt::Fn fn) {
 }
 
 void RunSink::record(const JournalRecord& rec, const core::RunResult& result, int worker,
-                     std::uint64_t lease_id) {
+                     std::uint64_t lease_id, bool count) {
   const inject::FaultSpec& fault = result.fault;
   const std::string outcome(outcome_label(result.outcome));
   const double wall_s = static_cast<double>(rec.wall_us) * 1e-6;
@@ -369,7 +369,7 @@ void RunSink::record(const JournalRecord& rec, const core::RunResult& result, in
     }
   }
 
-  if (metrics_ != nullptr) {
+  if (metrics_ != nullptr && count) {
     outcome_counters_[static_cast<std::size_t>(result.outcome)]->inc();
     if (result.activated) activations(fault.fn).inc();
     resp_hist_->observe(result.response_time.to_seconds());

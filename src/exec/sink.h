@@ -68,8 +68,7 @@ ExecutedRun execute_fault(const core::RunConfig& base, std::uint64_t campaign_se
 bool result_from_record(const JournalRecord& rec, const std::string& target_image,
                         core::RunResult* out);
 
-/// The journal-resume loader of run(), run_plan() and the dist coordinator.
-/// With options.resume set, reads options.journal_path (throwing on a journal
+/// The campaign loop's journal-resume loader. With options.resume set, reads options.journal_path (throwing on a journal
 /// of another campaign of `entries` faults) and returns, by entry index, the
 /// runs rebuilt from the first record of each entry i that
 /// `matches(i, fault_id)` accepts and whose execution index carries
@@ -96,9 +95,11 @@ class RunSink {
 
   /// One executed run. `worker` is the executing thread (the Chrome event
   /// row) or, for a run executed under a dist lease (`lease_id` != 0), the
-  /// fleet worker shown on the status board.
+  /// fleet worker shown on the status board. `count` false leaves the run
+  /// out of the per-run metrics: a fleet coordinator's sink receives runs
+  /// that their worker's telemetry already counts.
   void record(const JournalRecord& rec, const core::RunResult& result, int worker,
-              std::uint64_t lease_id = 0);
+              std::uint64_t lease_id = 0, bool count = true);
 
   /// A fault completed without a fresh run (elided or reloaded).
   void skipped();

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -342,6 +343,18 @@ TEST(DistSocket, ParseHostPort) {
 
 // --- coordinator + worker fleet ------------------------------------------
 
+/// Runs the campaign in-process (workers == 0) or on a fleet of `workers`
+/// spawned worker processes.
+core::WorkloadSetResult run_on(const core::RunConfig& cfg, const core::CampaignOptions& opt,
+                               int workers,
+                               const std::optional<inject::FaultList>& list = std::nullopt) {
+  if (workers == 0) return core::run_workload_set(cfg, opt, list);
+  dist::DistOptions d;
+  d.spawn_workers = workers;
+  dist::Coordinator fleet(opt, d);
+  return core::run_workload_set(cfg, opt, list, &fleet);
+}
+
 // The tentpole acceptance bar: a coordinator with two worker processes
 // produces byte-identical output to the in-process serial executor —
 // including results.csv, which renders per-request results and details that
@@ -355,13 +368,10 @@ TEST(DistCampaign, TwoWorkerProcessesMatchSerialByteIdentical) {
   opt.jobs = 1;
   const core::WorkloadSetResult serial = core::run_workload_set(cfg, opt);
 
-  dist::DistOptions d;
-  d.spawn_workers = 2;
   obs::MetricsRegistry metrics;
   core::CampaignOptions dopt = opt;
   dopt.metrics = &metrics;
-  const core::WorkloadSetResult distributed =
-      dist::run_workload_set_distributed(cfg, dopt, d);
+  const core::WorkloadSetResult distributed = run_on(cfg, dopt, 2);
 
   EXPECT_EQ(core::serialize_workload_set(distributed),
             core::serialize_workload_set(serial));
@@ -374,13 +384,14 @@ TEST(DistCampaign, TwoWorkerProcessesMatchSerialByteIdentical) {
 
 /// One campaign's output on one execution path: the set, its journal, its
 /// middleware-span observation counts and summed sim microseconds keyed by
-/// span name (worker labels of a fleet's telemetry folded together) and how
-/// many runs were synthesized.
+/// span name (worker labels of a fleet's telemetry folded together), how
+/// many runs were synthesized, and dts_runs_total summed over every series.
 struct PathOutput {
   core::WorkloadSetResult set;
   exec::JournalFile journal;
   std::map<std::string, std::pair<std::uint64_t, std::int64_t>> spans;
   std::uint64_t synthesized = 0;
+  std::uint64_t runs_total = 0;
 };
 
 /// The journal's records in fault order, each rendered in the record codec
@@ -421,19 +432,14 @@ PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
   opt.journal_path = journal;
   opt.metrics = &metrics;
   PathOutput out;
-  if (workers > 0) {
-    dist::DistOptions d;
-    d.spawn_workers = workers;
-    out.set = dist::run_workload_set_distributed(cfg, opt, d, list);
-  } else {
-    out.set = core::run_workload_set(cfg, opt, list);
-  }
+  out.set = run_on(cfg, opt, workers, list);
   std::string error;
   auto file = exec::read_journal_file(journal, &error);
   EXPECT_TRUE(file.has_value()) << error;
   if (file) out.journal = std::move(*file);
   for (const obs::MetricSample& s : metrics.snapshot()) {
     if (s.name == "dts_snap_synthesized_runs_total") out.synthesized += s.counter_value;
+    if (s.name == "dts_runs_total") out.runs_total += s.counter_value;
     if (s.kind != 'h' || s.name != "dts_middleware_span_seconds") continue;
     const std::size_t at = s.labels.find("span=\"");
     const std::string span = s.labels.substr(at + 6, s.labels.find('"', at + 6) - at - 6);
@@ -446,10 +452,13 @@ PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
 
 // One run record, whichever path produced it: the same capped two-invocation
 // Apache1/MSCS sweep on the thread pool, with never-firing runs synthesized
-// from the golden run, and on a two-worker fleet journals identical records
+// from the golden run, on a two-worker fleet, and on a fleet whose
+// coordinator synthesizes the never-firing runs journals identical records
 // apart from wall time and the lease in the execution index — and the
 // wire-only fields reach results.csv (requests, detail) and the span metrics
-// identically too.
+// identically too. With synthesis on a fleet, every record is counted once in
+// dts_runs_total: the synthesized ones by the coordinator, the rest through
+// the workers' telemetry.
 TEST(DistCampaign, ThreadForkAndWorkerPathsYieldIdenticalRecords) {
   const core::RunConfig cfg = make_config("Apache1", mw::MiddlewareKind::kMscs);
   core::CampaignOptions opt;
@@ -464,17 +473,112 @@ TEST(DistCampaign, ThreadForkAndWorkerPathsYieldIdenticalRecords) {
   core::CampaignOptions fleet = opt;
   fleet.jobs = 1;
   const PathOutput workers = run_path(cfg, fleet, temp_path("xpath_workers.jsonl"), 2);
+  fleet.snapshots = true;
+  const PathOutput fleet_synth =
+      run_path(cfg, fleet, temp_path("xpath_workers_synth.jsonl"), 2);
 
   const std::vector<std::string> expected = normalized_records(threads.journal);
   ASSERT_FALSE(expected.empty());
   EXPECT_GT(synth.synthesized, 0u);
   EXPECT_EQ(normalized_records(synth.journal), expected);
   EXPECT_EQ(normalized_records(workers.journal), expected);
+  EXPECT_GT(fleet_synth.synthesized, 0u);
+  EXPECT_EQ(fleet_synth.synthesized, synth.synthesized);
+  EXPECT_EQ(normalized_records(fleet_synth.journal), expected);
+  EXPECT_EQ(fleet_synth.runs_total, fleet_synth.journal.records.size());
   EXPECT_EQ(core::runs_csv(synth.set), core::runs_csv(threads.set));
   EXPECT_EQ(core::runs_csv(workers.set), core::runs_csv(threads.set));
+  EXPECT_EQ(core::runs_csv(fleet_synth.set), core::runs_csv(threads.set));
   EXPECT_FALSE(threads.spans.empty());
   EXPECT_EQ(synth.spans, threads.spans);
   EXPECT_EQ(workers.spans, threads.spans);
+  EXPECT_EQ(fleet_synth.spans, threads.spans);
+}
+
+// A planned campaign runs on a fleet round by round. With adaptive sampling
+// on, two workers execute the same entries as two threads, because each
+// round's barrier holds across processes, and journal the same records,
+// sampling stratum included.
+TEST(DistCampaign, PlannedCampaignMatchesInProcess) {
+  const core::RunConfig cfg = make_config("Apache1");
+  core::CampaignOptions opt;
+  opt.seed = 7;
+  opt.plan.mode = plan::PlanOptions::Mode::kAuto;
+  opt.plan.ci_half_width = 0.35;
+  opt.jobs = 2;
+  const PathOutput local = run_path(cfg, opt, temp_path("planned_local.jsonl"), 0);
+  opt.jobs = 1;
+  const PathOutput fleet = run_path(cfg, opt, temp_path("planned_fleet.jsonl"), 2);
+
+  ASSERT_TRUE(local.set.plan_digest.has_value());
+  ASSERT_TRUE(fleet.set.plan_digest.has_value());
+  const core::PlanDigest& a = *local.set.plan_digest;
+  const core::PlanDigest& b = *fleet.set.plan_digest;
+  EXPECT_GT(a.executed, 0u);
+  EXPECT_GT(a.unsampled, 0u);  // sampling stopped a stratum early
+  EXPECT_EQ(core::serialize_workload_set(fleet.set), core::serialize_workload_set(local.set));
+  EXPECT_EQ(core::runs_csv(fleet.set), core::runs_csv(local.set));
+  EXPECT_EQ(local.journal.records.size(), a.executed);
+  for (const auto& rec : fleet.journal.records) EXPECT_FALSE(rec.stratum.empty());
+  EXPECT_EQ(normalized_records(fleet.journal), normalized_records(local.journal));
+
+  EXPECT_EQ(b.entries, a.entries);
+  EXPECT_EQ(b.executable, a.executable);
+  EXPECT_EQ(b.pruned, a.pruned);
+  EXPECT_EQ(b.deduped, a.deduped);
+  EXPECT_EQ(b.executed, a.executed);
+  EXPECT_EQ(b.reused, a.reused);
+  EXPECT_EQ(b.unsampled, a.unsampled);
+  ASSERT_EQ(b.strata.size(), a.strata.size());
+  for (std::size_t i = 0; i < a.strata.size(); ++i) {
+    EXPECT_EQ(b.strata[i].key, a.strata[i].key);
+    EXPECT_EQ(b.strata[i].issued, a.strata[i].issued);
+    EXPECT_EQ(b.strata[i].trials, a.strata[i].trials);
+    EXPECT_EQ(b.strata[i].failures, a.strata[i].failures);
+    EXPECT_EQ(b.strata[i].stopped_early, a.strata[i].stopped_early);
+  }
+}
+
+// A planned fleet journal is the same artifact as an in-process one: cut to
+// half, it resumes in-process re-executing only the runs it lacks, and an
+// in-process journal cut to half resumes on a fleet the same way.
+TEST(DistCampaign, PlannedJournalResumesAcrossPools) {
+  const core::RunConfig cfg = make_config("Apache1", mw::MiddlewareKind::kMscs);
+  core::CampaignOptions opt;
+  opt.seed = 7;
+  opt.max_faults = 600;
+  opt.plan.mode = plan::PlanOptions::Mode::kAuto;
+  for (const bool fleet_first : {true, false}) {
+    const std::string journal =
+        temp_path(fleet_first ? "planned_fleet_then_local.jsonl"
+                              : "planned_local_then_fleet.jsonl");
+    const PathOutput full = run_path(cfg, opt, journal, fleet_first ? 2 : 0);
+    ASSERT_GT(full.set.executed_runs, 4u);
+
+    std::vector<std::string> lines;
+    {
+      std::ifstream in(journal);
+      for (std::string line; std::getline(in, line);) lines.push_back(line);
+    }
+    const std::size_t keep = 1 + (lines.size() - 1) / 2;
+    {
+      std::ofstream out(journal, std::ios::trunc);
+      for (std::size_t i = 0; i < keep; ++i) out << lines[i] << "\n";
+    }
+
+    core::CampaignOptions again = opt;
+    again.journal_path = journal;
+    again.resume = true;
+    const core::WorkloadSetResult resumed = run_on(cfg, again, fleet_first ? 0 : 2);
+    ASSERT_TRUE(resumed.plan_digest.has_value());
+    EXPECT_EQ(resumed.plan_digest->reused, keep - 1);
+    EXPECT_EQ(resumed.executed_runs, full.set.executed_runs - (keep - 1));
+    EXPECT_EQ(core::serialize_workload_set(resumed), core::serialize_workload_set(full.set));
+    std::string error;
+    const auto file = exec::read_journal_file(journal, &error);
+    ASSERT_TRUE(file.has_value()) << error;
+    EXPECT_EQ(normalized_records(*file), normalized_records(full.journal));
+  }
 }
 
 // The traced three-tier config journals the same v7 records in-process and
@@ -588,7 +692,7 @@ TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
   campaign.metrics = &metrics;
   dist::DistOptions d;
   d.lease_size = 4;  // leases span several faults, so a crash tears one
-  dist::Coordinator coordinator(cfg, list, campaign, d);
+  dist::Coordinator coordinator(campaign, d);
 
   // Worker A streams one result and then _exit()s mid-lease; worker B is
   // healthy and finishes the campaign, including A's reassigned remainder.
@@ -597,7 +701,8 @@ TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
   ASSERT_GT(crasher, 0);
   ASSERT_GT(healthy, 0);
 
-  const exec::CampaignResult distributed = coordinator.run();
+  const exec::CampaignResult distributed =
+      exec::CampaignExecutor(campaign, {}, nullptr, &coordinator).run(cfg, list, 7);
   EXPECT_EQ(run_lines(distributed.runs), run_lines(serial.runs));
   EXPECT_EQ(metrics.counter("dts_dist_leases_reassigned_total").value(), 1u);
   EXPECT_EQ(metrics.counter("dts_dist_leases_expired_total").value(), 0u);
@@ -624,8 +729,9 @@ TEST(DistCampaign, DistributedJournalResumesInProcess) {
   campaign.journal_path = journal;
   dist::DistOptions d;
   d.spawn_workers = 1;
-  dist::Coordinator coordinator(cfg, list, campaign, d);
-  const exec::CampaignResult distributed = coordinator.run();
+  dist::Coordinator coordinator(campaign, d);
+  const exec::CampaignResult distributed =
+      exec::CampaignExecutor(campaign, {}, nullptr, &coordinator).run(cfg, list, 7);
   ASSERT_FALSE(distributed.runs.empty());
 
   exec::ExecOptions eo;

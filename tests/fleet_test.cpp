@@ -133,8 +133,9 @@ TEST(FleetEvents, DistributedCampaignRecordsConnectBeforeLease) {
   dist::DistOptions d;
   d.spawn_workers = 1;
   d.events = &events;
-  dist::Coordinator coordinator(cfg, list, campaign, d);
-  const exec::CampaignResult result = coordinator.run();
+  dist::Coordinator coordinator(campaign, d);
+  const exec::CampaignResult result =
+      exec::CampaignExecutor(campaign, {}, nullptr, &coordinator).run(cfg, list, 7);
   ASSERT_FALSE(result.runs.empty());
 
   std::uint64_t connect_seq = 0, lease_seq = 0;
@@ -493,8 +494,9 @@ TEST(FleetTelemetry, WorkerRunTotalsSumExactlyToJournalRecords) {
   d.spawn_workers = 2;
   d.events = &events;
   d.telemetry_ms = 50;
-  dist::Coordinator coordinator(cfg, list, campaign, d);
-  const exec::CampaignResult result = coordinator.run();
+  dist::Coordinator coordinator(campaign, d);
+  const exec::CampaignResult result =
+      exec::CampaignExecutor(campaign, {}, nullptr, &coordinator).run(cfg, list, 7);
   ASSERT_FALSE(result.runs.empty());
 
   std::uint64_t worker_runs = 0;

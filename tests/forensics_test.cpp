@@ -212,7 +212,8 @@ TEST(ForensicsReplay, MatchesDistributedJournal) {
   opt.journal_path = path;
   dist::DistOptions d;
   d.spawn_workers = 2;
-  (void)dist::run_workload_set_distributed(apache_config(), opt, std::move(d));
+  dist::Coordinator fleet(opt, std::move(d));
+  (void)core::run_workload_set(apache_config(), opt, std::nullopt, &fleet);
   std::string error;
   const auto file = exec::read_journal_file(path, &error);
   ASSERT_TRUE(file) << error;

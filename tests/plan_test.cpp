@@ -310,11 +310,17 @@ TEST(Plan, PlannedCampaignResumesFromTruncatedJournal) {
   }
 
   opt.resume = true;
+  // Progress counts the reloaded runs as reused, not as skipped completions.
+  exec::ProgressSnapshot last;
+  opt.on_snapshot = [&last](const exec::ProgressSnapshot& s) { last = s; };
   const core::WorkloadSetResult resumed = core::run_workload_set(cfg, opt);
   ASSERT_TRUE(resumed.plan_digest.has_value());
   EXPECT_EQ(resumed.plan_digest->reused, keep - 1);
   EXPECT_EQ(resumed.executed_runs, full.executed_runs - (keep - 1));
   EXPECT_EQ(core::serialize_workload_set(resumed), core::serialize_workload_set(full));
+  EXPECT_EQ(last.reused, keep - 1);
+  EXPECT_EQ(last.executed, resumed.executed_runs);
+  EXPECT_EQ(last.done, last.total);
 }
 
 // The sharper variant of the interrupted-campaign shape: only the FINAL

@@ -392,8 +392,9 @@ TEST(TopoDist, CoordinatorWorkersMatchSerialByteIdentical) {
 
   dist::DistOptions d;
   d.spawn_workers = 2;
+  dist::Coordinator fleet(opt, d);
   const core::WorkloadSetResult distributed =
-      dist::run_workload_set_distributed(cfg.run, opt, d);
+      core::run_workload_set(cfg.run, opt, std::nullopt, &fleet);
 
   EXPECT_EQ(core::serialize_workload_set(distributed), core::serialize_workload_set(serial));
 }

@@ -831,24 +831,10 @@ int cmd_run(int argc, char** argv) {
     std::cerr << "ntdts run: --ci-width requires --plan or --plan-auto\n";
     return 2;
   }
-  if (distributed) {
-    // Plan execution stays in-process: leases carry plain fault ids. Syscall
-    // and request tracing reach the workers with the campaign.
-    if (planned) {
-      std::cerr << "ntdts run: --workers/--listen cannot be combined with "
-                   "--plan/--plan-auto (distributed campaigns are exhaustive)\n";
-      return 2;
-    }
-    if (jobs_flag) {
-      std::cerr << "ntdts run: --jobs selects in-process parallelism; use "
-                   "--workers=N for a distributed campaign\n";
-      return 2;
-    }
-    if (campaign.snapshots) {
-      std::cerr << "ntdts run: --snapshots=on cannot be combined with "
-                   "--workers/--listen (golden-tail synthesis is in-process only)\n";
-      return 2;
-    }
+  if (distributed && jobs_flag) {
+    std::cerr << "ntdts run: --jobs selects in-process parallelism; use "
+                 "--workers=N for a distributed campaign\n";
+    return 2;
   }
   if (campaign.plan.mode == plan::PlanOptions::Mode::kAuto) {
     campaign.plan.plan_out = out_dir + "/plan.json";
@@ -956,7 +942,10 @@ int cmd_run(int argc, char** argv) {
               << "/{metrics,status,runs,signatures,topology,traces,healthz}\n";
   }
 
-  core::WorkloadSetResult set;
+  // A fleet is the campaign's pool; without one its runs take --jobs threads.
+  // An explicit list runs exactly the listed faults: the user asked for
+  // precisely these, so the skip-uncalled rule stays off.
+  std::optional<dist::Coordinator> fleet;
   if (distributed) {
     d.events = &events;
     if (d.spawn_workers == 0) {
@@ -966,12 +955,10 @@ int cmd_run(int argc, char** argv) {
                   << port << "\n";
       };
     }
-    set = dist::run_workload_set_distributed(cfg->run, campaign, d, explicit_faults);
-  } else {
-    // An explicit list runs exactly the listed faults: the user asked for
-    // precisely these, so the skip-uncalled rule stays off.
-    set = core::run_workload_set(cfg->run, campaign, explicit_faults);
+    fleet.emplace(campaign, d);
   }
+  const core::WorkloadSetResult set = core::run_workload_set(
+      cfg->run, campaign, explicit_faults, fleet ? &*fleet : nullptr);
   if (!metrics_out.empty()) {
     std::string merr;
     if (!obs::write_metrics_files(metrics, metrics_out, &merr)) {
