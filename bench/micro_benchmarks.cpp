@@ -28,6 +28,27 @@ void BM_SimEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimEventThroughput);
 
+/// The wake path: one simulated thread looping a 1 us sleep. Each iteration
+/// is a wake token, a timer event that wakes it and the resume event.
+void BM_SimSleepWake(benchmark::State& state) {
+  sim::Simulation simu;
+  nt::Machine m{simu, nt::MachineConfig{}};
+  std::uint64_t sleeps = 0;
+  m.register_program("bench.exe", [&](nt::Ctx c) -> sim::Task {
+    for (;;) {
+      co_await nt::sleep_in_sim(c, sim::Duration::micros(1));
+      ++sleeps;
+    }
+  });
+  m.start_process("bench.exe", "bench.exe");
+  for (auto _ : state) {
+    const std::uint64_t before = sleeps;
+    while (sleeps < before + 1000) simu.step();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_SimSleepWake);
+
 /// Alloc/write/read/free cycles. The bump allocator never reuses a freed
 /// range (simulated addresses decide pointer-corruption outcomes), so one
 /// address space would run out after ~490k cycles: each iteration runs a

@@ -61,7 +61,7 @@ sim::Simulation& FaultInjectionRun::simulation() { return world_->simulation; }
 
 const obs::SpanLog& FaultInjectionRun::spans() const { return world_->spans; }
 
-const std::set<nt::Fn>& FaultInjectionRun::activated_functions() const {
+std::set<nt::Fn> FaultInjectionRun::activated_functions() const {
   return interceptor_.called(cfg_.workload.target_image);
 }
 

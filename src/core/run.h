@@ -103,7 +103,7 @@ class FaultInjectionRun {
 
   /// Injectable functions the target image called during the run — the
   /// paper's "activated functions" (Table 1).
-  const std::set<nt::Fn>& activated_functions() const;
+  std::set<nt::Fn> activated_functions() const;
 
   /// The target machine and the simulation, accessible after execute() for
   /// inspection (examples, golden-tail synthesis, the benchmark).

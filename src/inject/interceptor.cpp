@@ -8,8 +8,6 @@
 namespace dts::inject {
 
 namespace {
-const std::set<nt::Fn> kEmpty;
-
 inline std::uint64_t fold(std::uint64_t digest, std::uint64_t value) {
   return (digest ^ value) * 1099511628211ull;  // FNV-1a prime
 }
@@ -79,14 +77,39 @@ std::string Interceptor::CallContext::to_string() const {
   return buf;
 }
 
-int Interceptor::invocations(const std::string& image, nt::Fn fn) const {
-  auto it = counts_.find({image, fn});
-  return it == counts_.end() ? 0 : it->second;
+const Interceptor::ImageCounts* Interceptor::find_image(const std::string& image) const {
+  for (const ImageCounts& ic : images_) {
+    if (ic.image == image) return &ic;
+  }
+  return nullptr;
 }
 
-const std::set<nt::Fn>& Interceptor::called(const std::string& image) const {
-  auto it = called_.find(image);
-  return it == called_.end() ? kEmpty : it->second;
+Interceptor::ImageCounts& Interceptor::image_counts(const std::string& image) {
+  for (ImageCounts& ic : images_) {
+    if (ic.image == image) return ic;
+  }
+  return images_.emplace_back(ImageCounts{image, {}});
+}
+
+int Interceptor::invocations(const std::string& image, nt::Fn fn) const {
+  // A fault id may name a catalogue export ntsim does not implement: never
+  // called, so never counted.
+  const auto id = static_cast<std::size_t>(fn);
+  const ImageCounts* ic = find_image(image);
+  return ic == nullptr || id >= ic->counts.size() ? 0 : ic->counts[id];
+}
+
+std::set<nt::Fn> Interceptor::called(const std::string& image) const {
+  std::set<nt::Fn> out;
+  const ImageCounts* ic = find_image(image);
+  if (ic == nullptr) return out;
+  const auto& registry = nt::Kernel32Registry::instance();
+  for (std::uint16_t id = 0; id < nt::kImplementedFunctionCount; ++id) {
+    if (ic->counts[id] > 0 && registry.info(id).param_count() > 0) {
+      out.insert(static_cast<nt::Fn>(id));
+    }
+  }
+  return out;
 }
 
 bool Interceptor::target_function_called() const {
@@ -98,8 +121,7 @@ void Interceptor::on_call(const nt::Process& proc, nt::CallRecord& rec) {
   ++calls_observed_;
   const std::string& image = proc.image();
 
-  const int count = ++counts_[{image, rec.fn}];
-  if (rec.argc > 0) called_[image].insert(rec.fn);
+  const int count = ++image_counts(image).counts[static_cast<std::size_t>(rec.fn)];
 
   // Golden-run capture (pre-corruption by construction: capture runs arm no
   // fault): the planner's record of what each injectable invocation received.

@@ -22,6 +22,7 @@
 //                   corruption (src/forensics/ execution indexing).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -75,8 +76,9 @@ class Interceptor final : public nt::SyscallHook {
   int invocations(const std::string& image, nt::Fn fn) const;
 
   /// Injectable functions (param count >= 1) called at least once by
-  /// processes of `image` — the paper's "activated functions".
-  const std::set<nt::Fn>& called(const std::string& image) const;
+  /// processes of `image` — the paper's "activated functions". Derived from
+  /// the invocation counts.
+  std::set<nt::Fn> called(const std::string& image) const;
 
   /// Whether the armed fault's function was called at all by the target
   /// image (used for the skip-uncalled-functions rule).
@@ -165,8 +167,15 @@ class Interceptor final : public nt::SyscallHook {
   sim::TimePoint injection_time_{};
   std::string injection_machine_;
 
-  std::map<std::pair<std::string, nt::Fn>, int> counts_;
-  std::map<std::string, std::set<nt::Fn>> called_;
+  /// Invocation counts of one image, indexed by Fn. A run sees one to three
+  /// images, so a linear search finds the record without hashing the name.
+  struct ImageCounts {
+    std::string image;
+    std::array<int, nt::kImplementedFunctionCount> counts{};
+  };
+  const ImageCounts* find_image(const std::string& image) const;
+  ImageCounts& image_counts(const std::string& image);  // finds or adds
+  std::vector<ImageCounts> images_;
 
   std::string capture_image_;
   int capture_max_invocations_ = 0;

@@ -69,16 +69,12 @@ void Kernel32::publish_named(const std::string& name, const std::shared_ptr<Kern
   named_[name] = obj;
 }
 
-sim::CoTask<Word> Kernel32::call(Ctx c, Fn fn, std::vector<Word> args) {
-  const FunctionInfo& info = Kernel32Registry::instance().info(fn);
-  if (static_cast<int>(args.size()) != info.param_count()) {
+sim::CoTask<Word> Kernel32::call(Ctx c, CallRecord r) {
+  const FunctionInfo& info = Kernel32Registry::instance().info(r.fn);
+  if (r.argc != info.param_count()) {
     throw std::logic_error(std::string("Kernel32::call: wrong arity for ") +
                            std::string(info.name));
   }
-  CallRecord r;
-  r.fn = fn;
-  r.argc = static_cast<int>(args.size());
-  for (int i = 0; i < r.argc; ++i) r.args[static_cast<std::size_t>(i)] = args[i];
 
   r.seq = ++machine_->syscalls_made;
   if (hook_ != nullptr) hook_->on_call(*c.process, r);
@@ -105,7 +101,11 @@ sim::CoTask<Word> Kernel32::call(Ctx c, Fn fn, std::vector<Word> args) {
     c.thread().last_error = r.forced_error;
     result = r.forced_result;
   } else {
-    result = co_await dispatch(c, r);
+    if (k32::area_of(r.fn) == k32::Area::kBlocking) {
+      result = co_await dispatch_blocking(c, r);
+    } else {
+      result = dispatch_sync(c, r);
+    }
     if (r.action == CallRecord::Action::kZeroResult) result = 0;
     if (r.action == CallRecord::Action::kFlipResult) result = result != 0 ? 0 : 1;
   }
@@ -113,72 +113,71 @@ sim::CoTask<Word> Kernel32::call(Ctx c, Fn fn, std::vector<Word> args) {
   co_return result;
 }
 
-sim::CoTask<Word> Kernel32::dispatch(Ctx c, const CallRecord& r) {
+Word Kernel32::dispatch_sync(Ctx c, const CallRecord& r) {
   using k32::Area;
-  const Area area = k32::area_of(r.fn);
-  if (area == Area::kBlocking) {
-    switch (r.fn) {
-      case Fn::WaitForSingleObject:
-      case Fn::WaitForSingleObjectEx:
-        co_return co_await do_wait_single(c, r.args[0], r.args[1]);
-      case Fn::WaitForMultipleObjects:
-        co_return co_await do_wait_multiple(c, r.args[0], r.args[1], r.args[2], r.args[3]);
-      case Fn::Sleep:
-      case Fn::SleepEx:
-        co_return co_await do_sleep(c, r.args[0]);
-      case Fn::ReadFile:
-        co_return co_await do_read_file(c, r, /*ex=*/false);
-      case Fn::ReadFileEx:
-        co_return co_await do_read_file(c, r, /*ex=*/true);
-      case Fn::WriteFile:
-        co_return co_await do_write_file(c, r, /*ex=*/false);
-      case Fn::WriteFileEx:
-        co_return co_await do_write_file(c, r, /*ex=*/true);
-      case Fn::EnterCriticalSection:
-        co_return co_await do_enter_critical_section(c, r.args[0]);
-      case Fn::ConnectNamedPipe:
-        co_return co_await do_connect_named_pipe(c, r.args[0]);
-      case Fn::WaitNamedPipeA:
-        co_return co_await do_wait_named_pipe(c, r.args[0], r.args[1]);
-      case Fn::CallNamedPipeA:
-        co_return co_await do_call_named_pipe(c, r);
-      case Fn::ExitProcess: {
-        machine_->request_process_exit(c.process->pid(), r.args[0], "ExitProcess");
-        // ExitProcess never returns: block until teardown destroys us.
-        auto tok = make_wait(c);
-        co_await await_token(c, tok, std::nullopt);
-        co_return 0;
-      }
-      case Fn::ExitThread: {
-        const Pid pid = c.process->pid();
-        const Tid tid = c.tid;
-        Machine* m = machine_;
-        const Word code = r.args[0];
-        machine_->sim().schedule(sim::Duration{}, [m, pid, tid, code] {
-          Process* p = m->find_process(pid);
-          if (p == nullptr || p->state() != Process::State::kRunning) return;
-          p->reap_thread(tid, code);
-          if (p->live_threads() == 0) m->request_process_exit(pid, code, "last thread exited");
-        });
-        auto tok = make_wait(c);
-        co_await await_token(c, tok, std::nullopt);
-        co_return 0;
-      }
-      default:
-        throw std::logic_error("unrouted blocking syscall");
-    }
-  }
-
   k32::Sys s{c, *machine_, *c.process, *this};
-  switch (area) {
-    case Area::kProc: co_return k32::sync_proc(s, r);
-    case Area::kSync: co_return k32::sync_sync(s, r);
-    case Area::kFile: co_return k32::sync_file(s, r);
-    case Area::kMem: co_return k32::sync_mem(s, r);
-    case Area::kMisc: co_return k32::sync_misc(s, r);
-    case Area::kBlocking: break;  // unreachable
+  switch (k32::area_of(r.fn)) {
+    case Area::kProc: return k32::sync_proc(s, r);
+    case Area::kSync: return k32::sync_sync(s, r);
+    case Area::kFile: return k32::sync_file(s, r);
+    case Area::kMem: return k32::sync_mem(s, r);
+    case Area::kMisc: return k32::sync_misc(s, r);
+    case Area::kBlocking: break;
   }
   throw std::logic_error("unrouted syscall");
+}
+
+sim::CoTask<Word> Kernel32::dispatch_blocking(Ctx c, const CallRecord& r) {
+  switch (r.fn) {
+    case Fn::WaitForSingleObject:
+    case Fn::WaitForSingleObjectEx:
+      co_return co_await do_wait_single(c, r.args[0], r.args[1]);
+    case Fn::WaitForMultipleObjects:
+      co_return co_await do_wait_multiple(c, r.args[0], r.args[1], r.args[2], r.args[3]);
+    case Fn::Sleep:
+    case Fn::SleepEx:
+      co_return co_await do_sleep(c, r.args[0]);
+    case Fn::ReadFile:
+      co_return co_await do_read_file(c, r, /*ex=*/false);
+    case Fn::ReadFileEx:
+      co_return co_await do_read_file(c, r, /*ex=*/true);
+    case Fn::WriteFile:
+      co_return co_await do_write_file(c, r, /*ex=*/false);
+    case Fn::WriteFileEx:
+      co_return co_await do_write_file(c, r, /*ex=*/true);
+    case Fn::EnterCriticalSection:
+      co_return co_await do_enter_critical_section(c, r.args[0]);
+    case Fn::ConnectNamedPipe:
+      co_return co_await do_connect_named_pipe(c, r.args[0]);
+    case Fn::WaitNamedPipeA:
+      co_return co_await do_wait_named_pipe(c, r.args[0], r.args[1]);
+    case Fn::CallNamedPipeA:
+      co_return co_await do_call_named_pipe(c, r);
+    case Fn::ExitProcess: {
+      machine_->request_process_exit(c.process->pid(), r.args[0], "ExitProcess");
+      // ExitProcess never returns: block until teardown destroys us.
+      auto tok = make_wait(c);
+      co_await await_token(c, tok, std::nullopt);
+      co_return 0;
+    }
+    case Fn::ExitThread: {
+      const Pid pid = c.process->pid();
+      const Tid tid = c.tid;
+      Machine* m = machine_;
+      const Word code = r.args[0];
+      machine_->sim().schedule(sim::Duration{}, [m, pid, tid, code] {
+        Process* p = m->find_process(pid);
+        if (p == nullptr || p->state() != Process::State::kRunning) return;
+        p->reap_thread(tid, code);
+        if (p->live_threads() == 0) m->request_process_exit(pid, code, "last thread exited");
+      });
+      auto tok = make_wait(c);
+      co_await await_token(c, tok, std::nullopt);
+      co_return 0;
+    }
+    default:
+      throw std::logic_error("unrouted blocking syscall");
+  }
 }
 
 sim::CoTask<Word> Kernel32::do_wait_single(Ctx c, Word handle, Word ms) {

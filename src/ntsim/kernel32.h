@@ -65,21 +65,27 @@ class Kernel32 {
   void set_hook(SyscallHook* hook) { hook_ = hook; }
   SyscallHook* hook() const { return hook_; }
 
-  /// Invokes a KERNEL32 function on behalf of the calling thread. The
-  /// argument count must match the registry's parameter count for `fn`.
-  /// Returns the raw 32-bit result (BOOL, DWORD or handle value).
+  /// Invokes a KERNEL32 function on behalf of the calling thread: `r.fn`
+  /// with the first `r.argc` words of `r.args`. The argument count must match
+  /// the registry's parameter count for the function. Returns the raw 32-bit
+  /// result (BOOL, DWORD or handle value).
   ///
   /// May throw AccessViolation (simulated crash — escapes to the thread body
   /// and terminates the process) for functions whose NT implementation
   /// touches user memory without probing.
-  sim::CoTask<Word> call(Ctx c, Fn fn, std::vector<Word> args);
+  sim::CoTask<Word> call(Ctx c, CallRecord r);
 
-  /// Convenience overload: plain argument words. (Do not pass braced
-  /// initializer lists through co_await — their backing arrays cannot live
-  /// in coroutine frames on GCC.)
+  /// Convenience overload: plain argument words, filled into the record.
+  /// (Do not pass braced initializer lists through co_await — their backing
+  /// arrays cannot live in coroutine frames on GCC.)
   template <typename... A>
   sim::CoTask<Word> call(Ctx c, Fn fn, A... args) {
-    return call(c, fn, std::vector<Word>{static_cast<Word>(args)...});
+    static_assert(sizeof...(A) <= kMaxSyscallArgs, "too many syscall arguments");
+    CallRecord r;
+    r.fn = fn;
+    r.args = {static_cast<Word>(args)...};
+    r.argc = static_cast<int>(sizeof...(A));
+    return call(c, r);
   }
 
   /// Machine-wide named-object namespace (events, mutexes, semaphores and
@@ -101,7 +107,10 @@ class Kernel32 {
   static constexpr sim::Duration kBaseCost = sim::Duration::micros(40);
 
  private:
-  sim::CoTask<Word> dispatch(Ctx c, const CallRecord& r);
+  // The implementation behind a record: a plain call into the area files
+  // for synchronous functions, a coroutine for the k32::Area::kBlocking ones.
+  Word dispatch_sync(Ctx c, const CallRecord& r);
+  sim::CoTask<Word> dispatch_blocking(Ctx c, const CallRecord& r);
 
   // Blocking implementations (everything else is synchronous and lives in
   // the per-area .cpp files as free functions).

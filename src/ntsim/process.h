@@ -6,6 +6,7 @@
 // destructors of all locals (RAII handles sockets, etc.).
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -180,12 +181,32 @@ class Process {
 /// Creates a wake token registered as the current wait of `c`'s thread.
 sim::WakePtr make_wait(const Ctx& c);
 
-/// Suspends until the token fires or `timeout` elapses (if given).
-sim::CoTask<sim::WakeReason> await_token(Ctx c, sim::WakePtr tok,
-                                         std::optional<sim::Duration> timeout);
+/// One blocking wait, as a plain awaitable rather than a coroutine, so a
+/// wait allocates no frame. `co_await` schedules the timeout timer (if any)
+/// before the fired check — even when the token has already fired — then
+/// suspends until the token is woken. On resume it clears the thread's
+/// current_wait if that is still this token, and yields the wake reason.
+class [[nodiscard]] TokenWait {
+ public:
+  TokenWait(Ctx c, sim::WakePtr tok, std::optional<sim::Duration> timeout)
+      : c_(c), tok_(std::move(tok)), timeout_(timeout) {}
 
-/// Suspends the calling thread for `d` of simulated time.
-sim::CoTask<void> sleep_in_sim(Ctx c, sim::Duration d);
+  bool await_ready();
+  void await_suspend(std::coroutine_handle<> h) noexcept { tok_->handle = h; }
+  sim::WakeReason await_resume() const;
+
+ private:
+  Ctx c_;
+  sim::WakePtr tok_;
+  std::optional<sim::Duration> timeout_;
+};
+
+/// Suspends until the token fires or `timeout` elapses (if given).
+TokenWait await_token(Ctx c, sim::WakePtr tok, std::optional<sim::Duration> timeout);
+
+/// Suspends the calling thread for `d` of simulated time. The token is
+/// registered here, so co_await the result at once.
+TokenWait sleep_in_sim(Ctx c, sim::Duration d);
 
 /// Waits on a kernel waitable object with NT semantics (acquisition side
 /// effects, kWaitTimeout, kWaitAbandoned for abandoned mutexes).

@@ -6,11 +6,18 @@
 
 namespace dts::sim {
 
-std::uint64_t EventQueue::push(TimePoint at, Callback fn) {
-  const std::uint64_t id = next_seq_++;
-  heap_.push_back(Event{at, id, std::move(fn)});
+void EventQueue::push(TimePoint at, Event ev) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(ev));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(ev);
+  }
+  heap_.push_back(Key{at, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return id;
 }
 
 TimePoint EventQueue::next_time() const {
@@ -18,17 +25,17 @@ TimePoint EventQueue::next_time() const {
   return heap_.front().at;
 }
 
-EventQueue::Callback EventQueue::pop(TimePoint* at) {
+EventQueue::Event EventQueue::pop(TimePoint* at) {
   if (heap_.empty()) throw std::logic_error("EventQueue::pop on empty queue");
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  if (at != nullptr) *at = heap_.back().at;
-  Callback fn = std::move(heap_.back().fn);
+  const Key key = heap_.back();
   heap_.pop_back();
-  return fn;
-}
-
-void EventQueue::clear() {
-  heap_.clear();
+  if (at != nullptr) *at = key.at;
+  // Moved out before the caller runs it: running an event may push others,
+  // which can reuse this slot or grow the arena.
+  Event ev = std::move(slots_[key.slot]);
+  free_slots_.push_back(key.slot);
+  return ev;
 }
 
 }  // namespace dts::sim

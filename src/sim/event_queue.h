@@ -3,25 +3,43 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/time.h"
 
 namespace dts::sim {
 
-/// Timed callback queue. Ties are broken by insertion order so that
+struct WakeToken;             // sim/task.h
+enum class WakeReason : int;  // sim/task.h
+
+/// Timed event queue. Ties are broken by insertion order so that
 /// same-instant events run FIFO — required for deterministic replay.
 ///
-/// The heap is an explicit vector (std::push_heap/pop_heap — the exact
-/// algorithm std::priority_queue wraps, so pop order is unchanged) rather
-/// than std::priority_queue, whose top() is const: pop() moves the callback
-/// out of the heap instead of copying its closure.
+/// An event is either a callback or a wake: the two hops of sim::wake (a
+/// wake delivered to a token, then the resume of its coroutine) carry the
+/// token itself, so the hot blocking path queues no closure. The binary heap
+/// (std::push_heap/pop_heap) orders trivially copyable {at, seq, slot} keys;
+/// the payloads stay put in a slot arena whose slots are reused through a
+/// free list, so a heap sift moves 24 bytes and no std::function.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Enqueues `fn` to run at time `at`. Returns a unique event id.
-  std::uint64_t push(TimePoint at, Callback fn);
+  struct Event {
+    enum class Kind : std::uint8_t {
+      kCallback,  // run `fn`
+      kWake,      // sim::wake(tok, reason)
+      kResume,    // resume tok's coroutine unless the token is dead
+    };
+    Kind kind = Kind::kCallback;
+    WakeReason reason{};
+    std::shared_ptr<WakeToken> tok;
+    Callback fn;
+  };
+
+  /// Enqueues `ev` to run at time `at`.
+  void push(TimePoint at, Event ev);
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
@@ -29,24 +47,24 @@ class EventQueue {
   /// Time of the earliest pending event. Requires !empty().
   TimePoint next_time() const;
 
-  /// Removes and returns the earliest event's callback. Requires !empty().
-  Callback pop(TimePoint* at = nullptr);
-
-  void clear();
+  /// Removes and returns the earliest event. Requires !empty().
+  Event pop(TimePoint* at = nullptr);
 
  private:
-  struct Event {
+  struct Key {
     TimePoint at;
     std::uint64_t seq = 0;
-    Callback fn;
+    std::uint32_t slot = 0;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  std::vector<Event> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
 };
 

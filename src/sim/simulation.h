@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 
 #include "sim/event_queue.h"
@@ -42,6 +43,14 @@ class Simulation {
   /// Schedules `fn` at absolute time `at` (clamped to now if in the past).
   void schedule_at(TimePoint at, std::function<void()> fn);
 
+  /// Queues the wake that sim::wake_later promises: `delay` from now, the
+  /// event runs sim::wake(tok, reason).
+  void schedule_wake(Duration delay, std::shared_ptr<WakeToken> tok, WakeReason reason);
+
+  /// Queues the second hop of sim::wake: at the current instant, resume
+  /// tok's coroutine unless the token has died in the meantime.
+  void schedule_resume(std::shared_ptr<WakeToken> tok);
+
   /// Runs a single event. Returns false if the queue was empty.
   bool step();
 
@@ -49,7 +58,9 @@ class Simulation {
   /// (a runaway-loop backstop) is exhausted.
   void run();
 
-  /// Runs events with time <= t, then advances the clock to exactly t.
+  /// Runs events with time <= t, then advances the clock to exactly t —
+  /// unless stop() ended the loop, which leaves the clock at the stopping
+  /// event so that later steps never move it backwards.
   void run_until(TimePoint t);
   void run_for(Duration d) { run_until(now_ + d); }
 

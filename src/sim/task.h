@@ -43,14 +43,12 @@ inline void wake(Simulation& sim, const WakePtr& tok, WakeReason reason) {
   if (!tok || tok->fired || tok->dead) return;
   tok->fired = true;
   tok->reason = reason;
-  sim.schedule(Duration{}, [tok] {
-    if (!tok->dead && tok->handle) tok->handle.resume();
-  });
+  sim.schedule_resume(tok);
 }
 
 /// Schedules a wake for `tok` after `d` of simulated time.
 inline void wake_later(Simulation& sim, const WakePtr& tok, Duration d, WakeReason reason) {
-  sim.schedule(d, [&sim, tok, reason] { wake(sim, tok, reason); });
+  sim.schedule_wake(d, tok, reason);
 }
 
 /// Awaitable that suspends the current coroutine until its token is woken.

@@ -120,6 +120,39 @@ TEST(Interceptor, CountsInvocationsPerImage) {
   EXPECT_EQ(w.icept.invocations("b.exe", Fn::SetEvent), 0);
   EXPECT_TRUE(w.icept.called("a.exe").contains(Fn::SetEvent));
   EXPECT_FALSE(w.icept.called("a.exe").contains(Fn::PulseEvent));
+
+  // A zero-parameter function is counted, but it is no injection candidate,
+  // so it is not an activated function.
+  w.run_program("z.exe", [](nt::Ctx c) -> sim::Task {
+    (void)co_await c.m().k32().call(c, Fn::GetCurrentProcessId);
+  });
+  EXPECT_EQ(w.icept.invocations("z.exe", Fn::GetCurrentProcessId), 1);
+  EXPECT_TRUE(w.icept.called("z.exe").empty());
+
+  // Two images whose calls interleave keep apart counts.
+  std::string order;  // the image letter of each completed call
+  auto caller = [&order](char letter, Fn fn, int n) {
+    return [&order, letter, fn, n](nt::Ctx c) -> sim::Task {
+      for (int i = 0; i < n; ++i) {
+        (void)co_await c.m().k32().call(c, fn, 0);
+        order += letter;
+      }
+    };
+  };
+  w.m.register_program("c.exe", caller('c', Fn::SetEvent, 2));
+  w.m.register_program("d.exe", caller('d', Fn::PulseEvent, 4));
+  w.m.start_process("c.exe", "c.exe");
+  w.m.start_process("d.exe", "d.exe");
+  w.simu.run_until(w.simu.now() + sim::Duration::seconds(60));
+  EXPECT_NE(order.find("cd"), std::string::npos);
+  EXPECT_NE(order.find("dc"), std::string::npos);
+  EXPECT_EQ(w.icept.invocations("c.exe", Fn::SetEvent), 2);
+  EXPECT_EQ(w.icept.invocations("c.exe", Fn::PulseEvent), 0);
+  EXPECT_EQ(w.icept.invocations("d.exe", Fn::PulseEvent), 4);
+  EXPECT_EQ(w.icept.invocations("d.exe", Fn::SetEvent), 0);
+  EXPECT_EQ(w.icept.called("c.exe"), std::set<Fn>{Fn::SetEvent});
+  EXPECT_EQ(w.icept.called("d.exe"), std::set<Fn>{Fn::PulseEvent});
+  EXPECT_EQ(w.icept.invocations("a.exe", Fn::SetEvent), 3);
 }
 
 TEST(Interceptor, InjectsExactlyOneInvocation) {

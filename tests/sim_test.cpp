@@ -170,6 +170,36 @@ TEST(Simulation, StopHaltsLoop) {
   EXPECT_GT(sim.pending_events(), 0u);
 }
 
+TEST(Simulation, StopInsideRunUntilKeepsClockMonotonic) {
+  Simulation sim;
+  int fired = 0;
+  sim.schedule(Duration::millis(1), [&] {
+    ++fired;
+    sim.stop();
+  });
+  sim.schedule(Duration::millis(2), [&] { ++fired; });
+  sim.schedule(Duration::millis(3), [&] { ++fired; });
+  sim.run_until(TimePoint{} + Duration::millis(10));
+  // Stopped with earlier events queued: the clock stays at the stop.
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.now(), TimePoint{} + Duration::millis(1));
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), TimePoint{} + Duration::millis(2));
+}
+
+TEST(Simulation, SameInstantFifoAcrossSlotReuse) {
+  Simulation sim;
+  std::string order;
+  sim.schedule(Duration::millis(5), [&] { order += 'A'; });
+  sim.schedule(Duration::millis(5), [&] { order += 'B'; });
+  ASSERT_TRUE(sim.step());
+  // C reuses A's payload slot, but it was queued after B.
+  sim.schedule(Duration{}, [&] { order += 'C'; });
+  sim.run();
+  EXPECT_EQ(order, "ABC");
+}
+
 TEST(Simulation, PastScheduleClampsToNow) {
   Simulation sim;
   sim.run_until(TimePoint{} + Duration::seconds(5));
@@ -298,6 +328,33 @@ TEST(Task, FirstWakeWins) {
   wake(sim, tok, WakeReason::kSignaled);  // loses the race
   sim.run();
   EXPECT_EQ(got, WakeReason::kTimeout);
+}
+
+TEST(Task, TimeoutAfterSignalResumesNothing) {
+  Simulation sim;
+  auto tok = std::make_shared<WakeToken>();
+  int resumes = 0;
+  WakeReason got{};
+  struct Body {
+    static Task run(Simulation& sim, WakePtr tok, int& resumes, WakeReason& got) {
+      wake_later(sim, tok, Duration::millis(10), WakeReason::kTimeout);
+      got = co_await WaitOn{tok};
+      ++resumes;
+    }
+  };
+  Task t = Body::run(sim, tok, resumes, got);
+  t.start(sim);
+  ASSERT_TRUE(sim.step());  // runs the body up to its wait
+  EXPECT_EQ(sim.pending_events(), 1u);  // the timeout timer
+  wake(sim, tok, WakeReason::kSignaled);
+  EXPECT_EQ(sim.pending_events(), 2u);  // the timer and the resume
+  sim.run();
+  EXPECT_EQ(resumes, 1);
+  EXPECT_EQ(got, WakeReason::kSignaled);
+  EXPECT_TRUE(t.done());
+  // The timer still ran at its deadline, as an event that resumed nothing.
+  EXPECT_EQ(sim.now(), TimePoint{} + Duration::millis(10));
+  EXPECT_EQ(sim.events_processed(), 3u);
 }
 
 CoTask<int> add_later(Simulation& sim, int a, int b) {

@@ -9,6 +9,8 @@
 // the tool itself down.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ntsim/kernel.h"
 #include "ntsim/kernel32.h"
 
@@ -32,23 +34,26 @@ TEST_P(SyscallFuzz, RandomArgumentsAreContained) {
       Machine m{simu, MachineConfig{.name = "target"}};
       m.fs().put_file("C:\\data\\seed.txt", "contents");
 
-      std::vector<Word> args;
-      for (int i = 0; i < info.param_count(); ++i) {
+      CallRecord rec;
+      rec.fn = fn;
+      rec.argc = info.param_count();
+      for (int i = 0; i < rec.argc; ++i) {
         // Mix of the corruption values DTS uses and fully random words.
+        Word& arg = rec.args[static_cast<std::size_t>(i)];
         switch (rng.uniform(0, 3)) {
-          case 0: args.push_back(0); break;
-          case 1: args.push_back(0xFFFFFFFF); break;
-          case 2: args.push_back(static_cast<Word>(rng.next())); break;
-          default: args.push_back(static_cast<Word>(rng.uniform(0, 0x10000))); break;
+          case 0: arg = 0; break;
+          case 1: arg = 0xFFFFFFFF; break;
+          case 2: arg = static_cast<Word>(rng.next()); break;
+          default: arg = static_cast<Word>(rng.uniform(0, 0x10000)); break;
         }
       }
 
-      m.register_program("fuzz.exe", [fn, args](Ctx c) -> sim::Task {
+      m.register_program("fuzz.exe", [rec](Ctx c) -> sim::Task {
         // A couple of real allocations so low random addresses can hit
         // something live occasionally.
         (void)c.process->mem().alloc(64);
         (void)c.process->mem().alloc(4096);
-        (void)co_await c.m().k32().call(c, fn, args);
+        (void)co_await c.m().k32().call(c, rec);
       });
       const Pid pid = m.start_process("fuzz.exe", "fuzz.exe");
       ASSERT_NE(pid, 0u);
@@ -118,8 +123,11 @@ TEST(SyscallFuzzErrorReturns, ForcedCompletionActionsAreContained) {
     }
     m.register_program("fuzz.exe", [script, &reg](Ctx c) -> sim::Task {
       for (Fn fn : script) {
-        std::vector<Word> args(static_cast<std::size_t>(reg.info(fn).param_count()), 1);
-        (void)co_await c.m().k32().call(c, fn, args);
+        CallRecord rec;
+        rec.fn = fn;
+        rec.argc = reg.info(fn).param_count();
+        std::fill_n(rec.args.begin(), rec.argc, Word{1});
+        (void)co_await c.m().k32().call(c, rec);
       }
     });
     m.start_process("fuzz.exe", "fuzz.exe");
@@ -179,28 +187,26 @@ TEST(SyscallFuzzSequence, RandomCallSequencesAreContained) {
     m.fs().put_file("C:\\data\\x.txt", "payload");
 
     // Pre-generate the call script (deterministic per seed).
-    struct Call {
-      Fn fn;
-      std::vector<Word> args;
-    };
-    std::vector<Call> script;
+    std::vector<CallRecord> script;
     const auto& reg = Kernel32Registry::instance();
     for (int i = 0; i < 60; ++i) {
       const Fn fn = static_cast<Fn>(rng.uniform(0, kImplementedFunctionCount - 1));
       // Skip the two calls that intentionally never return.
       if (fn == Fn::ExitProcess || fn == Fn::ExitThread) continue;
-      Call call;
+      CallRecord call;
       call.fn = fn;
-      for (int p = 0; p < reg.info(fn).param_count(); ++p) {
-        call.args.push_back(rng.chance(0.3) ? static_cast<Word>(rng.next())
-                                            : static_cast<Word>(rng.uniform(0, 64)));
+      call.argc = reg.info(fn).param_count();
+      for (int p = 0; p < call.argc; ++p) {
+        call.args[static_cast<std::size_t>(p)] = rng.chance(0.3)
+                                                     ? static_cast<Word>(rng.next())
+                                                     : static_cast<Word>(rng.uniform(0, 64));
       }
-      script.push_back(std::move(call));
+      script.push_back(call);
     }
 
     m.register_program("fuzz.exe", [script](Ctx c) -> sim::Task {
-      for (const auto& call : script) {
-        (void)co_await c.m().k32().call(c, call.fn, call.args);
+      for (const CallRecord& call : script) {
+        (void)co_await c.m().k32().call(c, call);
       }
     });
     m.start_process("fuzz.exe", "fuzz.exe");
