@@ -2,7 +2,9 @@
 //
 //  1. Correctness: a coordinator + 1 local worker process produces output
 //     byte-identical to the in-process `--jobs=1` executor over the same
-//     campaign (exits 1 on any divergence).
+//     campaign, and its metrics come from the records it accepted: the
+//     dts_runs_total series and the Chrome trace's run events each add up to
+//     the executed runs exactly (exits 1 on any divergence).
 //  2. Cost: reports the wire overhead — wall-clock ratio distributed/serial
 //     for a single worker (the distributed path adds fork, TCP loopback
 //     round-trips, JSON encode/decode and journal-equivalent bookkeeping on
@@ -19,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/campaign.h"
@@ -55,6 +58,25 @@ std::vector<std::string> run_lines(const std::vector<core::RunResult>& runs) {
   out.reserve(runs.size());
   for (const auto& r : runs) out.push_back(core::serialize_run_line(r));
   return out;
+}
+
+std::uint64_t runs_total(const obs::MetricsRegistry& metrics) {
+  std::uint64_t total = 0;
+  for (const obs::MetricSample& s : metrics.snapshot()) {
+    if (s.name == "dts_runs_total") total += s.counter_value;
+  }
+  return total;
+}
+
+std::uint64_t run_events(const obs::MetricsRegistry& metrics) {
+  const std::string json = metrics.chrome_trace_json();
+  const std::string needle = "\"cat\":\"run\"";
+  std::uint64_t n = 0;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
 }
 
 }  // namespace
@@ -96,6 +118,16 @@ int main() {
                    "FAIL: distributed output diverged from the serial baseline\n");
       return 1;
     }
+    const std::uint64_t counted = runs_total(metrics);
+    const std::uint64_t events = run_events(metrics);
+    if (counted != distributed.executed || events != distributed.executed) {
+      std::fprintf(stderr,
+                   "FAIL: %zu runs executed, but dts_runs_total sums to %llu and the "
+                   "trace holds %llu run events\n",
+                   distributed.executed, static_cast<unsigned long long>(counted),
+                   static_cast<unsigned long long>(events));
+      return 1;
+    }
     serial_s.push_back(se.count());
     dist_s.push_back(de.count());
     wire_bytes = metrics.counter("dts_dist_bytes_sent_total").value() +
@@ -114,6 +146,7 @@ int main() {
                 static_cast<unsigned long long>(wire_bytes),
                 static_cast<double>(wire_bytes) / static_cast<double>(executed));
   }
-  std::printf("PASS: coordinator + 1 worker byte-identical to --jobs=1\n");
+  std::printf("PASS: coordinator + 1 worker byte-identical to --jobs=1, with every "
+              "executed run counted and traced once\n");
   return 0;
 }

@@ -92,7 +92,7 @@ int main() {
                    "FAIL: replay of %s diverged (outcome %s vs %s) — "
                    "ntsim nondeterminism\n",
                    rec.fault_id.c_str(), replay->journal_outcome.c_str(),
-                   std::string(exec::outcome_label(replay->run.outcome)).c_str());
+                   std::string(core::outcome_code(replay->run.outcome)).c_str());
       return 1;
     }
     ++matched;

@@ -236,26 +236,6 @@ std::optional<mw::MiddlewareKind> mw_from_code(std::string_view s) {
   return std::nullopt;
 }
 
-std::string_view outcome_code(Outcome o) {
-  switch (o) {
-    case Outcome::kNormalSuccess: return "normal";
-    case Outcome::kRestartSuccess: return "restart";
-    case Outcome::kRestartRetrySuccess: return "restart_retry";
-    case Outcome::kRetrySuccess: return "retry";
-    case Outcome::kFailure: return "failure";
-  }
-  return "?";
-}
-
-std::optional<Outcome> outcome_from(std::string_view s) {
-  if (s == "normal") return Outcome::kNormalSuccess;
-  if (s == "restart") return Outcome::kRestartSuccess;
-  if (s == "restart_retry") return Outcome::kRestartRetrySuccess;
-  if (s == "retry") return Outcome::kRetrySuccess;
-  if (s == "failure") return Outcome::kFailure;
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::string serialize_run_line(const RunResult& r) {
@@ -292,7 +272,7 @@ bool parse_run_line(const std::string& target_image, const std::string& line,
   // including the ones the simulator does not implement.
   auto spec = inject::parse_fault_id_any(target_image, fault_id);
   if (!spec) return fail("bad fault id: " + fault_id);
-  auto outcome = outcome_from(outcome_s);
+  auto outcome = outcome_from_code(outcome_s);
   if (!outcome) return fail("bad outcome: " + outcome_s);
   out->fault = *spec;
   out->activated = activated != 0;

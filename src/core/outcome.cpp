@@ -24,6 +24,24 @@ std::string_view short_label(Outcome o) {
   return "?";
 }
 
+std::string_view outcome_code(Outcome o) {
+  switch (o) {
+    case Outcome::kNormalSuccess: return "normal";
+    case Outcome::kRestartSuccess: return "restart";
+    case Outcome::kRestartRetrySuccess: return "restart_retry";
+    case Outcome::kRetrySuccess: return "retry";
+    case Outcome::kFailure: return "failure";
+  }
+  return "?";
+}
+
+std::optional<Outcome> outcome_from_code(std::string_view code) {
+  for (Outcome o : kAllOutcomes) {
+    if (outcome_code(o) == code) return o;
+  }
+  return std::nullopt;
+}
+
 bool ClientReport::all_ok() const {
   if (requests.empty()) return false;
   for (const auto& r : requests) {

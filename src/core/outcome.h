@@ -29,6 +29,13 @@ constexpr Outcome kAllOutcomes[] = {
 std::string_view to_string(Outcome o);
 std::string_view short_label(Outcome o);  // for table columns
 
+/// The machine-readable outcome code, one vocabulary for run lines, metric
+/// labels, /status, forensics dumps and failure signatures: "normal",
+/// "restart", "restart_retry", "retry", "failure".
+std::string_view outcome_code(Outcome o);
+/// Parses an outcome_code(); nullopt for anything else.
+std::optional<Outcome> outcome_from_code(std::string_view code);
+
 /// One client request's fate across its (up to three) attempts.
 struct RequestResult {
   bool ok = false;

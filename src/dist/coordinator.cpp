@@ -23,7 +23,6 @@
 #include "exec/sink.h"
 #include "obs/fleet/events.h"
 #include "obs/fleet/status.h"
-#include "obs/fleet/telemetry.h"
 
 namespace dts::dist {
 
@@ -51,12 +50,9 @@ struct Conn {
   Clock::time_point first_seen;
   Clock::time_point last_seen;
   std::uint64_t runs = 0;
+  std::uint64_t failures = 0;                // accepted results that failed
+  std::deque<std::string> recent_failures;  // their newest 8 fault ids
   bool dead = false;  // marked mid-iteration, swept afterwards
-
-  // Latest telemetry summary (protocol v2; zero/empty until a frame lands).
-  std::uint64_t telemetry_seq = 0;
-  std::uint64_t failures = 0;
-  std::string recent_failures;
 };
 
 }  // namespace
@@ -88,7 +84,6 @@ struct Coordinator::Impl {
   obs::Counter* leases_reassigned = nullptr;
   obs::Counter* bytes_sent = nullptr;
   obs::Counter* bytes_received = nullptr;
-  obs::Counter* telemetry_frames = nullptr;
 
   // --- small helpers ------------------------------------------------------
 
@@ -115,7 +110,10 @@ struct Coordinator::Impl {
       row.lease_id = c->lease ? c->lease->id : 0;
       row.outstanding = c->lease ? c->lease->outstanding.size() : 0;
       row.failures = c->failures;
-      row.recent_failures = c->recent_failures;
+      for (const std::string& id : c->recent_failures) {
+        if (!row.recent_failures.empty()) row.recent_failures += ' ';
+        row.recent_failures += id;
+      }
       rows.push_back(std::move(row));
     }
     campaign->status->update_workers(std::move(rows));
@@ -225,31 +223,15 @@ struct Coordinator::Impl {
       c.dead = true;
       return;
     }
+    if (result.outcome == core::Outcome::kFailure) {
+      ++c.failures;
+      c.recent_failures.push_back(r.fault_id);
+      if (c.recent_failures.size() > 8) c.recent_failures.pop_front();
+    }
     // The record carries the run's causal name (campaign, lease, entry) as
     // the worker minted it; it reaches the loop unchanged.
     const std::uint64_t lease_id = r.lease_id;
     round->done(r.index, std::move(result), std::move(r), c.worker_id, lease_id);
-  }
-
-  void record_telemetry(Conn& c, const std::string& line) {
-    const auto t = decode_telemetry(line);
-    if (!t) {
-      c.dead = true;
-      return;
-    }
-    // Frames arrive in order on the connection, but a conn that died and was
-    // respawned restarts at seq 1 against an already-advanced worker id —
-    // never the case today (worker ids are never reused), so the seq check is
-    // pure belt-and-braces against a future transport that reorders.
-    if (t->seq <= c.telemetry_seq) return;
-    c.telemetry_seq = t->seq;
-    c.failures = t->failures;
-    c.recent_failures = t->recent_failures;
-    if (campaign->metrics != nullptr) {
-      obs::fleet::merge_samples(*campaign->metrics, c.worker_id,
-                                obs::fleet::decode_samples(t->metrics));
-    }
-    if (telemetry_frames != nullptr) telemetry_frames->inc();
   }
 
   /// Handles one decoded message; marks the conn dead on protocol violations.
@@ -305,9 +287,6 @@ struct Coordinator::Impl {
         return;
       case MsgType::kHeartbeat:
         return;  // last_seen already refreshed
-      case MsgType::kTelemetry:
-        record_telemetry(c, line);
-        return;
       case MsgType::kError:
       default:
         c.dead = true;  // worker gave up, or speaks something else entirely
@@ -444,48 +423,8 @@ struct Coordinator::Impl {
     }
   }
 
-  /// Drains each connection until EOF or the deadline, merging telemetry
-  /// frames and ignoring everything else. A worker answers DONE with one
-  /// final snapshot and then closes the socket, and TCP ordering delivers
-  /// that snapshot ahead of the FIN — so reaching every EOF here makes the
-  /// fleet-wide totals exact, not merely latest-known.
-  void drain_final_telemetry() {
-    const auto deadline = Clock::now() + std::chrono::milliseconds(2000);
-    for (;;) {
-      std::size_t open = 0;
-      for (auto& c : conns) {
-        if (c->dead) continue;
-        ++open;
-        std::string chunk;
-        switch (recv_some(c->sock.fd(), &chunk, 64 * 1024, /*timeout_ms=*/10)) {
-          case RecvStatus::kData:
-            if (bytes_received != nullptr) bytes_received->inc(chunk.size());
-            c->decoder.feed(chunk);
-            break;
-          case RecvStatus::kTimeout:
-            break;
-          case RecvStatus::kClosed:
-          case RecvStatus::kError:
-            c->dead = true;
-            break;
-        }
-        for (;;) {
-          const auto frame = c->decoder.next();
-          if (!frame) break;
-          if (message_type(*frame) == MsgType::kTelemetry) {
-            record_telemetry(*c, *frame);
-          }
-          // READY/heartbeat frames racing the DONE are expected; drop them.
-        }
-        if (!c->decoder.error().empty()) c->dead = true;
-      }
-      if (open == 0 || Clock::now() >= deadline) return;
-    }
-  }
-
   void shutdown() {
     for (auto& c : conns) send_msg(*c, encode_done());
-    if (options.telemetry_ms > 0) drain_final_telemetry();
     const auto now = Clock::now();
     update_status_workers(now);
     for (auto& c : conns) finish_worker_rate(*c, now);
@@ -503,9 +442,6 @@ Coordinator::Coordinator(const core::CampaignOptions& campaign, DistOptions opti
     : impl_(std::make_unique<Impl>()) {
   impl_->campaign = &campaign;
   impl_->options = std::move(options);
-  // No registry means nowhere to merge worker snapshots into — don't ask
-  // workers to ship any.
-  if (campaign.metrics == nullptr) impl_->options.telemetry_ms = 0;
 
   std::string error;
   impl_->listener =
@@ -531,9 +467,6 @@ Coordinator::Coordinator(const core::CampaignOptions& campaign, DistOptions opti
         &m.counter("dts_dist_bytes_sent_total", {}, "protocol bytes sent to workers");
     impl_->bytes_received = &m.counter("dts_dist_bytes_received_total", {},
                                        "protocol bytes received from workers");
-    impl_->telemetry_frames =
-        &m.counter("dts_fleet_telemetry_frames_total", {},
-                   "worker telemetry snapshots merged by the coordinator");
   }
   if (impl_->options.on_listen) impl_->options.on_listen(port());
 }
@@ -562,7 +495,6 @@ void Coordinator::run(const exec::Round& round) {
     welcome.seed = round.seed;
     welcome.fault_count = round.entries.size();
     welcome.digest = round.digest;
-    welcome.telemetry_ms = im.options.telemetry_ms;
     welcome.config = core::serialize_config({round.base, *im.campaign, {}});
     welcome.trace = im.campaign->trace;
     welcome.forensics_depth = im.campaign->forensics_depth;

@@ -58,11 +58,6 @@ struct DistOptions {
   /// Per-message write deadline towards a worker.
   int io_timeout_ms = 10000;
 
-  /// Telemetry cadence advertised to workers in WELCOME, in milliseconds.
-  /// 0 disables telemetry shipping; forced to 0 when the campaign has no
-  /// metrics registry (there is nowhere to merge snapshots into).
-  std::uint64_t telemetry_ms = 1000;
-
   /// Structured fleet event log: worker connect/disconnect, lease issue/
   /// expiry/reassignment. Must outlive the coordinator. Null = off.
   obs::fleet::FleetEventLog* events = nullptr;
@@ -81,11 +76,12 @@ struct DistOptions {
 /// campaign's rounds on the fleet.
 ///
 /// The campaign's own options drive it, exactly as they drive the loop:
-/// seed, metrics (dts_dist_* series, plus the workers' telemetry merged under
-/// worker="<id>" labels), status board, and the syscall trace mode and
-/// forensics depth the workers run under — their forensics dumps come back
-/// in the records. Workers receive the serialized configuration the campaign
-/// journals. `campaign` must outlive the coordinator.
+/// seed, metrics (the dts_dist_* series), status board (its worker rows),
+/// and the syscall trace mode and forensics depth the workers run under —
+/// their forensics dumps come back in the records. Every accepted record
+/// reaches the loop's one sink, which counts it in the per-run metrics like
+/// any in-process run. Workers receive the serialized configuration the
+/// campaign journals. `campaign` must outlive the coordinator.
 class Coordinator final : public exec::RunPool {
  public:
   Coordinator(const core::CampaignOptions& campaign, DistOptions options);
@@ -100,8 +96,8 @@ class Coordinator final : public exec::RunPool {
   /// exhausted).
   void run(const exec::Round& round) override;
 
-  /// Ends the campaign: tells every worker it is done, drains their final
-  /// telemetry and reaps the spawned ones.
+  /// Ends the campaign: tells every worker it is done and reaps the spawned
+  /// ones.
   void finish() override;
 
  private:

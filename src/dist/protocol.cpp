@@ -27,7 +27,6 @@ std::optional<MsgType> message_type(const std::string& line) {
   if (t == "lease") return MsgType::kLease;
   if (t == "result") return MsgType::kResult;
   if (t == "heartbeat") return MsgType::kHeartbeat;
-  if (t == "telemetry") return MsgType::kTelemetry;
   if (t == "done") return MsgType::kDone;
   if (t == "error") return MsgType::kError;
   return std::nullopt;
@@ -52,9 +51,9 @@ std::string encode_welcome(const Welcome& m) {
       << json_escape(m.workload) << "\",\"middleware\":" << m.middleware
       << ",\"watchd\":" << m.watchd_version << ",\"seed\":" << m.seed
       << ",\"faults\":" << m.fault_count << ",\"digest\":" << m.digest
-      << ",\"telemetry_ms\":" << m.telemetry_ms << ",\"trace\":\""
-      << obs::to_string(m.trace) << "\",\"forensics_depth\":" << m.forensics_depth
-      << ",\"config\":\"" << json_escape(m.config) << "\"}";
+      << ",\"trace\":\"" << obs::to_string(m.trace)
+      << "\",\"forensics_depth\":" << m.forensics_depth << ",\"config\":\""
+      << json_escape(m.config) << "\"}";
   return out.str();
 }
 
@@ -76,7 +75,6 @@ std::optional<Welcome> decode_welcome(const std::string& line) {
   m.watchd_version = static_cast<int>(wv);
   // Absent in older welcomes; tolerated so the worker parses them (the proto
   // check still rejects the session afterwards).
-  (void)json_uint_field(line, "telemetry_ms", &m.telemetry_ms);
   (void)json_uint_field(line, "forensics_depth", &m.forensics_depth);
   std::string trace;
   if (json_string_field(line, "trace", &trace) &&
@@ -167,26 +165,6 @@ std::optional<Heartbeat> decode_heartbeat(const std::string& line) {
   Heartbeat m;
   if (message_type(line) != MsgType::kHeartbeat) return std::nullopt;
   if (!json_uint_field(line, "lease", &m.lease_id)) return std::nullopt;
-  return m;
-}
-
-std::string encode_telemetry(const Telemetry& m) {
-  std::ostringstream out;
-  out << type_field("telemetry") << ",\"seq\":" << m.seq << ",\"fails\":" << m.failures
-      << ",\"recent\":\"" << json_escape(m.recent_failures) << "\",\"metrics\":\""
-      << json_escape(m.metrics) << "\"}";
-  return out.str();
-}
-
-std::optional<Telemetry> decode_telemetry(const std::string& line) {
-  Telemetry m;
-  if (message_type(line) != MsgType::kTelemetry) return std::nullopt;
-  if (!json_uint_field(line, "seq", &m.seq) ||
-      !json_uint_field(line, "fails", &m.failures) ||
-      !json_string_field(line, "recent", &m.recent_failures) ||
-      !json_string_field(line, "metrics", &m.metrics)) {
-    return std::nullopt;
-  }
   return m;
 }
 

@@ -11,17 +11,13 @@
 //                            <-   LEASE {lease, indices, fault ids, digest}
 //   RESULT {lease, record}   ->        (one per executed fault, streamed)
 //   HEARTBEAT {lease}        ->        (liveness while a lease is open)
-//   TELEMETRY {seq, metrics} ->        (periodic metric snapshot, optional)
 //   READY {digest}           ->        (lease complete, next please)
 //                            <-   DONE            (campaign complete)
-//   TELEMETRY {seq, metrics} ->        (final snapshot, then disconnect)
 //
-// Telemetry frames ship the worker's *cumulative* metric registry (not
-// deltas): the coordinator mirrors the latest snapshot, so a lost or
-// reordered frame can only make the fleet view stale, never wrong. The
-// final frame after DONE makes the fleet totals exact at shutdown — TCP
-// ordering guarantees it precedes the worker's FIN, and the coordinator
-// drains each connection to EOF before rendering final metrics.
+// The RESULT record is the only thing a worker reports about a run. The
+// coordinator hands each accepted record to the campaign's one run sink,
+// which derives every per-run metric, trace event and status row from it,
+// exactly as for a run executed in-process; a worker keeps no metrics.
 //
 // Campaign identity validation: WELCOME carries the sweep digest
 // (plan::sweep_digest — an order-sensitive fingerprint of every fault id).
@@ -46,8 +42,10 @@ namespace dts::dist {
 /// the TELEMETRY message and Welcome.telemetry_ms; v3 makes RESULT carry the
 /// whole run record (a v2 worker's results lack tier, rt, fm and spans); v4
 /// adds Welcome.trace and Welcome.forensics_depth (a v3 worker would run
-/// untraced and return records without forensics dumps).
-constexpr std::uint64_t kProtocolVersion = 4;
+/// untraced and return records without forensics dumps); v5 drops TELEMETRY
+/// and Welcome.telemetry_ms again (the coordinator counts each run from its
+/// RESULT record).
+constexpr std::uint64_t kProtocolVersion = 5;
 
 enum class MsgType {
   kHello,
@@ -56,7 +54,6 @@ enum class MsgType {
   kLease,
   kResult,
   kHeartbeat,
-  kTelemetry,
   kDone,
   kError,
 };
@@ -87,7 +84,6 @@ struct Welcome {
   std::uint64_t fault_count = 0;
   std::uint64_t digest = 0;  // plan::sweep_digest of the fault list
   std::string config;        // core::serialize_config of the campaign config
-  std::uint64_t telemetry_ms = 0;  // telemetry cadence; 0 = don't ship any
   obs::TraceMode trace = obs::TraceMode::kOff;  // per-run syscall tracing
   std::uint64_t forensics_depth = 0;            // trace ring depth
 };
@@ -133,20 +129,6 @@ struct Heartbeat {
 };
 std::string encode_heartbeat(const Heartbeat& m);
 std::optional<Heartbeat> decode_heartbeat(const std::string& line);
-
-/// Periodic worker -> coordinator metric snapshot. `metrics` is the TSV
-/// encoding of the worker's whole registry (obs/fleet/telemetry.h) —
-/// cumulative values, so mirroring the highest-seq snapshot is exact.
-/// `failures` / `recent_failures` summarize the worker's failure outcomes
-/// for the /status endpoint without parsing the metric payload.
-struct Telemetry {
-  std::uint64_t seq = 0;  // per-worker, strictly increasing
-  std::string metrics;    // fleet::encode_samples payload
-  std::uint64_t failures = 0;
-  std::string recent_failures;  // space-joined fault ids, newest last
-};
-std::string encode_telemetry(const Telemetry& m);
-std::optional<Telemetry> decode_telemetry(const std::string& line);
 
 // --- control -------------------------------------------------------------
 

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <deque>
 #include <optional>
 
 #include "core/config.h"
@@ -12,8 +11,6 @@
 #include "dist/wire.h"
 #include "exec/sink.h"
 #include "inject/fault.h"
-#include "obs/fleet/telemetry.h"
-#include "obs/metrics.h"
 
 namespace dts::dist {
 
@@ -111,50 +108,17 @@ int run_worker(const WorkerOptions& options, std::string* error) {
     return fail(error, 2, "campaign identity mismatch between config and welcome");
   }
 
-  // Worker-local observability: the run sink records the same per-run
-  // metrics the in-process executor records, shipped to the coordinator as
-  // cumulative snapshots when the welcome asked for telemetry. Purely
-  // additive — a worker whose frames never arrive still streams
-  // byte-identical results.
-  obs::MetricsRegistry registry;
-  exec::ExecOptions sink_options;
-  sink_options.metrics = &registry;
-  exec::RunSink sink(cfg->run, sink_options, welcome->seed, welcome->fault_count);
-
-  std::uint64_t failures = 0;
-  std::deque<std::string> recent_failures;
-  std::uint64_t telemetry_seq = 0;
-  const bool telemetry_on = welcome->telemetry_ms > 0;
-  auto send_telemetry = [&]() -> bool {
-    if (!telemetry_on) return true;
-    Telemetry t;
-    t.seq = ++telemetry_seq;
-    t.metrics = obs::fleet::encode_samples(registry.snapshot());
-    t.failures = failures;
-    for (std::size_t i = 0; i < recent_failures.size(); ++i) {
-      if (i > 0) t.recent_failures += ' ';
-      t.recent_failures += recent_failures[i];
-    }
-    return conn.write_msg(encode_telemetry(t));
-  };
-
   if (!conn.write_msg(encode_ready(Ready{welcome->digest}))) {
     return fail(error, 1, "cannot send ready");
   }
 
   int runs_streamed = 0;
   auto last_send = std::chrono::steady_clock::now();
-  auto last_telemetry = last_send;
   for (;;) {
     const auto line = conn.read_msg(&why);
     if (!line) return fail(error, 1, why);
     const auto type = message_type(*line);
-    if (type == MsgType::kDone) {
-      // Final snapshot: sent after DONE and before the socket closes, so TCP
-      // ordering delivers it ahead of the FIN the coordinator drains to.
-      send_telemetry();
-      return 0;
-    }
+    if (type == MsgType::kDone) return 0;
     if (type == MsgType::kError) {
       const auto e = decode_error(*line);
       return fail(error, 2, "coordinator error: " + (e ? e->detail : *line));
@@ -189,13 +153,6 @@ int run_worker(const WorkerOptions& options, std::string* error) {
         }
         last_send = now;
       }
-      if (telemetry_on &&
-          std::chrono::duration_cast<std::chrono::milliseconds>(now - last_telemetry)
-                  .count() >= static_cast<long long>(welcome->telemetry_ms)) {
-        if (!send_telemetry()) return fail(error, 1, "cannot send telemetry");
-        last_telemetry = now;
-        last_send = now;
-      }
 
       // Seed derivation and syscall tracing identical to the in-process
       // executor: the record, forensics dump included, is what a serial sweep
@@ -208,13 +165,6 @@ int run_worker(const WorkerOptions& options, std::string* error) {
           {welcome->digest, lease->lease_id, lease->indices[k]}, welcome->trace,
           welcome->forensics_depth);
       static_cast<exec::JournalRecord&>(res) = std::move(run.record);
-      sink.record(res, run.result, /*worker=*/0, res.lease_id);
-      if (run.result.outcome == core::Outcome::kFailure) {
-        ++failures;
-        recent_failures.push_back(res.fault_id);
-        if (recent_failures.size() > 8) recent_failures.pop_front();
-      }
-
       if (!conn.write_msg(encode_result(res))) {
         return fail(error, 1, "cannot stream result");
       }
@@ -227,11 +177,6 @@ int run_worker(const WorkerOptions& options, std::string* error) {
         _exit(3);
       }
     }
-
-    // Snapshot before asking for more work: the coordinator's fleet view is
-    // exact at every lease boundary, not just at shutdown.
-    if (!send_telemetry()) return fail(error, 1, "cannot send telemetry");
-    last_telemetry = std::chrono::steady_clock::now();
 
     if (!conn.write_msg(encode_ready(Ready{welcome->digest}))) {
       return fail(error, 1, "cannot send ready");

@@ -205,17 +205,6 @@ void emit_snap_metrics(obs::MetricsRegistry* metrics, const core::RunConfig& bas
 
 }  // namespace
 
-std::string_view outcome_label(core::Outcome o) {
-  switch (o) {
-    case core::Outcome::kNormalSuccess: return "normal";
-    case core::Outcome::kRestartSuccess: return "restart";
-    case core::Outcome::kRestartRetrySuccess: return "restart_retry";
-    case core::Outcome::kRetrySuccess: return "retry";
-    case core::Outcome::kFailure: return "failure";
-  }
-  return "?";
-}
-
 std::string middleware_label(const core::RunConfig& base) {
   switch (base.middleware) {
     case mw::MiddlewareKind::kNone: return "none";
@@ -307,8 +296,7 @@ CampaignResult CampaignExecutor::run_rounds(const core::RunConfig& base,
 
   RunSink sink(base, options_, campaign_seed, n, config_text_);
   // Every fresh run lands here, whichever pool ran it. Planned records carry
-  // their sampling stratum. A fleet worker's run was counted where it ran:
-  // its per-run metrics arrive with the worker's telemetry.
+  // their sampling stratum.
   const auto complete = [&](std::size_t i, core::RunResult result, JournalRecord rec,
                             int worker, std::uint64_t lease_id) {
     const inject::FaultSpec& fault = plan.entries[i].fault;
@@ -318,7 +306,7 @@ CampaignResult CampaignExecutor::run_rounds(const core::RunConfig& base,
     s.fn_called = rec.fn_called;
     s.executed = true;
     prove(i, s);
-    sink.record(rec, s.result, worker, lease_id, /*count=*/lease_id == 0);
+    sink.record(rec, s.result, worker, lease_id);
   };
 
   plan::AdaptiveSampler sampler(plan, sampler_options);

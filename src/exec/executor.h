@@ -37,11 +37,6 @@ class StatusBoard;
 
 namespace dts::exec {
 
-/// Metrics/report label value for an outcome — matches the campaign-file
-/// outcome codes so dashboards, results.csv and worker telemetry agree on
-/// vocabulary: "normal", "restart", "restart_retry", "retry", "failure".
-std::string_view outcome_label(core::Outcome o);
-
 /// Metrics label value for the middleware configuration, e.g. "none",
 /// "mscs", "watchd3".
 std::string middleware_label(const core::RunConfig& base);

@@ -69,7 +69,7 @@ JournalKey journal_key(const core::RunConfig& base, std::uint64_t campaign_seed,
 std::vector<std::string> forensics_context(const core::RunResult& r) {
   std::vector<std::string> out;
   std::string line = "outcome: ";
-  line += outcome_label(r.outcome);
+  line += core::outcome_code(r.outcome);
   if (r.outcome == core::Outcome::kFailure) {
     line += r.response_received ? " (wrong response)" : " (no response)";
   }
@@ -293,7 +293,7 @@ RunSink::RunSink(const core::RunConfig& base, const ExecOptions& options,
                                     "host wall-clock time per executed run (seconds)");
   for (core::Outcome o : core::kAllOutcomes) {
     obs::Labels labels = set_labels_;
-    labels.emplace_back("outcome", std::string(outcome_label(o)));
+    labels.emplace_back("outcome", std::string(core::outcome_code(o)));
     outcome_counters_[static_cast<std::size_t>(o)] =
         &metrics_->counter("dts_runs_total", labels, "executed runs by outcome");
   }
@@ -316,9 +316,9 @@ obs::Counter& RunSink::activations(nt::Fn fn) {
 }
 
 void RunSink::record(const JournalRecord& rec, const core::RunResult& result, int worker,
-                     std::uint64_t lease_id, bool count) {
+                     std::uint64_t lease_id) {
   const inject::FaultSpec& fault = result.fault;
-  const std::string outcome(outcome_label(result.outcome));
+  const std::string outcome(core::outcome_code(result.outcome));
   const double wall_s = static_cast<double>(rec.wall_us) * 1e-6;
 
   if (!rec.forensics.empty() && !options_.forensics_dir.empty()) {
@@ -369,7 +369,7 @@ void RunSink::record(const JournalRecord& rec, const core::RunResult& result, in
     }
   }
 
-  if (metrics_ != nullptr && count) {
+  if (metrics_ != nullptr) {
     outcome_counters_[static_cast<std::size_t>(result.outcome)]->inc();
     if (result.activated) activations(fault.fn).inc();
     resp_hist_->observe(result.response_time.to_seconds());

@@ -93,13 +93,12 @@ class RunSink {
   /// done. Before start() the sink reports no progress.
   void start(std::size_t total, std::size_t reused);
 
-  /// One executed run. `worker` is the executing thread (the Chrome event
-  /// row) or, for a run executed under a dist lease (`lease_id` != 0), the
-  /// fleet worker shown on the status board. `count` false leaves the run
-  /// out of the per-run metrics: a fleet coordinator's sink receives runs
-  /// that their worker's telemetry already counts.
+  /// One executed run, counted in the per-run metrics whichever path ran
+  /// it. `worker` is the run's Chrome event row: the executing thread or,
+  /// for a run executed under a dist lease (`lease_id` != 0), the fleet
+  /// worker, which the status board shows too.
   void record(const JournalRecord& rec, const core::RunResult& result, int worker,
-              std::uint64_t lease_id = 0, bool count = true);
+              std::uint64_t lease_id = 0);
 
   /// A fault completed without a fresh run (elided or reloaded).
   void skipped();

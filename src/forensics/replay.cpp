@@ -137,7 +137,7 @@ std::optional<ReplayResult> replay_record(const exec::JournalFile& file,
   std::vector<std::string> context;
   context.push_back("replay of journal record #" + std::to_string(rec.index) +
                     (rec.exec_index.empty() ? "" : " (xi " + rec.exec_index + ")"));
-  context.push_back("outcome: " + std::string(exec::outcome_label(out.run.outcome)));
+  context.push_back("outcome: " + std::string(core::outcome_code(out.run.outcome)));
   context.push_back(std::string("activated: ") + (out.run.activated ? "yes" : "no"));
   if (!out.call_context.empty()) {
     context.push_back("call context: " + out.call_context);
@@ -145,7 +145,7 @@ std::optional<ReplayResult> replay_record(const exec::JournalFile& file,
   out.forensics = obs::forensics_dump(rec.fault_id, context, &run.spans(),
                                       run.interceptor().syscall_trace());
 
-  out.journal_outcome = std::string(exec::outcome_label(journaled.outcome));
+  out.journal_outcome = std::string(core::outcome_code(journaled.outcome));
   out.outcome_match = out.run.outcome == journaled.outcome;
   out.run_line_match = out.run_line == rec.run_line;
   out.trace_digest_match =

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "exec/executor.h"
 #include "inject/fault_class.h"
 
 namespace dts::forensics {
@@ -74,7 +73,7 @@ SignatureKey signature_of(const core::RunResult& run,
   } else {
     key.call_context = "-";  // never fired: there is no corrupted call
   }
-  key.outcome = std::string(exec::outcome_label(run.outcome));
+  key.outcome = std::string(core::outcome_code(run.outcome));
   key.span = detection_span(run);
   key.tier = run.fault.tier;
   // Live runs carry their trace in the result; journal-sourced callers set

@@ -32,7 +32,7 @@ struct WorkerRow {
   double runs_per_sec = 0.0;
   std::uint64_t lease_id = 0;       // 0 = idle
   std::uint64_t outstanding = 0;    // leased faults with no result yet
-  std::uint64_t failures = 0;       // worker-reported failure outcomes
+  std::uint64_t failures = 0;       // its accepted results that failed
   std::string recent_failures;      // space-joined fault ids, newest last
 };
 

@@ -6,32 +6,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/jsonl.h"
+
 namespace dts::obs {
 
 namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Prometheus label values escape backslash, double-quote and newline.
 std::string prom_escape(std::string_view s) {
@@ -99,18 +78,6 @@ void Histogram::observe(double v) {
                        std::memory_order_relaxed);
 }
 
-void Histogram::mirror(const std::vector<std::uint64_t>& buckets,
-                       std::int64_t sum_micro) {
-  if (buckets.size() != bounds_.size() + 1) return;  // foreign shape: drop it
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    buckets_[i].store(buckets[i], std::memory_order_relaxed);
-    total += buckets[i];
-  }
-  count_.store(total, std::memory_order_relaxed);
-  sum_micro_.store(sum_micro, std::memory_order_relaxed);
-}
-
 const std::vector<double>& response_time_buckets() {
   static const std::vector<double> kBuckets = {0.5, 1, 2,  5,   10,  15, 20,
                                                30,  60, 120, 240, 400};
@@ -163,37 +130,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name, const Labels& lab
   std::lock_guard<std::mutex> lock(mu_);
   Family& fam = family(name, Kind::kHistogram, help);
   auto [it, inserted] = fam.histograms.try_emplace(label_string(labels));
-  if (inserted) it->second = std::make_unique<Histogram>(bounds);
-  return *it->second;
-}
-
-Counter& MetricsRegistry::counter_at(const std::string& name,
-                                     const std::string& rendered_labels,
-                                     const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Family& fam = family(name, Kind::kCounter, help);
-  auto [it, inserted] = fam.counters.try_emplace(rendered_labels);
-  if (inserted) it->second = std::make_unique<Counter>();
-  return *it->second;
-}
-
-Gauge& MetricsRegistry::gauge_at(const std::string& name,
-                                 const std::string& rendered_labels,
-                                 const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Family& fam = family(name, Kind::kGauge, help);
-  auto [it, inserted] = fam.gauges.try_emplace(rendered_labels);
-  if (inserted) it->second = std::make_unique<Gauge>();
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::histogram_at(const std::string& name,
-                                         const std::string& rendered_labels,
-                                         const std::vector<double>& bounds,
-                                         const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Family& fam = family(name, Kind::kHistogram, help);
-  auto [it, inserted] = fam.histograms.try_emplace(rendered_labels);
   if (inserted) it->second = std::make_unique<Histogram>(bounds);
   return *it->second;
 }

@@ -33,16 +33,6 @@ class Counter {
   void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
-  /// Telemetry merge: mirrors a worker's cumulative snapshot into this child.
-  /// Monotonic — a stale frame arriving out of order can never wind the
-  /// counter backwards.
-  void advance_to(std::uint64_t v) {
-    std::uint64_t cur = value_.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
  private:
   std::atomic<std::uint64_t> value_{0};
 };
@@ -76,12 +66,6 @@ class Histogram {
   }
   std::int64_t sum_micro() const { return sum_micro_.load(std::memory_order_relaxed); }
 
-  /// Telemetry merge: mirrors a worker's cumulative bucket snapshot into this
-  /// child (`buckets` per-bucket including +Inf; sizes must match bounds).
-  /// The internal count is derived from the buckets, never shipped
-  /// separately, so the merged child can't disagree with itself.
-  void mirror(const std::vector<std::uint64_t>& buckets, std::int64_t sum_micro);
-
  private:
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
@@ -95,7 +79,7 @@ const std::vector<double>& response_time_buckets();
 const std::vector<double>& wall_time_buckets();
 
 /// Splices one more label into an already-rendered `{k="v",...}` label
-/// string (telemetry merging tags shipped children with worker="N").
+/// string (the exporter adds le="..." and quantile="..." this way).
 std::string labels_with(const std::string& rendered, const std::string& key,
                         const std::string& value);
 
@@ -132,21 +116,10 @@ class MetricsRegistry {
                        const std::vector<double>& bounds,
                        const std::string& help = "");
 
-  /// Handle lookup by pre-rendered label string (the form snapshot() and the
-  /// telemetry wire carry) — the merge path re-creates a worker's children
-  /// without reconstructing Labels vectors.
-  Counter& counter_at(const std::string& name, const std::string& rendered_labels,
-                      const std::string& help = "");
-  Gauge& gauge_at(const std::string& name, const std::string& rendered_labels,
-                  const std::string& help = "");
-  Histogram& histogram_at(const std::string& name, const std::string& rendered_labels,
-                          const std::vector<double>& bounds,
-                          const std::string& help = "");
-
-  /// Consistent-enough copy of every child for telemetry shipping. Values
-  /// are relaxed-atomic reads; histogram counts derive from the buckets (see
-  /// Histogram::mirror), so a snapshot never exposes a torn count/bucket
-  /// pair.
+  /// Consistent-enough copy of every child, for programmatic readers (tests,
+  /// benches) that would otherwise parse prometheus_text(). Values are
+  /// relaxed-atomic reads; a histogram sample carries its buckets only, so a
+  /// snapshot never exposes a torn count/bucket pair.
   std::vector<MetricSample> snapshot() const;
 
   /// Prometheus text exposition format (# HELP / # TYPE + samples).

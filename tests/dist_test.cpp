@@ -382,16 +382,44 @@ TEST(DistCampaign, TwoWorkerProcessesMatchSerialByteIdentical) {
   EXPECT_GT(metrics.counter("dts_dist_bytes_received_total").value(), 0u);
 }
 
+/// dts_runs_total summed over every outcome series.
+std::uint64_t runs_total(const obs::MetricsRegistry& metrics) {
+  std::uint64_t total = 0;
+  for (const obs::MetricSample& s : metrics.snapshot()) {
+    if (s.name == "dts_runs_total") total += s.counter_value;
+  }
+  return total;
+}
+
+/// The names (fault ids) of the Chrome trace's run events, sorted.
+std::vector<std::string> run_event_names(const obs::MetricsRegistry& metrics) {
+  const std::string json = metrics.chrome_trace_json();
+  const std::string name_key = "\"name\":\"";
+  const std::string run_cat = "\",\"cat\":\"run\"";
+  std::vector<std::string> names;
+  for (std::size_t at = json.find(run_cat); at != std::string::npos;
+       at = json.find(run_cat, at + run_cat.size())) {
+    const std::size_t begin = json.rfind(name_key, at) + name_key.size();
+    names.push_back(json.substr(begin, at - begin));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 /// One campaign's output on one execution path: the set, its journal, its
 /// middleware-span observation counts and summed sim microseconds keyed by
-/// span name (worker labels of a fleet's telemetry folded together), how
-/// many runs were synthesized, and dts_runs_total summed over every series.
+/// span name, how many runs were synthesized, dts_runs_total summed over
+/// every series, the Chrome trace's run events, the dts_run_wall_seconds
+/// observations, and the dts_activations_total values by label set.
 struct PathOutput {
   core::WorkloadSetResult set;
   exec::JournalFile journal;
   std::map<std::string, std::pair<std::uint64_t, std::int64_t>> spans;
   std::uint64_t synthesized = 0;
   std::uint64_t runs_total = 0;
+  std::vector<std::string> run_events;
+  std::uint64_t wall_observations = 0;
+  std::map<std::string, std::uint64_t> activations;
 };
 
 /// The journal's records in fault order, each rendered in the record codec
@@ -437,9 +465,14 @@ PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
   auto file = exec::read_journal_file(journal, &error);
   EXPECT_TRUE(file.has_value()) << error;
   if (file) out.journal = std::move(*file);
+  out.runs_total = runs_total(metrics);
+  out.run_events = run_event_names(metrics);
   for (const obs::MetricSample& s : metrics.snapshot()) {
     if (s.name == "dts_snap_synthesized_runs_total") out.synthesized += s.counter_value;
-    if (s.name == "dts_runs_total") out.runs_total += s.counter_value;
+    if (s.name == "dts_activations_total") out.activations[s.labels] = s.counter_value;
+    if (s.name == "dts_run_wall_seconds") {
+      for (std::uint64_t b : s.buckets) out.wall_observations += b;
+    }
     if (s.kind != 'h' || s.name != "dts_middleware_span_seconds") continue;
     const std::size_t at = s.labels.find("span=\"");
     const std::string span = s.labels.substr(at + 6, s.labels.find('"', at + 6) - at - 6);
@@ -456,9 +489,10 @@ PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
 // coordinator synthesizes the never-firing runs journals identical records
 // apart from wall time and the lease in the execution index — and the
 // wire-only fields reach results.csv (requests, detail) and the span metrics
-// identically too. With synthesis on a fleet, every record is counted once in
-// dts_runs_total: the synthesized ones by the coordinator, the rest through
-// the workers' telemetry.
+// identically too. Every path derives its per-run metrics from those records
+// in the one sink: each record is counted once in dts_runs_total and
+// dts_run_wall_seconds and traced as one Chrome run event, and the
+// activation series carry the same labels and values on every path.
 TEST(DistCampaign, ThreadForkAndWorkerPathsYieldIdenticalRecords) {
   const core::RunConfig cfg = make_config("Apache1", mw::MiddlewareKind::kMscs);
   core::CampaignOptions opt;
@@ -493,6 +527,22 @@ TEST(DistCampaign, ThreadForkAndWorkerPathsYieldIdenticalRecords) {
   EXPECT_EQ(synth.spans, threads.spans);
   EXPECT_EQ(workers.spans, threads.spans);
   EXPECT_EQ(fleet_synth.spans, threads.spans);
+
+  std::vector<std::string> fault_ids;
+  for (const exec::JournalRecord& rec : threads.journal.records) {
+    fault_ids.push_back(rec.fault_id);
+  }
+  std::sort(fault_ids.begin(), fault_ids.end());
+  EXPECT_EQ(threads.run_events, fault_ids);
+  EXPECT_EQ(threads.runs_total, fault_ids.size());
+  EXPECT_EQ(threads.wall_observations, fault_ids.size());
+  EXPECT_FALSE(threads.activations.empty());
+  for (const PathOutput* path : {&synth, &workers, &fleet_synth}) {
+    EXPECT_EQ(path->runs_total, threads.runs_total);
+    EXPECT_EQ(path->run_events, threads.run_events);
+    EXPECT_EQ(path->wall_observations, threads.wall_observations);
+    EXPECT_EQ(path->activations, threads.activations);
+  }
 }
 
 // A planned campaign runs on a fleet round by round. With adaptive sampling
@@ -675,7 +725,8 @@ TEST(DistCampaign, TracedRecordsAndForensicsFilesMatchInProcess) {
 }
 
 // Kill one worker mid-shard: its lease is reassigned (exactly once) and the
-// campaign still completes byte-identical to serial.
+// campaign still completes byte-identical to serial. The result the crashed
+// worker streamed before dying is counted like every other accepted record.
 TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
   const core::RunConfig cfg = make_config("Apache1");
   const inject::FaultList list = capped_list(cfg, 7, 20);
@@ -706,6 +757,7 @@ TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
   EXPECT_EQ(run_lines(distributed.runs), run_lines(serial.runs));
   EXPECT_EQ(metrics.counter("dts_dist_leases_reassigned_total").value(), 1u);
   EXPECT_EQ(metrics.counter("dts_dist_leases_expired_total").value(), 0u);
+  EXPECT_EQ(runs_total(metrics), distributed.executed);
 
   int status = 0;
   ASSERT_EQ(::waitpid(crasher, &status, 0), crasher);

@@ -1,14 +1,15 @@
 // Tests for the fleet observability layer (src/obs/fleet/): event-log
-// ordering, telemetry encode/decode/merge, causal execution indices in the
-// run journal, the stall detector, the live HTTP endpoint (including
-// concurrent scrapes during an active campaign), worker telemetry totals
-// against the journal, and the journal-merging report generator across
-// schema versions. Labelled `fleet` in CTest.
+// ordering, causal execution indices in the run journal, the stall detector,
+// the live HTTP endpoint (including concurrent scrapes during an active
+// campaign), a fleet's run metrics and status rows against the journal, and
+// the journal-merging report generator across schema versions. Labelled
+// `fleet` in CTest.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,7 +29,6 @@
 #include "obs/fleet/span.h"
 #include "obs/fleet/stall.h"
 #include "obs/fleet/status.h"
-#include "obs/fleet/telemetry.h"
 #include "obs/metrics.h"
 
 namespace dts {
@@ -154,75 +154,6 @@ TEST(FleetEvents, DistributedCampaignRecordsConnectBeforeLease) {
   ASSERT_TRUE(saw_connect);
   ASSERT_TRUE(saw_lease);
   EXPECT_LT(connect_seq, lease_seq);
-}
-
-// --- telemetry encode/decode/merge ---------------------------------------
-
-TEST(FleetTelemetry, SnapshotSurvivesEncodeDecodeRoundTrip) {
-  obs::MetricsRegistry registry;
-  registry.counter("dts_runs_total", {{"outcome", "normal"}}, "runs").inc(41);
-  registry.gauge("dts_budget_seconds", {{"fn", "ReadFile"}}, "budget").set(0.125);
-  obs::Histogram& h = registry.histogram("dts_wall_seconds", {},
-                                         {0.001, 0.01, 0.1}, "wall");
-  h.observe(0.0005);
-  h.observe(0.05);
-  h.observe(5.0);
-
-  const std::string encoded = obs::fleet::encode_samples(registry.snapshot());
-  const std::vector<obs::MetricSample> decoded = obs::fleet::decode_samples(encoded);
-  // Round-tripping the decoded samples reproduces the payload byte for byte.
-  EXPECT_EQ(obs::fleet::encode_samples(decoded), encoded);
-
-  bool saw_hist = false;
-  for (const auto& s : decoded) {
-    if (s.name != "dts_wall_seconds") continue;
-    saw_hist = true;
-    ASSERT_EQ(s.bounds.size(), 3u);
-    ASSERT_EQ(s.buckets.size(), 4u);  // +Inf last
-    EXPECT_EQ(s.buckets[0], 1u);
-    EXPECT_EQ(s.buckets[2], 1u);
-    EXPECT_EQ(s.buckets[3], 1u);
-  }
-  EXPECT_TRUE(saw_hist);
-}
-
-TEST(FleetTelemetry, DecodeSkipsMalformedLines) {
-  const std::string payload =
-      "c\tdts_ok_total\t\t5\thelp\n"
-      "totally not a sample\n"
-      "h\tdts_broken\t\t1 2;9;0\t\n"  // bucket count != bounds count + 1
-      "g\tdts_ok_gauge\t\t1.5\t\n";
-  const auto samples = obs::fleet::decode_samples(payload);
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].name, "dts_ok_total");
-  EXPECT_EQ(samples[0].counter_value, 5u);
-  EXPECT_EQ(samples[1].name, "dts_ok_gauge");
-  EXPECT_DOUBLE_EQ(samples[1].gauge_value, 1.5);
-}
-
-TEST(FleetTelemetry, MergeSplicesWorkerLabelAndStaysMonotonic) {
-  obs::MetricsRegistry worker;
-  worker.counter("dts_runs_total", {{"outcome", "normal"}}, "runs").inc(7);
-
-  obs::MetricsRegistry fleet;
-  obs::fleet::merge_samples(fleet, 3, obs::fleet::decode_samples(
-                                          obs::fleet::encode_samples(worker.snapshot())));
-  obs::Counter& merged = fleet.counter_at(
-      "dts_runs_total", "{outcome=\"normal\",worker=\"3\"}", "runs");
-  EXPECT_EQ(merged.value(), 7u);
-
-  // A stale (older) snapshot arriving after a newer one can't wind back.
-  obs::MetricsRegistry stale;
-  stale.counter("dts_runs_total", {{"outcome", "normal"}}, "runs").inc(2);
-  obs::fleet::merge_samples(fleet, 3, stale.snapshot());
-  EXPECT_EQ(merged.value(), 7u);
-
-  // Other workers land in distinct children.
-  obs::fleet::merge_samples(fleet, 4, worker.snapshot());
-  EXPECT_EQ(fleet.counter_at("dts_runs_total", "{outcome=\"normal\",worker=\"4\"}")
-                .value(),
-            7u);
-  EXPECT_EQ(merged.value(), 7u);
 }
 
 // --- stall detector ------------------------------------------------------
@@ -473,12 +404,24 @@ TEST(FleetSpan, JournalRecordsCarryExecutionIndices) {
   }
 }
 
-// --- worker telemetry totals vs the journal ------------------------------
+// --- a fleet's run metrics vs the journal ------------------------------
 
-// The tentpole acceptance bar: with telemetry on, the per-worker run totals
-// merged into the coordinator registry sum exactly to the journal's record
-// count — the fleet view and the durable record agree run for run.
-TEST(FleetTelemetry, WorkerRunTotalsSumExactlyToJournalRecords) {
+/// Sums every `"key":N` value in a JSON text.
+std::uint64_t sum_json_field(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  std::uint64_t total = 0;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + needle.size())) {
+    total += std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
+  }
+  return total;
+}
+
+// The coordinator's one sink counts every record it accepts, so a fleet's
+// run totals — per outcome and per worker — sum exactly to the journal's
+// record count, and the /status worker rows' failure tallies to its failure
+// records: the fleet view and the durable record agree run for run.
+TEST(FleetMetrics, RunTotalsSumExactlyToJournalRecords) {
   const core::RunConfig cfg = make_config("Apache1");
   const inject::FaultList list = capped_list(cfg, 7, 12);
   const std::string journal = temp_path("fleet_totals.jsonl");
@@ -486,41 +429,46 @@ TEST(FleetTelemetry, WorkerRunTotalsSumExactlyToJournalRecords) {
 
   obs::MetricsRegistry metrics;
   obs::fleet::FleetEventLog events;
+  obs::fleet::StatusBoard board;
   core::CampaignOptions campaign;
   campaign.seed = 7;
   campaign.journal_path = journal;
   campaign.metrics = &metrics;
+  campaign.status = &board;
   dist::DistOptions d;
   d.spawn_workers = 2;
   d.events = &events;
-  d.telemetry_ms = 50;
   dist::Coordinator coordinator(campaign, d);
   const exec::CampaignResult result =
       exec::CampaignExecutor(campaign, {}, nullptr, &coordinator).run(cfg, list, 7);
   ASSERT_FALSE(result.runs.empty());
 
-  std::uint64_t worker_runs = 0;
-  bool saw_worker_child = false;
+  std::uint64_t runs = 0, worker_runs = 0;
   for (const auto& s : metrics.snapshot()) {
-    if (s.name != "dts_runs_total") continue;
-    if (s.labels.find("worker=\"") == std::string::npos) continue;
-    saw_worker_child = true;
-    worker_runs += s.counter_value;
+    if (s.name == "dts_runs_total") runs += s.counter_value;
+    if (s.name == "dts_dist_worker_runs_total") worker_runs += s.counter_value;
   }
-  ASSERT_TRUE(saw_worker_child);
-  EXPECT_GT(metrics.counter("dts_fleet_telemetry_frames_total").value(), 0u);
 
   std::string error;
   const auto file = exec::read_journal_file(journal, &error);
   ASSERT_TRUE(file.has_value()) << error;
+  EXPECT_EQ(runs, file->records.size());
   EXPECT_EQ(worker_runs, file->records.size());
 
-  // Distributed records carry their lease in the execution index (never 0).
+  std::uint64_t failures = 0;
   for (const auto& rec : file->records) {
+    // Distributed records carry their lease in the execution index (never 0).
     const std::size_t slash = rec.exec_index.find('/');
     ASSERT_NE(slash, std::string::npos);
     EXPECT_NE(rec.exec_index[slash + 1], '0');
+    core::RunResult run;
+    ASSERT_TRUE(core::parse_run_line(cfg.workload.target_image, rec.run_line, &run, nullptr));
+    if (run.outcome == core::Outcome::kFailure) ++failures;
   }
+  EXPECT_GT(failures, 0u);
+  const std::string status = board.status_json();
+  const std::string workers = status.substr(status.find("\"workers\":["));
+  EXPECT_EQ(sum_json_field(workers, "failures"), failures);
 }
 
 // --- journal compat + report ---------------------------------------------

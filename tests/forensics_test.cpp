@@ -177,7 +177,7 @@ void replay_whole_journal(const exec::JournalFile& file, const char* label) {
     EXPECT_TRUE(replay->outcome_match)
         << label << " record #" << rec.index << " fault " << rec.fault_id
         << ": journal " << replay->journal_outcome << " vs replay "
-        << exec::outcome_label(replay->run.outcome);
+        << core::outcome_code(replay->run.outcome);
     EXPECT_TRUE(replay->run_line_match)
         << label << " record #" << rec.index << ": " << rec.run_line << " vs "
         << replay->run_line;

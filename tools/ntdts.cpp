@@ -270,7 +270,7 @@ int cmd_replay(int argc, char** argv) {
   if (!rec->exec_index.empty()) std::cout << " (xi " << rec->exec_index << ")";
   std::cout << "\nconfiguration from " << replay->config_source << "\n";
   std::cout << "journal outcome:  " << replay->journal_outcome << "\n";
-  std::cout << "replayed outcome: " << exec::outcome_label(replay->run.outcome)
+  std::cout << "replayed outcome: " << core::outcome_code(replay->run.outcome)
             << (replay->outcome_match ? "" : "   <-- MISMATCH") << "\n";
   std::cout << "run line match:   " << (replay->run_line_match ? "yes" : "NO")
             << "\n";
