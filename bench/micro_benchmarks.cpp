@@ -3,6 +3,12 @@
 // ablation: syscall dispatch with and without the interception hook.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "apps/sql_engine.h"
 #include "apps/http.h"
 #include "core/campaign.h"
@@ -49,6 +55,39 @@ void BM_SimSleepWake(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSleepWake);
 
+/// Same-instant wakes: two simulated threads hand the turn back and forth
+/// without simulated time passing, so every event is the resume hop of a
+/// wake at the current instant (the event queue's FIFO lane), and every
+/// wait takes a fresh token from nt::make_wait.
+void BM_SimSameInstantWakes(benchmark::State& state) {
+  sim::Simulation simu;
+  nt::Machine m{simu, nt::MachineConfig{}};
+  std::uint64_t hops = 0;
+  std::array<sim::WakePtr, 2> waiting;
+  const auto player = [&simu, &hops, &waiting](int me) {
+    return [&simu, &hops, &waiting, me](nt::Ctx c) -> sim::Task {
+      for (;;) {
+        waiting[me] = nt::make_wait(c);
+        const sim::WakePtr mine = waiting[me];
+        sim::wake(simu, waiting[1 - me], sim::WakeReason::kSignaled);
+        co_await nt::await_token(c, mine, std::nullopt);
+        ++hops;
+      }
+    };
+  };
+  m.register_program("ping.exe", player(0));
+  m.register_program("pong.exe", player(1));
+  m.start_process("ping.exe", "ping.exe");
+  m.start_process("pong.exe", "pong.exe");
+  for (auto _ : state) {
+    const std::uint64_t before = hops;
+    while (hops < before + 1000) simu.step();
+  }
+  benchmark::DoNotOptimize(hops);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_SimSameInstantWakes);
+
 /// Alloc/write/read/free cycles. The bump allocator never reuses a freed
 /// range (simulated addresses decide pointer-corruption outcomes), so one
 /// address space would run out after ~490k cycles: each iteration runs a
@@ -67,6 +106,24 @@ void BM_VirtualMemoryAllocFree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_VirtualMemoryAllocFree);
+
+/// read_cstr of path-sized strings among a run's worth of live blocks: one
+/// block lookup plus the scan for the NUL.
+void BM_VirtualMemoryReadCstr(benchmark::State& state) {
+  constexpr std::size_t kStrings = 256;
+  nt::VirtualMemory vm;
+  std::vector<nt::Ptr> strings;
+  for (std::size_t i = 0; i < kStrings; ++i) {
+    strings.push_back(
+        vm.alloc_cstr("C:\\inetpub\\wwwroot\\docs\\page" + std::to_string(i) + ".html"));
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vm.read_cstr(strings[k++ % kStrings]));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_VirtualMemoryReadCstr);
 
 /// Ablation: cost of a syscall through the dispatcher, with and without the
 /// DTS interception hook installed (the paper's LCI layer).

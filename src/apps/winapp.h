@@ -66,6 +66,8 @@ inline sim::CoTask<std::optional<std::string>> read_file_syscall(const Api& api,
                               nt::kOpenExisting, 0, 0);
   if (h == nt::kInvalidHandleValue) co_return std::nullopt;
   std::string out;
+  // A host-side capacity hint, not a syscall: nothing simulated reads it.
+  if (const auto size = api.machine().fs().size(path)) out.reserve(*size);
   const Ptr buffer = api.buf(chunk_size);
   const Ptr n_read = api.buf(4);
   for (;;) {

@@ -70,6 +70,9 @@ struct Coordinator::Impl {
   std::deque<std::size_t> pending;     // its ascending entry indices awaiting a lease
 
   std::vector<std::unique_ptr<Conn>> conns;
+  // /status rows of swept connections: a departed worker's runs still add
+  // up to the journal.
+  std::vector<obs::fleet::WorkerRow> departed;
   std::uint64_t next_lease_id = 0;
   int next_worker_id = 0;
   std::size_t outstanding_total = 0;  // leased indices with no result yet
@@ -96,27 +99,37 @@ struct Coordinator::Impl {
     }
   }
 
+  static obs::fleet::WorkerRow status_row(const Conn& c, Clock::time_point now) {
+    obs::fleet::WorkerRow row;
+    row.worker_id = c.worker_id;
+    row.runs = c.runs;
+    const double secs = ms_between(c.first_seen, now) / 1e3;
+    row.runs_per_sec = secs > 0 ? static_cast<double>(c.runs) / secs : 0.0;
+    // A lease with every result in reads as idle: the worker's closing READY
+    // can arrive after the campaign ends, or never.
+    row.outstanding = c.lease ? c.lease->outstanding.size() : 0;
+    row.lease_id = row.outstanding != 0 ? c.lease->id : 0;
+    row.failures = c.failures;
+    for (const std::string& id : c.recent_failures) {
+      if (!row.recent_failures.empty()) row.recent_failures += ' ';
+      row.recent_failures += id;
+    }
+    row.gone = c.dead;
+    return row;
+  }
+
   void update_status_workers(Clock::time_point now) {
     if (campaign->status == nullptr) return;
-    std::vector<obs::fleet::WorkerRow> rows;
-    rows.reserve(conns.size());
-    for (const auto& c : conns) {
-      if (c->dead) continue;
-      obs::fleet::WorkerRow row;
-      row.worker_id = c->worker_id;
-      row.runs = c->runs;
-      const double secs = ms_between(c->first_seen, now) / 1e3;
-      row.runs_per_sec = secs > 0 ? static_cast<double>(c->runs) / secs : 0.0;
-      row.lease_id = c->lease ? c->lease->id : 0;
-      row.outstanding = c->lease ? c->lease->outstanding.size() : 0;
-      row.failures = c->failures;
-      for (const std::string& id : c->recent_failures) {
-        if (!row.recent_failures.empty()) row.recent_failures += ' ';
-        row.recent_failures += id;
-      }
-      rows.push_back(std::move(row));
-    }
+    std::vector<obs::fleet::WorkerRow> rows = departed;
+    for (const auto& c : conns) rows.push_back(status_row(*c, now));
+    std::sort(rows.begin(), rows.end(),
+              [](const auto& a, const auto& b) { return a.worker_id < b.worker_id; });
     campaign->status->update_workers(std::move(rows));
+  }
+
+  /// Keeps a dead connection's final row, its lease already reassigned.
+  void depart(const Conn& c, Clock::time_point now) {
+    if (campaign->status != nullptr) departed.push_back(status_row(c, now));
   }
 
   void update_live() {
@@ -322,6 +335,7 @@ struct Coordinator::Impl {
       if (!c->dead) continue;
       reassign_lease(*c, /*expired=*/false);
       finish_worker_rate(*c, now);
+      depart(*c, now);
       event(obs::fleet::FleetEventKind::kWorkerDisconnect, c->worker_id, 0,
             std::to_string(c->runs) + " runs streamed");
     }
@@ -336,6 +350,7 @@ struct Coordinator::Impl {
       reassign_lease(*c, /*expired=*/true);
       finish_worker_rate(*c, now);
       c->dead = true;  // the socket may still be open; the worker is not
+      depart(*c, now);
       event(obs::fleet::FleetEventKind::kWorkerDisconnect, c->worker_id, 0,
             "lease timeout");
     }
@@ -383,6 +398,10 @@ struct Coordinator::Impl {
       c->sock = std::move(s);
       c->worker_id = next_worker_id++;
       c->first_seen = c->last_seen = now;
+      if (campaign->metrics != nullptr) {
+        campaign->metrics->set_thread_name(c->worker_id,
+                                           "fleet-worker-" + std::to_string(c->worker_id));
+      }
       event(obs::fleet::FleetEventKind::kWorkerConnect, c->worker_id, 0, "");
       conns.push_back(std::move(c));
     }

@@ -14,6 +14,10 @@ namespace dts::exec {
 
 namespace {
 
+/// Chrome trace row of golden-tail synthesized runs, apart from the rows
+/// 0..N-1 of the workers of either pool.
+constexpr int kSynthesisRow = -1;
+
 core::RunResult skipped_result(const inject::FaultSpec& fault) {
   core::RunResult r;
   r.fault = fault;
@@ -333,9 +337,12 @@ CampaignResult CampaignExecutor::run_rounds(const core::RunConfig& base,
     std::vector<SynthesizedRun> synthesized =
         synthesize_golden_tail(base, campaign_seed, campaign_digest, tail);
     std::uint64_t skipped_sim_us = 0;
+    if (options_.metrics != nullptr && !synthesized.empty()) {
+      options_.metrics->set_thread_name(kSynthesisRow, "synthesis");
+    }
     for (SynthesizedRun& s : synthesized) {
       skipped_sim_us += s.record.sim_us;
-      complete(s.index, std::move(s.result), std::move(s.record), 0, 0);
+      complete(s.index, std::move(s.result), std::move(s.record), kSynthesisRow, 0);
     }
     emit_snap_metrics(options_.metrics, base, synthesized.size(),
                       tail.size() - synthesized.size(), skipped_sim_us);

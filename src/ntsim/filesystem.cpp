@@ -11,6 +11,8 @@ char lower(char c) { return static_cast<char>(std::tolower(static_cast<unsigned 
 
 bool is_sep(char c) { return c == '\\' || c == '/'; }
 
+void fold_in_place(std::string& s) { std::transform(s.begin(), s.end(), s.begin(), lower); }
+
 }  // namespace
 
 Filesystem::Filesystem() {
@@ -53,8 +55,14 @@ std::optional<std::string> Filesystem::normalize(std::string_view path) {
 
 std::string Filesystem::fold(std::string_view normalized) {
   std::string out(normalized);
-  std::transform(out.begin(), out.end(), out.begin(), lower);
+  fold_in_place(out);
   return out;
+}
+
+std::optional<std::string> Filesystem::key_of(std::string_view path) {
+  auto key = normalize(path);
+  if (key) fold_in_place(*key);
+  return key;
 }
 
 std::optional<std::string> Filesystem::parent_of(std::string_view normalized) {
@@ -69,8 +77,8 @@ Win32Error Filesystem::mkdir(std::string_view path) {
   if (!norm) return Win32Error::kInvalidName;
   const std::string key = fold(*norm);
   if (dirs_.contains(key) || files_.contains(key)) return Win32Error::kAlreadyExists;
-  auto parent = parent_of(*norm);
-  if (!parent || !dirs_.contains(fold(*parent))) return Win32Error::kPathNotFound;
+  auto parent = parent_of(key);
+  if (!parent || !dirs_.contains(*parent)) return Win32Error::kPathNotFound;
   dirs_.emplace(key, *norm);
   return Win32Error::kSuccess;
 }
@@ -91,10 +99,9 @@ void Filesystem::mkdirs(std::string_view path) {
 }
 
 Win32Error Filesystem::rmdir(std::string_view path) {
-  auto norm = normalize(path);
-  if (!norm) return Win32Error::kInvalidName;
-  const std::string key = fold(*norm);
-  auto it = dirs_.find(key);
+  const auto key = key_of(path);
+  if (!key) return Win32Error::kInvalidName;
+  auto it = dirs_.find(*key);
   if (it == dirs_.end()) return Win32Error::kPathNotFound;
   if (!list(path).empty()) return Win32Error::kDirNotEmpty;
   dirs_.erase(it);
@@ -102,25 +109,24 @@ Win32Error Filesystem::rmdir(std::string_view path) {
 }
 
 bool Filesystem::exists(std::string_view path) const {
-  auto norm = normalize(path);
-  if (!norm) return false;
-  const std::string key = fold(*norm);
-  return dirs_.contains(key) || files_.contains(key);
+  const auto key = key_of(path);
+  return key && (dirs_.contains(*key) || files_.contains(*key));
 }
 
 bool Filesystem::is_directory(std::string_view path) const {
-  auto norm = normalize(path);
-  return norm && dirs_.contains(fold(*norm));
+  const auto key = key_of(path);
+  return key && dirs_.contains(*key);
 }
 
 bool Filesystem::is_file(std::string_view path) const {
-  auto norm = normalize(path);
-  return norm && files_.contains(fold(*norm));
+  const auto key = key_of(path);
+  return key && files_.contains(*key);
 }
 
 Dword Filesystem::attributes(std::string_view path) const {
-  if (is_directory(path)) return kFileAttributeDirectory;
-  if (is_file(path)) return kFileAttributeNormal;
+  const auto key = key_of(path);
+  if (key && dirs_.contains(*key)) return kFileAttributeDirectory;
+  if (key && files_.contains(*key)) return kFileAttributeNormal;
   return kInvalidFileAttributes;
 }
 
@@ -133,9 +139,9 @@ void Filesystem::put_file(std::string_view path, std::string_view contents) {
 }
 
 std::optional<std::string> Filesystem::get_file(std::string_view path) const {
-  auto norm = normalize(path);
-  if (!norm) return std::nullopt;
-  auto it = files_.find(fold(*norm));
+  const auto key = key_of(path);
+  if (!key) return std::nullopt;
+  auto it = files_.find(*key);
   if (it == files_.end()) return std::nullopt;
   return it->second.data();
 }
@@ -168,8 +174,8 @@ Win32Error Filesystem::open(std::string_view path, Dword access, Dword dispositi
   }
 
   if (!exists) {
-    auto parent = parent_of(*norm);
-    if (!parent || !dirs_.contains(fold(*parent))) return Win32Error::kPathNotFound;
+    auto parent = parent_of(key);
+    if (!parent || !dirs_.contains(*parent)) return Win32Error::kPathNotFound;
     files_.emplace(key, FileNode{*norm, std::make_shared<std::string>()});
     if (created != nullptr) *created = true;
   } else if (disposition == kCreateAlways || disposition == kTruncateExisting) {
@@ -212,17 +218,17 @@ Win32Error Filesystem::truncate(const std::string& canonical, Word new_size) {
 }
 
 std::optional<Word> Filesystem::size(std::string_view path) const {
-  auto norm = normalize(path);
-  if (!norm) return std::nullopt;
-  auto it = files_.find(fold(*norm));
+  const auto key = key_of(path);
+  if (!key) return std::nullopt;
+  auto it = files_.find(*key);
   if (it == files_.end()) return std::nullopt;
   return static_cast<Word>(it->second.data().size());
 }
 
 Win32Error Filesystem::remove(std::string_view path) {
-  auto norm = normalize(path);
-  if (!norm) return Win32Error::kInvalidName;
-  return files_.erase(fold(*norm)) > 0 ? Win32Error::kSuccess : Win32Error::kFileNotFound;
+  const auto key = key_of(path);
+  if (!key) return Win32Error::kInvalidName;
+  return files_.erase(*key) > 0 ? Win32Error::kSuccess : Win32Error::kFileNotFound;
 }
 
 Win32Error Filesystem::move(std::string_view from, std::string_view to) {
@@ -256,9 +262,9 @@ Win32Error Filesystem::copy(std::string_view from, std::string_view to, bool fai
 
 std::vector<std::string> Filesystem::list(std::string_view dir, std::string_view pattern) const {
   std::vector<std::string> out;
-  auto norm = normalize(dir);
-  if (!norm || !dirs_.contains(fold(*norm))) return out;
-  const std::string prefix = fold(*norm) + "\\";
+  const auto dir_key = key_of(dir);
+  if (!dir_key || !dirs_.contains(*dir_key)) return out;
+  const std::string prefix = *dir_key + "\\";
 
   auto collect = [&](const std::string& key, const std::string& display) {
     if (key.size() <= prefix.size() || key.compare(0, prefix.size(), prefix) != 0) return;

@@ -28,6 +28,7 @@ class FileObject final : public KernelObject {
 
   ObjectType type() const override { return ObjectType::kFile; }
 
+  /// The canonical folded path: the file system's key for this file.
   const std::string& path() const { return path_; }
   Dword access() const { return access_; }
   Word offset() const { return offset_; }
@@ -135,6 +136,10 @@ class Filesystem {
   };
 
   static std::optional<std::string> parent_of(std::string_view normalized);
+
+  /// The lookup key of `path` built in one string: normalized, then folded
+  /// in place. nullopt where normalize() rejects the path.
+  static std::optional<std::string> key_of(std::string_view path);
 
   /// The node's content string, cloned first if a slice or a copy shares it.
   std::string& writable(FileNode& node);

@@ -269,8 +269,7 @@ sim::CoTask<Word> Kernel32::do_read_file(Ctx c, const CallRecord& r, bool ex) {
   std::string piped;
   std::string_view data;
   if (auto* f = dynamic_cast<FileObject*>(obj.get())) {
-    const auto canonical = Filesystem::fold(*Filesystem::normalize(f->path()));
-    const Win32Error e = machine_->fs().read(canonical, f->offset(), to_read, &file_bytes);
+    const Win32Error e = machine_->fs().read(f->path(), f->offset(), to_read, &file_bytes);
     if (e != Win32Error::kSuccess) co_return s.fail(e);
     data = file_bytes.bytes;
     f->set_offset(f->offset() + static_cast<Word>(data.size()));
@@ -353,8 +352,7 @@ sim::CoTask<Word> Kernel32::do_write_file(Ctx c, const CallRecord& r, bool ex) {
 
   if (auto* f = dynamic_cast<FileObject*>(obj.get())) {
     if ((f->access() & kGenericWrite) == 0) co_return s.fail(Win32Error::kAccessDenied);
-    const auto canonical = Filesystem::fold(*Filesystem::normalize(f->path()));
-    const Win32Error e = machine_->fs().write(canonical, f->offset(), data);
+    const Win32Error e = machine_->fs().write(f->path(), f->offset(), data);
     if (e != Win32Error::kSuccess) co_return s.fail(e);
     f->set_offset(f->offset() + to_write);
   } else if (auto* np = dynamic_cast<NamedPipeEndObject*>(obj.get())) {

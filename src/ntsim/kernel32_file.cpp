@@ -21,11 +21,6 @@ FileObject* file_of(Sys& s, Word handle) {
   return dynamic_cast<FileObject*>(s.resolve(handle).get());
 }
 
-/// Canonical folded path of an open file (used as the filesystem key).
-std::string key_of(const FileObject& f) {
-  return Filesystem::fold(*Filesystem::normalize(f.path()));
-}
-
 /// Resolves a possibly-relative path against the process current directory.
 std::string resolve_path(Sys& s, const std::string& raw) {
   if (raw.size() >= 2 && raw[1] == ':') return raw;
@@ -222,7 +217,7 @@ Word sync_file(Sys& s, const CallRecord& r) {
     case Fn::SetEndOfFile: {
       FileObject* f = file_of(s, a[0]);
       if (f == nullptr) return s.fail(Win32Error::kInvalidHandle);
-      const Win32Error e = s.m.fs().truncate(key_of(*f), f->offset());
+      const Win32Error e = s.m.fs().truncate(f->path(), f->offset());
       return e == Win32Error::kSuccess ? 1 : s.fail(e);
     }
     case Fn::FlushFileBuffers: {

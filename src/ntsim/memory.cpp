@@ -1,5 +1,6 @@
 #include "ntsim/memory.h"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -10,21 +11,27 @@ namespace {
 constexpr Word kGuardGap = 4096;  // unmapped bytes between blocks
 
 /// The block of `blocks` containing [addr, addr+size), or nullptr: writable
-/// through a non-const map, read-only through a const one.
+/// through a non-const table, read-only through a const one.
 template <typename Blocks>
 auto* find_block(Blocks& blocks, Word addr, Word size, Word* offset) {
-  using BlockPtr = decltype(&blocks.begin()->second);
-  if (addr == 0 || blocks.empty()) return BlockPtr{nullptr};
-  auto it = blocks.upper_bound(addr);
+  using BlockPtr = decltype(blocks.data());
+  if (addr == 0) return BlockPtr{nullptr};
+  auto it = std::upper_bound(blocks.begin(), blocks.end(), addr,
+                             [](Word a, const auto& b) { return a < b.base; });
   if (it == blocks.begin()) return BlockPtr{nullptr};
   --it;
-  const Word base = it->first;
-  const Word block_size = it->second.size;
-  if (addr < base || addr - base > block_size) return BlockPtr{nullptr};
-  const Word off = addr - base;
-  if (size > block_size - off) return BlockPtr{nullptr};
+  const Word off = addr - it->base;
+  if (off > it->size || size > it->size - off) return BlockPtr{nullptr};
   if (offset != nullptr) *offset = off;
-  return &it->second;
+  return &*it;
+}
+
+/// The block starting exactly at `base`, or blocks.end().
+template <typename Blocks>
+auto block_at(Blocks& blocks, Word base) {
+  auto it = std::lower_bound(blocks.begin(), blocks.end(), base,
+                             [](const auto& b, Word a) { return b.base < a; });
+  return it != blocks.end() && it->base == base ? it : blocks.end();
 }
 
 }  // namespace
@@ -40,15 +47,15 @@ Ptr VirtualMemory::alloc(Word size) {
   }
   const Word base = next_addr_;
   next_addr_ = base + static_cast<Word>(usable) + kGuardGap;
-  blocks_.emplace(base, Block{size, std::vector<std::byte>(size, std::byte{0})});
+  blocks_.push_back(Block{base, size, std::vector<std::byte>(size, std::byte{0})});
   bytes_in_use_ += size;
   return Ptr{base};
 }
 
 bool VirtualMemory::free(Ptr p) {
-  auto it = blocks_.find(p.addr);
+  auto it = block_at(blocks_, p.addr);
   if (it == blocks_.end()) return false;
-  bytes_in_use_ -= it->second.size;
+  bytes_in_use_ -= it->size;
   blocks_.erase(it);
   return true;
 }
@@ -58,8 +65,8 @@ bool VirtualMemory::valid(Ptr p, Word size) const {
 }
 
 Word VirtualMemory::block_size(Ptr p) const {
-  auto it = blocks_.find(p.addr);
-  return it == blocks_.end() ? 0 : it->second.size;
+  auto it = block_at(blocks_, p.addr);
+  return it == blocks_.end() ? 0 : it->size;
 }
 
 void VirtualMemory::write(Ptr p, std::span<const std::byte> data) {
@@ -124,16 +131,21 @@ void VirtualMemory::write_cstr(Ptr p, std::string_view s) {
 }
 
 std::string VirtualMemory::read_cstr(Ptr p, Word max_len) const {
-  // Walk byte-by-byte within the containing block; running off the end of
-  // the block before a NUL is an access violation, as on real hardware.
-  std::string out;
-  for (Word i = 0; i < max_len; ++i) {
-    std::byte b;
-    read(p.offset(i), std::span{&b, 1});
-    if (b == std::byte{0}) return out;
-    out.push_back(static_cast<char>(b));
+  if (max_len == 0) return {};
+  // One lookup, then a scan within the block. Running off the end of the
+  // block before a NUL faults at the first byte past it (the guard gap
+  // leaves that byte unmapped), as on real hardware.
+  Word off = 0;
+  const Block* b = find_block(blocks_, p.addr, 1, &off);
+  if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
+  const Word avail = b->size - off;
+  const char* s = reinterpret_cast<const char*>(b->bytes.data()) + off;
+  const Word n = std::min(avail, max_len);
+  if (const void* nul = std::memchr(s, 0, n)) {
+    return std::string(s, static_cast<const char*>(nul));
   }
-  return out;  // truncated at max_len
+  if (max_len <= avail) return std::string(s, n);  // truncated at max_len
+  throw AccessViolation{b->base + b->size, /*is_write=*/false};
 }
 
 Ptr VirtualMemory::alloc_cstr(std::string_view s) {

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,9 +63,10 @@ class VirtualMemory {
   /// Writes `s` plus a NUL terminator.
   void write_cstr(Ptr p, std::string_view s);
 
-  /// Reads a NUL-terminated string of at most `max_len` bytes. Throws
-  /// AccessViolation if the string runs off the end of a live block before a
-  /// NUL is found (exactly how lstrlenA faults on a corrupted pointer).
+  /// Reads a NUL-terminated string of at most `max_len` bytes (none when
+  /// `max_len` is 0). Throws AccessViolation at the first byte past the block
+  /// if the string runs off the end of a live block before a NUL is found
+  /// (exactly how lstrlenA faults on a corrupted pointer).
   std::string read_cstr(Ptr p, Word max_len = 65536) const;
 
   /// Convenience: alloc + write_cstr.
@@ -77,11 +77,14 @@ class VirtualMemory {
 
  private:
   struct Block {
+    Word base = 0;
     Word size = 0;
     std::vector<std::byte> bytes;
   };
 
-  std::map<Word, Block> blocks_;  // keyed by base address
+  /// Live blocks sorted by base: alloc appends (next_addr_ only grows), and
+  /// lookups binary-search contiguous memory.
+  std::vector<Block> blocks_;
   Word next_addr_ = kBaseAddress;
   std::uint64_t bytes_in_use_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "ntsim/process.h"
 
+#include <memory>
 #include <stdexcept>
 
 #include "ntsim/kernel.h"
@@ -111,7 +112,7 @@ void Process::reap_thread(Tid tid, Dword code) {
 // ---------------------------------------------------------------------------
 
 sim::WakePtr make_wait(const Ctx& c) {
-  auto tok = std::make_shared<sim::WakeToken>();
+  auto tok = std::allocate_shared<sim::WakeToken>(sim::PoolAllocator<sim::WakeToken>{});
   c.thread().current_wait = tok;
   return tok;
 }

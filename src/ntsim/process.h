@@ -178,7 +178,8 @@ class Process {
 // that process teardown can cancel outstanding waits safely.
 // ---------------------------------------------------------------------------
 
-/// Creates a wake token registered as the current wait of `c`'s thread.
+/// Creates a wake token, taken from the block pool (sim/pool.h), registered
+/// as the current wait of `c`'s thread.
 sim::WakePtr make_wait(const Ctx& c);
 
 /// One blocking wait, as a plain awaitable rather than a coroutine, so a

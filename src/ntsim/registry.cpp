@@ -30,37 +30,43 @@ std::optional<std::string> Registry::normalize_key(std::string_view path) {
   return out;
 }
 
-bool Registry::create_key(std::string_view key) {
-  auto norm = normalize_key(key);
-  if (!norm) return false;
-  // Create every key along the path.
+bool Registry::create_key(std::string_view key) { return ensure_key(key) != nullptr; }
+
+Registry::Key* Registry::ensure_key(std::string_view key) {
+  const auto norm = normalize_key(key);
+  if (!norm) return nullptr;
+  // Create every key along the path. Folding works byte by byte, so each
+  // prefix's key is the same prefix of the folded path.
+  const std::string folded = fold(*norm);
   std::size_t start = 0;
-  while (start <= norm->size()) {
+  for (;;) {
     auto pos = norm->find('\\', start);
     if (pos == std::string::npos) pos = norm->size();
-    const std::string prefix = norm->substr(0, pos);
-    const std::string folded = fold(prefix);
-    if (!keys_.contains(folded)) keys_.emplace(folded, Key{prefix, {}, {}});
-    if (pos == norm->size()) break;
+    std::string prefix_key = folded.substr(0, pos);
+    auto it = keys_.find(prefix_key);
+    if (it == keys_.end()) {
+      it = keys_.emplace(std::move(prefix_key), Key{norm->substr(0, pos), {}, {}}).first;
+    }
+    if (pos == norm->size()) return &it->second;
     start = pos + 1;
   }
+}
+
+bool Registry::set_value(std::string_view key, std::string_view name, Value value) {
+  Key* k = ensure_key(key);
+  if (k == nullptr) return false;
+  std::string folded = fold(name);
+  k->values[folded] = std::move(value);
+  k->value_display[std::move(folded)] = std::string(name);
   return true;
 }
 
 bool Registry::set_string(std::string_view key, std::string_view name, std::string value) {
-  if (!create_key(key)) return false;
-  Key& k = keys_.at(fold(*normalize_key(key)));
-  k.values[fold(name)] = Value{std::move(value)};
-  k.value_display[fold(name)] = std::string(name);
-  return true;
+  return set_value(key, name, Value{std::move(value)});
 }
 
 bool Registry::set_dword(std::string_view key, std::string_view name, Dword value) {
-  if (!create_key(key)) return false;
-  Key& k = keys_.at(fold(*normalize_key(key)));
-  k.values[fold(name)] = Value{value};
-  k.value_display[fold(name)] = std::string(name);
-  return true;
+  return set_value(key, name, Value{value});
 }
 
 bool Registry::key_exists(std::string_view key) const {

@@ -60,6 +60,11 @@ class Registry {
 
   static std::string fold(std::string_view s);
 
+  /// The key at `key`, created with any missing parents after one normalize
+  /// and one fold of the path. Null on a malformed path.
+  Key* ensure_key(std::string_view key);
+  bool set_value(std::string_view key, std::string_view name, Value value);
+
   std::map<std::string, Key> keys_;  // folded path -> key
 };
 

@@ -70,7 +70,7 @@ std::string StatusBoard::status_json(const FleetEventLog* events) const {
         << ",\"runs_per_sec\":" << num(w.runs_per_sec) << ",\"lease\":" << w.lease_id
         << ",\"outstanding\":" << w.outstanding << ",\"failures\":" << w.failures
         << ",\"recent_failures\":\"" << obs::json_escape(w.recent_failures)
-        << "\"}";
+        << "\",\"gone\":" << (w.gone ? "true" : "false") << "}";
   }
   out << "]";
   if (events != nullptr) {

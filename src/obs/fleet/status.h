@@ -34,6 +34,7 @@ struct WorkerRow {
   std::uint64_t outstanding = 0;    // leased faults with no result yet
   std::uint64_t failures = 0;       // its accepted results that failed
   std::string recent_failures;      // space-joined fault ids, newest last
+  bool gone = false;                // disconnected; the row keeps its totals
 };
 
 struct RunEntry {

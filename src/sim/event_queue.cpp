@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <utility>
 
@@ -16,20 +17,46 @@ void EventQueue::push(TimePoint at, Event ev) {
     free_slots_.pop_back();
     slots_[slot] = std::move(ev);
   }
-  heap_.push_back(Key{at, next_seq_++, slot});
+  const Key key{at, next_seq_++, slot};
+  if (at == last_pop_ && (lane_.empty() || lane_.back().at == at)) {
+    // Drop the popped prefix once it outweighs the pending keys: a long
+    // same-instant chain never grows the lane past twice what is pending.
+    if (lane_head_ >= 32 && 2 * lane_head_ >= lane_.size()) {
+      lane_.erase(lane_.begin(), lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+      lane_head_ = 0;
+    }
+    lane_.push_back(key);
+    return;
+  }
+  heap_.push_back(key);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
+bool EventQueue::lane_first() const {
+  return lane_head_ != lane_.size() &&
+         (heap_.empty() || Later{}(heap_.front(), lane_[lane_head_]));
+}
+
 TimePoint EventQueue::next_time() const {
-  if (heap_.empty()) throw std::logic_error("EventQueue::next_time on empty queue");
-  return heap_.front().at;
+  if (empty()) throw std::logic_error("EventQueue::next_time on empty queue");
+  return lane_first() ? lane_[lane_head_].at : heap_.front().at;
 }
 
 EventQueue::Event EventQueue::pop(TimePoint* at) {
-  if (heap_.empty()) throw std::logic_error("EventQueue::pop on empty queue");
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key key = heap_.back();
-  heap_.pop_back();
+  if (empty()) throw std::logic_error("EventQueue::pop on empty queue");
+  Key key;
+  if (lane_first()) {
+    key = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    key = heap_.back();
+    heap_.pop_back();
+  }
+  last_pop_ = key.at;
   if (at != nullptr) *at = key.at;
   // Moved out before the caller runs it: running an event may push others,
   // which can reuse this slot or grow the arena.

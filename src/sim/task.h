@@ -5,7 +5,8 @@
 // simulation event queue, never inline — through a WakeToken. WakeTokens make
 // it safe to destroy a whole simulated process (crash semantics) while its
 // threads are blocked: killing marks each token dead, and any already-queued
-// resume event sees the flag and does nothing.
+// resume event sees the flag and does nothing. Coroutine frames come from the
+// per-thread block pool (sim/pool.h), not the host heap.
 #pragma once
 
 #include <coroutine>
@@ -15,6 +16,7 @@
 #include <optional>
 #include <utility>
 
+#include "sim/pool.h"
 #include "sim/simulation.h"
 
 namespace dts::sim {
@@ -71,7 +73,7 @@ class WaitOn {
 /// thread (stack unwinding runs destructors of locals in every frame).
 class Task {
  public:
-  struct promise_type {
+  struct promise_type : PooledFrame {
     std::function<void(std::exception_ptr)> on_complete;
     std::exception_ptr error;
 
@@ -150,7 +152,7 @@ class Task {
 template <typename T>
 class [[nodiscard]] CoTask {
  public:
-  struct promise_type {
+  struct promise_type : PooledFrame {
     std::coroutine_handle<> continuation;
     std::optional<T> value;
     std::exception_ptr error;
@@ -203,7 +205,7 @@ class [[nodiscard]] CoTask {
 template <>
 class [[nodiscard]] CoTask<void> {
  public:
-  struct promise_type {
+  struct promise_type : PooledFrame {
     std::coroutine_handle<> continuation;
     std::exception_ptr error;
 

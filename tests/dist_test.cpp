@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -31,6 +33,7 @@
 #include "exec/journal.h"
 #include "exec/sink.h"
 #include "obs/fleet/span.h"
+#include "obs/fleet/status.h"
 #include "obs/metrics.h"
 
 namespace dts {
@@ -391,6 +394,47 @@ std::uint64_t runs_total(const obs::MetricsRegistry& metrics) {
   return total;
 }
 
+/// The values of every `"key":<number>` field in `json`.
+std::vector<std::uint64_t> json_numbers(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  std::vector<std::uint64_t> values;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + needle.size())) {
+    values.push_back(std::strtoull(json.c_str() + at + needle.size(), nullptr, 10));
+  }
+  return values;
+}
+
+/// The Chrome trace's rows: the tids a thread_name names, and for each tid
+/// carrying run events whether they were leased (execution-index lease != 0)
+/// or ran in-process.
+struct TraceRows {
+  std::set<int> named;
+  std::map<int, std::set<bool>> leased;
+};
+
+TraceRows trace_rows(const obs::MetricsRegistry& metrics) {
+  const std::string json = metrics.chrome_trace_json();
+  const std::string start = "{\"ph\":\"";
+  TraceRows rows;
+  for (std::size_t at = json.find(start); at != std::string::npos;) {
+    const std::size_t next = json.find(start, at + start.size());
+    const std::string ev = json.substr(at, next == std::string::npos ? next : next - at);
+    at = next;
+    const int tid = std::stoi(ev.substr(ev.find("\"tid\":") + 6));
+    if (ev.find("\"name\":\"thread_name\"") != std::string::npos) {
+      rows.named.insert(tid);
+    } else if (ev.find("\"cat\":\"run\"") != std::string::npos) {
+      const std::size_t xi = ev.find("\"xi\":\"") + 6;
+      const auto index =
+          obs::fleet::ExecutionIndex::parse(ev.substr(xi, ev.find('"', xi) - xi));
+      EXPECT_TRUE(index.has_value()) << ev;
+      rows.leased[tid].insert(index && index->lease_id != 0);
+    }
+  }
+  return rows;
+}
+
 /// The names (fault ids) of the Chrome trace's run events, sorted.
 std::vector<std::string> run_event_names(const obs::MetricsRegistry& metrics) {
   const std::string json = metrics.chrome_trace_json();
@@ -418,6 +462,7 @@ struct PathOutput {
   std::uint64_t synthesized = 0;
   std::uint64_t runs_total = 0;
   std::vector<std::string> run_events;
+  TraceRows rows;
   std::uint64_t wall_observations = 0;
   std::map<std::string, std::uint64_t> activations;
 };
@@ -467,6 +512,7 @@ PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
   if (file) out.journal = std::move(*file);
   out.runs_total = runs_total(metrics);
   out.run_events = run_event_names(metrics);
+  out.rows = trace_rows(metrics);
   for (const obs::MetricSample& s : metrics.snapshot()) {
     if (s.name == "dts_snap_synthesized_runs_total") out.synthesized += s.counter_value;
     if (s.name == "dts_activations_total") out.activations[s.labels] = s.counter_value;
@@ -542,6 +588,15 @@ TEST(DistCampaign, ThreadForkAndWorkerPathsYieldIdenticalRecords) {
     EXPECT_EQ(path->run_events, threads.run_events);
     EXPECT_EQ(path->wall_observations, threads.wall_observations);
     EXPECT_EQ(path->activations, threads.activations);
+  }
+  // Every run event sits on a named Chrome row, and no row mixes runs the
+  // coordinator synthesized with runs a fleet worker leased.
+  EXPECT_GE(fleet_synth.rows.leased.size(), 2u);  // synthesis + the workers
+  for (const PathOutput* path : {&threads, &synth, &workers, &fleet_synth}) {
+    for (const auto& [tid, leased] : path->rows.leased) {
+      EXPECT_TRUE(path->rows.named.contains(tid)) << "row " << tid << " has no name";
+      EXPECT_EQ(leased.size(), 1u) << "row " << tid << " mixes synthesized and leased runs";
+    }
   }
 }
 
@@ -738,9 +793,11 @@ TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
       exec::CampaignExecutor(serial_opts).run(cfg, list, 7);
 
   obs::MetricsRegistry metrics;
+  obs::fleet::StatusBoard board;
   core::CampaignOptions campaign;
   campaign.seed = 7;
   campaign.metrics = &metrics;
+  campaign.status = &board;
   dist::DistOptions d;
   d.lease_size = 4;  // leases span several faults, so a crash tears one
   dist::Coordinator coordinator(campaign, d);
@@ -758,6 +815,17 @@ TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
   EXPECT_EQ(metrics.counter("dts_dist_leases_reassigned_total").value(), 1u);
   EXPECT_EQ(metrics.counter("dts_dist_leases_expired_total").value(), 0u);
   EXPECT_EQ(runs_total(metrics), distributed.executed);
+  // The /status worker rows keep the crashed worker, marked gone: their runs
+  // add up to the executed runs, and once the campaign is done no row names
+  // a lease or owes a result.
+  const std::string json = board.status_json();
+  const std::string rows = json.substr(json.find("\"workers\":["));
+  const std::vector<std::uint64_t> runs = json_numbers(rows, "runs");
+  EXPECT_EQ(runs.size(), 2u);
+  EXPECT_EQ(std::accumulate(runs.begin(), runs.end(), std::uint64_t{0}), distributed.executed);
+  EXPECT_EQ(json_numbers(rows, "lease"), std::vector<std::uint64_t>(runs.size(), 0));
+  EXPECT_EQ(json_numbers(rows, "outstanding"), std::vector<std::uint64_t>(runs.size(), 0));
+  EXPECT_NE(rows.find("\"gone\":true"), std::string::npos);
 
   int status = 0;
   ASSERT_EQ(::waitpid(crasher, &status, 0), crasher);

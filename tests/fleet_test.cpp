@@ -469,6 +469,11 @@ TEST(FleetMetrics, RunTotalsSumExactlyToJournalRecords) {
   const std::string status = board.status_json();
   const std::string workers = status.substr(status.find("\"workers\":["));
   EXPECT_EQ(sum_json_field(workers, "failures"), failures);
+  // The rows' runs add up to the journal, and a finished campaign's rows
+  // name no lease and owe no result.
+  EXPECT_EQ(sum_json_field(workers, "runs"), file->records.size());
+  EXPECT_EQ(sum_json_field(workers, "lease"), 0u);
+  EXPECT_EQ(sum_json_field(workers, "outstanding"), 0u);
 }
 
 // --- journal compat + report ---------------------------------------------

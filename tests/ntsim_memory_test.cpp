@@ -108,6 +108,55 @@ TEST(VirtualMemory, CStrRunsOffBlockFaults) {
   EXPECT_THROW(vm.read_cstr(p), AccessViolation);
 }
 
+TEST(VirtualMemory, CStrFaultsAtFirstBytePastTheBlock) {
+  VirtualMemory vm;
+  Ptr p = vm.alloc(4);
+  vm.write_bytes(p, "abcd");
+  try {
+    (void)vm.read_cstr(p.offset(1));
+    FAIL() << "expected an access violation";
+  } catch (const AccessViolation& av) {
+    EXPECT_EQ(av.address(), p.addr + 4);
+    EXPECT_FALSE(av.is_write());
+  }
+  // Within the limit the same bytes read without a fault.
+  EXPECT_EQ(vm.read_cstr(p, 4), "abcd");
+}
+
+TEST(VirtualMemory, CStrTruncatesAtMaxLen) {
+  VirtualMemory vm;
+  Ptr p = vm.alloc_cstr("abcdef");
+  EXPECT_EQ(vm.read_cstr(p, 3), "abc");
+  EXPECT_EQ(vm.read_cstr(p, 6), "abcdef");
+  EXPECT_EQ(vm.read_cstr(p.offset(2), 100), "cdef");
+}
+
+TEST(VirtualMemory, CStrWithZeroMaxLenReadsNothing) {
+  VirtualMemory vm;
+  EXPECT_EQ(vm.read_cstr(Ptr{0xDEAD0000}, 0), "");
+  EXPECT_EQ(vm.read_cstr(kNullPtr, 0), "");
+  EXPECT_THROW(vm.read_cstr(Ptr{0xDEAD0000}, 1), AccessViolation);
+}
+
+TEST(VirtualMemory, FreeingMiddleBlockKeepsNeighbours) {
+  VirtualMemory vm;
+  Ptr a = vm.alloc(16);
+  Ptr b = vm.alloc(32);
+  Ptr c = vm.alloc(64);
+  vm.write_cstr(c, "tail");
+  ASSERT_TRUE(vm.free(b));
+  EXPECT_TRUE(vm.valid(a, 16));
+  EXPECT_TRUE(vm.valid(c, 64));
+  EXPECT_EQ(vm.block_size(a), 16u);
+  EXPECT_EQ(vm.block_size(c), 64u);
+  EXPECT_FALSE(vm.valid(b, 1));
+  EXPECT_EQ(vm.block_size(b), 0u);
+  EXPECT_FALSE(vm.free(b));
+  EXPECT_EQ(vm.read_cstr(c), "tail");
+  EXPECT_EQ(vm.live_blocks(), 2u);
+  EXPECT_EQ(vm.bytes_in_use(), 80u);
+}
+
 TEST(VirtualMemory, HugeAllocThrowsBadAlloc) {
   VirtualMemory vm;
   EXPECT_THROW(vm.alloc(0xFFFFFFFF), std::bad_alloc);

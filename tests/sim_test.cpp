@@ -2,10 +2,18 @@
 // simulation loop, and the coroutine task machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "sim/event_queue.h"
+#include "sim/pool.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
@@ -198,6 +206,104 @@ TEST(Simulation, SameInstantFifoAcrossSlotReuse) {
   sim.schedule(Duration{}, [&] { order += 'C'; });
   sim.run();
   EXPECT_EQ(order, "ABC");
+}
+
+// The same-instant lane changes where keys wait, never the order they pop
+// in: random pushes into the past, at the current instant (the last pop's)
+// and into the future, interleaved with pops, pop exactly as a reference
+// queue ordered by (at, push order) does. The fixed prefix pushes a key
+// earlier than the lane's back, which must bypass the lane.
+TEST(EventQueue, PopsInReferenceOrderUnderRandomPushes) {
+  EventQueue q;
+  std::set<std::pair<std::int64_t, std::uint64_t>> ref;  // (at, push order)
+  std::uint64_t pushed = 0;
+  std::uint64_t popped_id = 0;
+  std::int64_t last = 0;  // instant of the last pop
+  const auto push = [&](std::int64_t at) {
+    const std::uint64_t id = pushed++;
+    EventQueue::Event ev;
+    ev.fn = [&popped_id, id] { popped_id = id; };
+    q.push(TimePoint::from_micros(at), std::move(ev));
+    ref.emplace(at, id);
+  };
+  const auto pop = [&] {
+    ASSERT_FALSE(q.empty());
+    ASSERT_EQ(q.size(), ref.size());
+    EXPECT_EQ(q.next_time().count_micros(), ref.begin()->first);
+    TimePoint at;
+    q.pop(&at).fn();
+    EXPECT_EQ(at.count_micros(), ref.begin()->first);
+    EXPECT_EQ(popped_id, ref.begin()->second);
+    last = ref.begin()->first;
+    ref.erase(ref.begin());
+  };
+
+  push(10);
+  pop();     // the instant is 10
+  push(10);  // joins the lane
+  push(5);   // the past: the heap
+  pop();     // 5 beats the lane's front; the instant is now 5
+  push(5);   // earlier than the lane's back (10): the heap
+  push(5);
+  for (int i = 0; i < 3; ++i) pop();  // 5, 5, then the lane's 10
+  EXPECT_TRUE(q.empty());
+
+  Rng rng{4099};
+  for (int step = 0; step < 20000; ++step) {
+    if (ref.empty() || rng.chance(0.55)) {
+      switch (rng.uniform(0, 3)) {
+        case 0: push(last - rng.uniform(1, 20)); break;
+        case 3: push(last + rng.uniform(1, 20)); break;
+        default: push(last); break;
+      }
+    } else {
+      pop();
+    }
+  }
+  while (!ref.empty()) pop();
+  EXPECT_TRUE(q.empty());
+}
+
+// Through Simulation: events that schedule zero-delay, later and clamped
+// past events from inside events, with run_until moving the clock past the
+// last pop between bursts, run in a stable sort of (effective time,
+// schedule order).
+TEST(Simulation, RunsInStableTimeOrderAcrossLaneAndHeap) {
+  Simulation sim;
+  Rng rng{7};
+  std::vector<std::pair<std::int64_t, std::size_t>> scheduled;  // (at, id)
+  std::vector<std::size_t> ran;
+  std::function<void(int)> spawn = [&](int depth) {
+    const std::size_t id = scheduled.size();
+    const auto body = [&, id, depth] {
+      ran.push_back(id);
+      EXPECT_EQ(sim.now().count_micros(), scheduled[id].first);
+      for (auto k = rng.uniform(0, 2); k > 0 && depth < 12; --k) spawn(depth + 1);
+    };
+    const std::int64_t r = rng.uniform(0, 5);
+    if (r == 0) {  // in the past: clamped to now
+      scheduled.emplace_back(sim.now().count_micros(), id);
+      sim.schedule_at(sim.now() + Duration::micros(-3), body);
+    } else {
+      const std::int64_t delay = r <= 3 ? 0 : rng.uniform(1, 40);
+      scheduled.emplace_back(sim.now().count_micros() + delay, id);
+      sim.schedule(Duration::micros(delay), body);
+    }
+  };
+  for (int burst = 0; burst < 200; ++burst) {
+    for (auto k = rng.uniform(1, 3); k > 0; --k) spawn(0);
+    sim.run_until(sim.now() + Duration::micros(rng.uniform(0, 60)));
+  }
+  sim.run();
+
+  std::vector<std::pair<std::int64_t, std::size_t>> expected = scheduled;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  ASSERT_EQ(ran.size(), expected.size());
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    ASSERT_EQ(ran[i], expected[i].second) << "event " << i;
+  }
+  EXPECT_GT(ran.size(), 1000u);
 }
 
 TEST(Simulation, PastScheduleClampsToNow) {
@@ -426,6 +532,45 @@ TEST(CoTask, DestroyTopFrameDestroysNestedFrame) {
 
 // Determinism: two simulations with the same seed and same program produce
 // identical event interleavings.
+// ---------------------------------------------------------------- pool
+
+TEST(Pool, ReusesBlocksPerThreadAndSizeClass) {
+  void* a = pool_allocate(40);
+  pool_deallocate(a, 40);
+  void* other = nullptr;
+  std::thread([&other] {
+    // This thread's lists are its own: the block cached above is not here.
+    other = pool_allocate(40);
+    pool_deallocate(other, 40);
+  }).join();  // the thread's exit returns `other` to the host heap
+  EXPECT_NE(other, a);
+  void* b = pool_allocate(33);  // the same 64-byte class
+  EXPECT_EQ(b, a);
+  pool_deallocate(b, 33);
+  void* big = pool_allocate(kPoolMaxBlock + 1);  // beyond the classes: the heap
+  pool_deallocate(big, kPoolMaxBlock + 1);
+  auto tok = std::allocate_shared<WakeToken>(PoolAllocator<WakeToken>{});
+  EXPECT_FALSE(tok->fired);
+}
+
+// A freed pool block stays poisoned until the pool hands it out again, so
+// the asan preset still catches a write through a destroyed wake token or
+// coroutine frame.
+TEST(PoolDeathTest, WriteToFreedBlockDiesUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_DEATH(
+      {
+        auto tok = std::allocate_shared<WakeToken>(PoolAllocator<WakeToken>{});
+        WakeToken* raw = tok.get();
+        tok.reset();
+        *static_cast<volatile bool*>(&raw->fired) = true;
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "poisoned blocks fault only in the asan preset";
+#endif
+}
+
 TEST(Simulation, DeterministicReplay) {
   auto run_once = [](std::uint64_t seed) {
     Simulation sim{seed};
