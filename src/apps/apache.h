@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "ntsim/kernel.h"
@@ -51,13 +52,15 @@ struct ApacheConfig {
 /// Installs the Apache programs, document tree, configuration file and SCM
 /// service registration on a machine. Returns the static index.html content
 /// (what a correct response must carry): the memoized page of
-/// apache_index_content, valid for the life of the process.
+/// apache_index_content, valid for the life of the process. index.html
+/// shares that page; nothing copies it.
 const std::string& install_apache(nt::Machine& machine, nt::net::Network& network,
                                   const ApacheConfig& cfg = {});
 
-/// Deterministic content of the 115 kB static document. Memoized per size:
-/// the reference stays valid (and the bytes unchanged) for the life of the
-/// process, so callers on any thread may hold it instead of copying.
-const std::string& apache_index_content(std::size_t size);
+/// Deterministic content of the 115 kB static document. Memoized per size
+/// and immutable: the pointer and the bytes stay valid and unchanged for the
+/// life of the process, so callers on any thread may view them, and a file
+/// system may share them (Filesystem::put_file) instead of copying.
+const std::shared_ptr<const std::string>& apache_index_content(std::size_t size);
 
 }  // namespace dts::apps

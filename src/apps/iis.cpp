@@ -284,6 +284,9 @@ sim::CoTask<std::pair<int, std::string_view>> iis_serve_static(const Api& api,
   // or over-reads the body — the "incorrect reply" class.
   std::string body;
   if (size != nt::kInvalidHandleValue) {
+    // A host-side capacity hint, not a syscall: a clean read yields the file
+    // cut at the reported size.
+    if (const auto actual = api.machine().fs().size(full)) body.reserve(std::min(*actual, size));
     const Word chunk_size = 16384;
     const Ptr buffer = api.buf(chunk_size);
     const Ptr n_read = api.buf(4);
@@ -455,12 +458,12 @@ sim::Task iis_main(Ctx c, IisConfig cfg, nt::net::Network* network) {
 }  // namespace
 
 const std::string& ftp_download_content() {
-  return apache_index_content(48 * 1024);  // 48 kB binary-ish payload
+  return *apache_index_content(48 * 1024);  // 48 kB binary-ish payload
 }
 
 const std::string& install_iis(nt::Machine& machine, nt::net::Network& network,
                                const IisConfig& cfg) {
-  const std::string& index = apache_index_content(cfg.index_size);  // same generator
+  const auto& index = apache_index_content(cfg.index_size);  // same generator
   machine.fs().put_file(cfg.doc_root + "\\index.html", index);
   if (cfg.enable_ftp) {
     machine.fs().put_file(cfg.ftp.root + "\\download.bin", ftp_download_content());
@@ -486,7 +489,7 @@ const std::string& install_iis(nt::Machine& machine, nt::net::Network& network,
       .command_line = cfg.image,
       .start_wait_hint = cfg.start_wait_hint,
   });
-  return index;
+  return *index;
 }
 
 }  // namespace dts::apps

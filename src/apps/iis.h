@@ -55,7 +55,8 @@ struct IisConfig {
 const std::string& ftp_download_content();
 
 /// Installs the IIS program, content and service registration. Returns the
-/// static index.html content (memoized, valid for the life of the process).
+/// static index.html content (memoized, valid for the life of the process,
+/// and shared by index.html, not copied).
 const std::string& install_iis(nt::Machine& machine, nt::net::Network& network,
                                const IisConfig& cfg = {});
 

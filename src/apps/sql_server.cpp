@@ -1,7 +1,9 @@
 #include "apps/sql_server.h"
 
 #include <deque>
+#include <map>
 #include <memory>
+#include <mutex>
 
 #include "apps/winapp.h"
 #include "ntsim/scm.h"
@@ -23,6 +25,29 @@ sql::Database seed_database(int rows) {
                static_cast<std::int64_t>(rng.uniform(0, 100000))});
   }
   return db;
+}
+
+/// What a seeded database looks like from outside: its serialized image (the
+/// .mdf every install shares) and the reply to the SqlClient query.
+struct SeedSetup {
+  std::shared_ptr<const std::string> image;
+  std::string reply;
+};
+
+/// The setup of `rows` seed rows, memoized like apache_index_content: built
+/// once per process, immutable, never erased, so the reference is valid
+/// without the lock.
+const SeedSetup& seed_setup(int rows) {
+  static std::mutex cache_mu;
+  static std::map<int, SeedSetup> cache;
+  std::lock_guard<std::mutex> lock(cache_mu);
+  auto it = cache.find(rows);
+  if (it != cache.end()) return it->second;
+  sql::Database db = seed_database(rows);
+  SeedSetup setup;
+  setup.image = std::make_shared<const std::string>(db.serialize());
+  setup.reply = sql::execute(db, sql_client_query()).to_text();
+  return cache.emplace(rows, std::move(setup)).first->second;
 }
 
 struct SqlState {
@@ -334,14 +359,14 @@ sim::Task sql_main(Ctx c, SqlServerConfig cfg, nt::net::Network* network) {
 
 std::string sql_client_query() { return "SELECT * FROM accounts WHERE id = 7"; }
 
-std::string expected_sql_reply(const SqlServerConfig& cfg) {
-  sql::Database db = seed_database(cfg.seed_rows);
-  return sql::execute(db, sql_client_query()).to_text();
+const std::string& expected_sql_reply(const SqlServerConfig& cfg) {
+  return seed_setup(cfg.seed_rows).reply;
 }
 
-std::string install_sql_server(nt::Machine& machine, nt::net::Network& network,
-                               const SqlServerConfig& cfg) {
-  machine.fs().put_file(cfg.data_path, seed_database(cfg.seed_rows).serialize());
+const std::string& install_sql_server(nt::Machine& machine, nt::net::Network& network,
+                                      const SqlServerConfig& cfg) {
+  const SeedSetup& seed = seed_setup(cfg.seed_rows);
+  machine.fs().put_file(cfg.data_path, seed.image);
   machine.fs().mkdirs("C:\\MSSQL7\\log");
   machine.fs().put_file("C:\\WINNT\\mssql.ini",
                         "[mssql]\ndatadir=C:\\MSSQL7\\data\nport=" +
@@ -355,7 +380,7 @@ std::string install_sql_server(nt::Machine& machine, nt::net::Network& network,
       .command_line = cfg.image,
       .start_wait_hint = cfg.start_wait_hint,
   });
-  return expected_sql_reply(cfg);
+  return seed.reply;
 }
 
 }  // namespace dts::apps

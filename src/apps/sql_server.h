@@ -35,13 +35,15 @@ struct SqlServerConfig {
 
 /// Installs the SQL Server program, its database file and service
 /// registration. Returns the expected response text for the paper's
-/// SqlClient query (`SELECT * FROM accounts WHERE id = 7`).
-std::string install_sql_server(nt::Machine& machine, nt::net::Network& network,
-                               const SqlServerConfig& cfg = {});
+/// SqlClient query (`SELECT * FROM accounts WHERE id = 7`). The database
+/// file shares the seed image, and the reply is memoized per `seed_rows`
+/// like apache_index_content: valid for the life of the process.
+const std::string& install_sql_server(nt::Machine& machine, nt::net::Network& network,
+                                      const SqlServerConfig& cfg = {});
 
 /// The query the paper's SqlClient sends, and its expected reply given the
-/// seeded database.
+/// seeded database (memoized, as install_sql_server returns it).
 std::string sql_client_query();
-std::string expected_sql_reply(const SqlServerConfig& cfg = {});
+const std::string& expected_sql_reply(const SqlServerConfig& cfg = {});
 
 }  // namespace dts::apps

@@ -107,9 +107,10 @@ struct RunResult {
   /// Multi-tier workload statistics; engaged only for topology campaigns.
   std::optional<TopoRunStats> topo;
 
-  /// Causal request trace (obs/rtrace/); engaged only for topology campaigns
-  /// with a non-off rtrace mode. Never part of run-line serialization — the
-  /// journal carries it as the optional v7 "rt" trailer instead.
+  /// Causal request trace (obs/rtrace/); engaged only for topology runs
+  /// whose trace the journal keeps (every run under rtrace = all, the failed
+  /// or unmasked ones under failures). Never part of run-line serialization —
+  /// the journal carries it as the optional v7 "rt" trailer instead.
   std::optional<obs::rtrace::RunTrace> rtrace;
 
   /// One-line log form.

@@ -6,6 +6,7 @@
 #include "apps/http.h"
 #include "ntsim/kernel32.h"
 #include "ntsim/scm.h"
+#include "sim/pool.h"
 #include "topo/install.h"
 #include "topo/loadgen.h"
 
@@ -45,9 +46,23 @@ std::int64_t percentile_us(const std::vector<std::int64_t>& sorted, double q) {
   return sorted[std::min(rank, sorted.size()) - 1];
 }
 
+/// Whether a topology run's request trace is built and journaled.
+/// kFailures keeps the journal lean: only runs that failed outright or whose
+/// users saw degraded service carry their span tree.
+bool rtrace_wanted(obs::rtrace::RtraceMode mode, const RunResult& r) {
+  switch (mode) {
+    case obs::rtrace::RtraceMode::kOff: return false;
+    case obs::rtrace::RtraceMode::kAll: return true;
+    case obs::rtrace::RtraceMode::kFailures:
+      return r.outcome == Outcome::kFailure || (r.topo && r.topo->user_outcome != "masked");
+  }
+  return false;
+}
+
 }  // namespace
 
 FaultInjectionRun::FaultInjectionRun(RunConfig config) : cfg_(std::move(config)) {
+  sim::retain_host_heap();
   cfg_.mscs.service_name = cfg_.workload.service_name;
   cfg_.watchd.service_name = cfg_.workload.service_name;
   cfg_.watchd.version = cfg_.watchd_version;
@@ -353,20 +368,6 @@ RunResult FaultInjectionRun::execute_topology(const std::optional<inject::FaultS
   }
   result.topo = ts;
 
-  // Finalize the request trace: stamp the injection onto the span the
-  // corruption landed in, compute critical-path attribution and the
-  // propagation-path digest.
-  if (cfg_.rtrace != obs::rtrace::RtraceMode::kOff) {
-    obs::rtrace::FinalizeParams fp;
-    if (fault) fp.fault_id = fault->id();
-    if (interceptor_.injected()) {
-      fp.injection_us =
-          (interceptor_.injection_time() - sim::TimePoint{}).count_micros();
-      fp.injection_machine = interceptor_.injection_machine();
-    }
-    result.rtrace = obs::rtrace::finalize_trace(w.rtrace.take_spans(), fp);
-  }
-
   // The classic five-way axis collapses to success/failure here: the
   // open-loop generator has no retry protocol and topology runs carry no
   // middleware, so the restart/retry outcomes cannot occur.
@@ -383,6 +384,21 @@ RunResult FaultInjectionRun::execute_topology(const std::optional<inject::FaultS
       result.outcome = Outcome::kFailure;
       result.response_received = w.report->any_response();
     }
+  }
+
+  // Finalize the request trace of a run the journal keeps: stamp the
+  // injection onto the span the corruption landed in, compute critical-path
+  // attribution and the propagation-path digest. A trace the journal drops
+  // is never built.
+  if (rtrace_wanted(cfg_.rtrace, result)) {
+    obs::rtrace::FinalizeParams fp;
+    if (fault) fp.fault_id = fault->id();
+    if (interceptor_.injected()) {
+      fp.injection_us =
+          (interceptor_.injection_time() - sim::TimePoint{}).count_micros();
+      fp.injection_machine = interceptor_.injection_machine();
+    }
+    result.rtrace = obs::rtrace::finalize_trace(w.rtrace.take_spans(), fp);
   }
 
   // Diagnostics: the target image's abnormal exits anywhere in the faulted

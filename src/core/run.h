@@ -76,8 +76,9 @@ struct RunConfig {
 
   /// Request tracing for topology runs (obs/rtrace/): off keeps the wire
   /// bytes — and therefore every campaign output — byte-identical to the
-  /// untraced pipeline; failures/all collect per-hop causal spans. Ignored
-  /// for classic runs (there is no request topology to trace).
+  /// untraced pipeline; failures/all collect per-hop causal spans, and a run
+  /// finalizes them into RunResult::rtrace only when the journal keeps its
+  /// trace. Ignored for classic runs (there is no request topology to trace).
   obs::rtrace::RtraceMode rtrace = obs::rtrace::RtraceMode::kOff;
 
   /// Global network parameters ([network] section); default matches the

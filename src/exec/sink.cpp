@@ -31,20 +31,6 @@ bool forensics_wanted(obs::TraceMode mode, const core::RunResult& r) {
   return false;
 }
 
-/// Whether this run's trace is journaled. kFailures keeps the journal lean:
-/// only runs that failed outright or whose users saw degraded service carry
-/// their span tree.
-bool rtrace_wanted(obs::rtrace::RtraceMode mode, const core::RunResult& r) {
-  switch (mode) {
-    case obs::rtrace::RtraceMode::kOff: return false;
-    case obs::rtrace::RtraceMode::kAll: return true;
-    case obs::rtrace::RtraceMode::kFailures:
-      return r.outcome == core::Outcome::kFailure ||
-             (r.topo && r.topo->user_outcome != "masked");
-  }
-  return false;
-}
-
 /// Journal schema version for this campaign: classic campaigns stay v5
 /// byte-for-byte, untraced topology campaigns stay v6 byte-for-byte, and only
 /// topology campaigns with request tracing enabled mint v7 (the "rt" trailer).
@@ -179,9 +165,8 @@ JournalRecord finish_run(const core::FaultInjectionRun& run, const core::RunResu
   if (icpt.injection_context()) rec.call_context = icpt.injection_context()->to_string();
   rec.model = fault::model_annotation(result.fault);
   rec.tier = result.fault.tier;
-  if (result.rtrace && rtrace_wanted(run.config().rtrace, result)) {
-    rec.rtrace = result.rtrace->serialize();
-  }
+  // The run built its request trace only if the journal keeps it.
+  if (result.rtrace) rec.rtrace = result.rtrace->serialize();
   rec.requests = encode_requests(result.requests);
   rec.detail = result.detail;
   rec.spans = encode_spans(run.spans().spans());

@@ -131,11 +131,20 @@ Dword Filesystem::attributes(std::string_view path) const {
 }
 
 void Filesystem::put_file(std::string_view path, std::string_view contents) {
+  put_node(path, owned_node({}, contents));
+}
+
+void Filesystem::put_file(std::string_view path, std::shared_ptr<const std::string> contents) {
+  put_node(path, FileNode{{}, std::move(contents)});
+}
+
+void Filesystem::put_node(std::string_view path, FileNode node) {
   auto norm = normalize(path);
   if (!norm) throw std::invalid_argument("put_file: bad path: " + std::string(path));
   auto parent = parent_of(*norm);
   if (parent) mkdirs(*parent);
-  files_[fold(*norm)] = FileNode{*norm, std::make_shared<std::string>(contents)};
+  node.display_path = *norm;
+  files_[fold(*norm)] = std::move(node);
 }
 
 std::optional<std::string> Filesystem::get_file(std::string_view path) const {
@@ -176,11 +185,12 @@ Win32Error Filesystem::open(std::string_view path, Dword access, Dword dispositi
   if (!exists) {
     auto parent = parent_of(key);
     if (!parent || !dirs_.contains(*parent)) return Win32Error::kPathNotFound;
-    files_.emplace(key, FileNode{*norm, std::make_shared<std::string>()});
+    files_.emplace(key, owned_node(*norm, {}));
     if (created != nullptr) *created = true;
   } else if (disposition == kCreateAlways || disposition == kTruncateExisting) {
     // Fresh empty content: never clone the old bytes just to discard them.
-    files_[key].content = std::make_shared<std::string>();
+    FileNode& node = files_[key];
+    node = owned_node(std::move(node.display_path), {});
   }
   if (canonical != nullptr) *canonical = key;
   return Win32Error::kSuccess;
@@ -256,7 +266,7 @@ Win32Error Filesystem::copy(std::string_view from, std::string_view to, bool fai
   if (fail_if_exists && files_.contains(fold(*nt_))) return Win32Error::kFileExists;
   auto parent = parent_of(*nt_);
   if (!parent || !dirs_.contains(fold(*parent))) return Win32Error::kPathNotFound;
-  files_[fold(*nt_)] = FileNode{*nt_, it->second.content};
+  files_[fold(*nt_)] = FileNode{*nt_, it->second.content, it->second.own};
   return Win32Error::kSuccess;
 }
 
@@ -302,13 +312,17 @@ bool Filesystem::match(std::string_view pattern, std::string_view name) {
   return p == pattern.size();
 }
 
+Filesystem::FileNode Filesystem::owned_node(std::string display_path, std::string_view bytes) {
+  auto content = std::make_shared<std::string>(bytes);
+  std::string* own = content.get();
+  return FileNode{std::move(display_path), std::move(content), own};
+}
+
 std::string& Filesystem::writable(FileNode& node) {
-  if (!node.content) {
-    node.content = std::make_shared<std::string>();
-  } else if (node.content.use_count() > 1) {
-    node.content = std::make_shared<std::string>(*node.content);
+  if (node.own == nullptr || node.content.use_count() > 1) {
+    node = owned_node(std::move(node.display_path), node.data());
   }
-  return *node.content;
+  return *node.own;
 }
 
 std::uint64_t Filesystem::total_bytes() const {

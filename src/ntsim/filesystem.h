@@ -78,6 +78,10 @@ class Filesystem {
   /// Creates or replaces a file with the given contents. Creates parents.
   void put_file(std::string_view path, std::string_view contents);
 
+  /// put_file without the copy: the file shares `contents` (a memoized page,
+  /// say), which must never change. A write to the file clones it first.
+  void put_file(std::string_view path, std::shared_ptr<const std::string> contents);
+
   /// Reads a whole file; nullopt if missing.
   std::optional<std::string> get_file(std::string_view path) const;
 
@@ -122,12 +126,16 @@ class Filesystem {
   std::size_t file_count() const { return files_.size(); }
 
  private:
-  // File contents are copy-on-write: a Slice pins the content it read, and
-  // CopyFile shares the source's content with the copy. The first write to
-  // shared content clones it.
+  // File contents are copy-on-write: a Slice pins the content it read,
+  // CopyFile shares the source's content with the copy, and put_file can
+  // install content its caller shares. The first write to shared content
+  // clones it.
   struct FileNode {
     std::string display_path;  // case-preserving canonical path
-    std::shared_ptr<std::string> content;
+    std::shared_ptr<const std::string> content;  // null: empty file
+    /// `content`, when this file system made it: writable in place once
+    /// nothing else shares it. Null for content put_file was handed.
+    std::string* own = nullptr;
 
     const std::string& data() const {
       static const std::string empty;
@@ -141,7 +149,15 @@ class Filesystem {
   /// in place. nullopt where normalize() rejects the path.
   static std::optional<std::string> key_of(std::string_view path);
 
-  /// The node's content string, cloned first if a slice or a copy shares it.
+  /// A node holding its own copy of `bytes`.
+  static FileNode owned_node(std::string display_path, std::string_view bytes);
+
+  /// put_file's common part: creates `path`'s parents and installs `node`
+  /// there under the path's display form.
+  void put_node(std::string_view path, FileNode node);
+
+  /// The node's content string, cloned first if a slice, a copy or the
+  /// put_file caller shares it.
   std::string& writable(FileNode& node);
 
   std::map<std::string, FileNode> files_;     // keyed by folded path

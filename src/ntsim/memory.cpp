@@ -47,7 +47,7 @@ Ptr VirtualMemory::alloc(Word size) {
   }
   const Word base = next_addr_;
   next_addr_ = base + static_cast<Word>(usable) + kGuardGap;
-  blocks_.push_back(Block{base, size, std::vector<std::byte>(size, std::byte{0})});
+  blocks_.push_back(Block{base, size, nullptr});
   bytes_in_use_ += size;
   return Ptr{base};
 }
@@ -73,14 +73,26 @@ void VirtualMemory::write(Ptr p, std::span<const std::byte> data) {
   Word off = 0;
   Block* b = find_block(blocks_, p.addr, static_cast<Word>(data.size()), &off);
   if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/true};
-  std::memcpy(b->bytes.data() + off, data.data(), data.size());
+  if (data.empty()) return;
+  if (b->bytes == nullptr) {
+    // First write: take the host bytes now, zeroing only what it leaves out.
+    b->bytes = std::make_unique_for_overwrite<std::byte[]>(b->size);
+    const Word end = off + static_cast<Word>(data.size());
+    std::memset(b->bytes.get(), 0, off);
+    std::memset(b->bytes.get() + end, 0, b->size - end);
+  }
+  std::memcpy(b->bytes.get() + off, data.data(), data.size());
 }
 
 void VirtualMemory::read(Ptr p, std::span<std::byte> out) const {
   Word off = 0;
   const Block* b = find_block(blocks_, p.addr, static_cast<Word>(out.size()), &off);
   if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
-  std::memcpy(out.data(), b->bytes.data() + off, out.size());
+  if (b->bytes == nullptr) {
+    std::memset(out.data(), 0, out.size());
+  } else {
+    std::memcpy(out.data(), b->bytes.get() + off, out.size());
+  }
 }
 
 std::vector<std::byte> VirtualMemory::read(Ptr p, Word size) const {
@@ -121,7 +133,11 @@ void VirtualMemory::append_to(Ptr p, Word size, std::string& out) const {
   Word off = 0;
   const Block* b = find_block(blocks_, p.addr, size, &off);
   if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
-  out.append(reinterpret_cast<const char*>(b->bytes.data()) + off, size);
+  if (b->bytes == nullptr) {
+    out.append(size, '\0');
+  } else {
+    out.append(reinterpret_cast<const char*>(b->bytes.get()) + off, size);
+  }
 }
 
 void VirtualMemory::write_cstr(Ptr p, std::string_view s) {
@@ -138,8 +154,9 @@ std::string VirtualMemory::read_cstr(Ptr p, Word max_len) const {
   Word off = 0;
   const Block* b = find_block(blocks_, p.addr, 1, &off);
   if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
+  if (b->bytes == nullptr) return {};  // an unwritten block starts with a NUL
   const Word avail = b->size - off;
-  const char* s = reinterpret_cast<const char*>(b->bytes.data()) + off;
+  const char* s = reinterpret_cast<const char*>(b->bytes.get()) + off;
   const Word n = std::min(avail, max_len);
   if (const void* nul = std::memchr(s, 0, n)) {
     return std::string(s, static_cast<const char*>(nul));

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,7 +31,8 @@ class VirtualMemory {
   /// Allocates `size` bytes (zero-initialized). Guard gaps separate blocks so
   /// single-block overruns and near-miss corrupted pointers fault rather than
   /// silently landing in a neighbour. Throws std::bad_alloc if the simulated
-  /// address space is exhausted.
+  /// address space is exhausted. The block takes no host bytes until its
+  /// first write; until then it reads as zeros.
   Ptr alloc(Word size);
 
   /// Frees a block previously returned by alloc(). Freeing an invalid or
@@ -79,7 +81,8 @@ class VirtualMemory {
   struct Block {
     Word base = 0;
     Word size = 0;
-    std::vector<std::byte> bytes;
+    /// Host bytes, allocated at the first write; null reads as `size` zeros.
+    std::unique_ptr<std::byte[]> bytes;
   };
 
   /// Live blocks sorted by base: alloc appends (next_addr_ only grows), and

@@ -45,6 +45,14 @@ struct PoolAllocator {
   }
 };
 
+/// Keeps the host heap's freed memory in the process from one run to the
+/// next. glibc returns the top of an arena to the kernel once more than
+/// 128 kB is free there, and a fault-injection run frees its whole working
+/// set when it ends, so the next run would fault those pages back in: tens of
+/// thousands of minor faults per three-tier sweep. Sets the thresholds once
+/// per process; a no-op outside glibc. Every run calls it (FaultInjectionRun).
+void retain_host_heap();
+
 /// Base of a coroutine promise type: the compiler finds these in the
 /// promise's scope and takes the coroutine's frame from the pool.
 struct PooledFrame {

@@ -1,5 +1,6 @@
 #include "topo/install.h"
 
+#include <string_view>
 #include <utility>
 
 #include "apps/http.h"
@@ -30,14 +31,15 @@ std::int64_t now_us(Ctx c) {
 
 /// Per-instance relay settings. Built once per instance and shared (as
 /// std::shared_ptr<const RelayParams>) by the relay program and every
-/// connection it serves: `expected` is the 115 kB page for HTTP tiers.
+/// connection it serves: `expected` views the memoized reply the install
+/// function returned (the 115 kB page for HTTP tiers), which outlives it.
 struct RelayParams {
   std::string self;            // this instance's machine name
   std::string tier;            // owning tier's name (span label)
   std::uint16_t app_port = 0;  // local application port
   std::string check_request;   // wire bytes exercising the local app
   bool http = false;           // verify as HTTP 200 + body vs exact reply
-  std::string expected;        // body (http) or whole reply (exact)
+  std::string_view expected;   // body (http) or whole reply (exact)
   std::string next_lb;         // next tier's balancer machine; empty = last tier
   sim::Duration ready_timeout;
   sim::Duration ready_poll;

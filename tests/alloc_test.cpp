@@ -9,6 +9,9 @@
 // (sim/pool.h), and queued events, the sleep itself and the interceptor's
 // counters allocate nothing.
 //
+// Simulated memory takes host bytes only where the simulation writes it: an
+// untouched VirtualAlloc reservation (SQL Server's buffer pool) costs none.
+//
 // The test replaces the global operator new with a counting one, which is
 // why it is an executable of its own.
 #include <gtest/gtest.h>
@@ -24,15 +27,28 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+
+// Out of line: with the counting inlined into operator new, GCC 12 warns
+// -Wmismatched-new-delete on the free() in operator delete below.
+[[gnu::noinline]] void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Array forms too: a sanitizer runtime supplies its own, which would bypass
+// the counter (VirtualMemory takes a block's host bytes with new[]).
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace dts {
 namespace {
@@ -88,6 +104,35 @@ TEST(AllocBudget, HookedSyscallAllocatesNothingOnceWarm) {
   EXPECT_EQ(blocks, 0u) << static_cast<double>(blocks) / kOps << " blocks per call";
   // Every call went through the hook; the next one is already in flight.
   EXPECT_EQ(w.icept.calls_observed(), calls + 1);
+}
+
+TEST(AllocBudget, VirtualAllocTakesNoHostBytesUntilWritten) {
+  HookedMachine w;
+  constexpr nt::Word kMegabyte = 1u << 20;
+  constexpr nt::Word kMemCommit = 0x1000;
+  constexpr nt::Word kPageReadWrite = 0x04;
+  std::uint64_t alloc_bytes = ~0ull, write_bytes = 0;
+  nt::Word base = 0;
+  w.m.register_program("alloc.exe", [&](nt::Ctx c) -> sim::Task {
+    auto& k32 = c.m().k32();
+    // Warm the call path and the block table with one small reservation.
+    const nt::Word warm = co_await k32.call(c, nt::Fn::VirtualAlloc, 0, 4096, kMemCommit,
+                                            kPageReadWrite);
+    (void)co_await k32.call(c, nt::Fn::VirtualFree, warm, 0, 0x8000);
+    std::uint64_t before = g_bytes.load();
+    base = co_await k32.call(c, nt::Fn::VirtualAlloc, 0, kMegabyte, kMemCommit,
+                             kPageReadWrite);
+    alloc_bytes = g_bytes.load() - before;
+    before = g_bytes.load();
+    c.process->mem().write_u32(nt::Ptr{base + 4096}, 7);
+    write_bytes = g_bytes.load() - before;
+  });
+  w.m.start_process("alloc.exe", "alloc.exe");
+  w.simu.run_until(w.simu.now() + sim::Duration::seconds(1));
+  ASSERT_NE(base, 0u);
+  EXPECT_EQ(alloc_bytes, 0u) << "a 1 MB reservation took host bytes before any write";
+  // The first write takes the whole block, zeroed but for what it wrote.
+  EXPECT_EQ(write_bytes, kMegabyte);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "apps/http.h"
 #include "apps/iis.h"
 #include "apps/sql_server.h"
+#include "ntsim/filesystem.h"
 #include "ntsim/kernel.h"
 #include "ntsim/netsim.h"
 #include "ntsim/scm.h"
@@ -229,6 +230,47 @@ TEST(SqlServer, ReportsRunningBeforeRecoveryCompletes) {
   EXPECT_TRUE(w.net.port_open("target", 1433));
 }
 
+TEST(SharedPage, WritingAnInstalledPageClonesItAndLeavesTheMemo) {
+  // Every machine's index.html (and SQL's data file) shares the memoized
+  // bytes; the first write to one machine's file clones it for that file
+  // alone.
+  AppWorld w;
+  const std::string& index = install_apache(w.target, w.net);
+  install_apache(w.control, w.net);
+  const std::string pristine = index;
+  const auto& memo = apache_index_content(ApacheConfig{}.index_size);
+  EXPECT_EQ(&index, memo.get());
+
+  const std::string path = "C:\\Apache\\htdocs\\index.html";
+  std::string key;
+  ASSERT_EQ(w.target.fs().open(path, nt::kGenericWrite, nt::kOpenExisting, &key, nullptr),
+            nt::Win32Error::kSuccess);
+  nt::Filesystem::Slice before;
+  ASSERT_EQ(w.target.fs().read(key, 0, 16, &before), nt::Win32Error::kSuccess);
+  EXPECT_EQ(before.content.get(), memo.get());  // installed without a copy
+
+  ASSERT_EQ(w.target.fs().write(key, 0, "CORRUPTED"), nt::Win32Error::kSuccess);
+  EXPECT_EQ(w.target.fs().get_file(path)->substr(0, 9), "CORRUPTED");
+  EXPECT_EQ(*w.target.fs().size(path), static_cast<nt::Word>(pristine.size()));
+  EXPECT_EQ(*memo, pristine);
+  EXPECT_EQ(before.bytes, std::string_view(pristine).substr(0, 16));
+  EXPECT_EQ(*w.control.fs().get_file(path), pristine);
+  ASSERT_EQ(w.target.fs().truncate(key, 4), nt::Win32Error::kSuccess);
+  EXPECT_EQ(*w.target.fs().get_file(path), "CORR");
+  EXPECT_EQ(*memo, pristine);
+
+  // The SQL seed image is shared the same way.
+  install_sql_server(w.target, w.net);
+  install_sql_server(w.control, w.net);
+  const std::string mdf = "C:\\MSSQL7\\data\\master.mdf";
+  const std::string image = *w.control.fs().get_file(mdf);
+  ASSERT_EQ(w.target.fs().open(mdf, nt::kGenericWrite, nt::kOpenExisting, &key, nullptr),
+            nt::Win32Error::kSuccess);
+  ASSERT_EQ(w.target.fs().write(key, 0, "X"), nt::Win32Error::kSuccess);
+  EXPECT_EQ(*w.control.fs().get_file(mdf), image);
+  EXPECT_NE(*w.target.fs().get_file(mdf), image);
+}
+
 TEST(Http, ParseRequest) {
   auto req = http::parse_request("GET /cgi-bin/x.cgi?a=1 HTTP/1.0\r\nHost: h\r\n\r\n");
   ASSERT_TRUE(req.has_value());
@@ -258,7 +300,7 @@ TEST(Http, FormatResponse) {
             "\r\n"
             "<x>");
 
-  const std::string& body = apache_index_content(4096);
+  const std::string& body = *apache_index_content(4096);
   const std::string ok = http::format_response(200, "text/html", body, "Apache/1.3.3 (WinNT)");
   EXPECT_EQ(ok,
             "HTTP/1.0 200 OK\r\n"

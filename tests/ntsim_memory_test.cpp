@@ -23,6 +23,41 @@ TEST(VirtualMemory, ZeroInitialized) {
   for (Word i = 0; i < 16; ++i) EXPECT_EQ(vm.read_bytes(p.offset(i), 1)[0], '\0');
 }
 
+TEST(VirtualMemory, UnwrittenBlockReadsZerosThroughEveryReader) {
+  // An unwritten block has no host bytes yet; every reader must still see
+  // the zero-filled block the simulation models.
+  VirtualMemory vm;
+  Ptr p = vm.alloc(32);
+  std::vector<std::byte> raw(32, std::byte{0x5A});
+  vm.read(p, raw);
+  for (std::byte b : raw) EXPECT_EQ(b, std::byte{0});
+  EXPECT_EQ(vm.read(p.offset(8), 16), std::vector<std::byte>(16, std::byte{0}));
+  EXPECT_EQ(vm.read_u32(p.offset(28)), 0u);
+  EXPECT_EQ(vm.read_cstr(p), "");
+  EXPECT_EQ(vm.read_cstr(p.offset(31), 1), "");
+  std::string out = "xy";
+  vm.append_to(p.offset(4), 5, out);
+  EXPECT_EQ(out, std::string("xy\0\0\0\0\0", 7));
+  // Ranges are checked as before: the faulting address is the same.
+  EXPECT_THROW(vm.append_to(p.offset(30), 3, out), AccessViolation);
+  try {
+    (void)vm.read_u32(p.offset(30));
+    ADD_FAILURE() << "read past an unwritten block did not fault";
+  } catch (const AccessViolation& av) {
+    EXPECT_EQ(av.address(), p.addr + 30);
+  }
+}
+
+TEST(VirtualMemory, PartialFirstWriteLeavesTheRestZero) {
+  VirtualMemory vm;
+  Ptr p = vm.alloc(16);
+  vm.write_bytes(p.offset(5), "abc");
+  EXPECT_EQ(vm.read_bytes(p, 16), std::string("\0\0\0\0\0abc\0\0\0\0\0\0\0\0", 16));
+  EXPECT_EQ(vm.read_cstr(p.offset(5)), "abc");
+  vm.write_bytes(p.offset(14), "z");  // a later write keeps the earlier one
+  EXPECT_EQ(vm.read_bytes(p.offset(5), 11), std::string("abc\0\0\0\0\0\0z\0", 11));
+}
+
 TEST(VirtualMemory, FreeInvalidatesAccess) {
   VirtualMemory vm;
   Ptr p = vm.alloc(64);

@@ -39,7 +39,7 @@ using obs::rtrace::TraceLog;
 using obs::rtrace::TraceSpan;
 
 // The seed three-tier campaign of the README quickstart, traced: spans are
-// collected every run and journaled for every non-masked one.
+// collected every run, and finalized and journaled for every non-masked one.
 constexpr char kTracedThreeTierConfig[] =
     "[test]\n"
     "middleware = none\n"
@@ -438,26 +438,45 @@ TEST(RtraceConfig, OffModeSerializesLikeThePreRtracePipeline) {
 
 // --- the traced seed campaign, end to end ---------------------------------
 
+/// kTracedThreeTierConfig under `rtrace = all`: every run keeps its trace.
+std::string all_mode_config() {
+  std::string text = kTracedThreeTierConfig;
+  const std::string mode = "rtrace = failures";
+  return text.replace(text.find(mode), mode.size(), "rtrace = all");
+}
+
 class RtraceCampaignTest : public ::testing::Test {
  protected:
-  // One traced, journaled three-tier campaign shared by every end-to-end
-  // test (runs once; tests read the in-memory results and the journal file).
+  // The traced three-tier campaign, journaled once under `failures` and once
+  // under `all`, shared by every end-to-end test (runs once per process;
+  // tests read the in-memory results and the journal files).
   static void SetUpTestSuite() {
-    // Per-process journal: ctest runs every case in its own process, each
+    // Per-process journals: ctest runs every case in its own process, each
     // re-running this fixture — a shared path would race under `ctest -j`.
-    journal_path_ = new std::string(temp_path(
-        "rtrace_journal." + std::to_string(::getpid()) + ".jsonl"));
-    std::filesystem::remove(*journal_path_);
-    const core::DtsConfig cfg = parse_or_die(kTracedThreeTierConfig);
-    core::CampaignOptions opt = cfg.campaign;
-    opt.journal_path = *journal_path_;
-    set_ = new core::WorkloadSetResult(core::run_workload_set(cfg.run, opt));
+    const std::string pid = std::to_string(::getpid());
+    journal_path_ = new std::string(temp_path("rtrace_journal." + pid + ".jsonl"));
+    all_journal_path_ = new std::string(temp_path("rtrace_all_journal." + pid + ".jsonl"));
+    set_ = new core::WorkloadSetResult(run_journaled(kTracedThreeTierConfig, *journal_path_));
+    all_set_ = new core::WorkloadSetResult(run_journaled(all_mode_config(), *all_journal_path_));
   }
   static void TearDownTestSuite() {
     delete journal_path_;
     journal_path_ = nullptr;
+    delete all_journal_path_;
+    all_journal_path_ = nullptr;
     delete set_;
     set_ = nullptr;
+    delete all_set_;
+    all_set_ = nullptr;
+  }
+
+  static core::WorkloadSetResult run_journaled(const std::string& config,
+                                               const std::string& journal) {
+    std::filesystem::remove(journal);
+    const core::DtsConfig cfg = parse_or_die(config);
+    core::CampaignOptions opt = cfg.campaign;
+    opt.journal_path = journal;
+    return core::run_workload_set(cfg.run, opt);
   }
 
   static const core::RunResult* run_for(const std::string& fault_id) {
@@ -467,16 +486,20 @@ class RtraceCampaignTest : public ::testing::Test {
     return nullptr;
   }
 
-  static std::string* journal_path_;
+  static std::string* journal_path_;      // rtrace = failures
+  static std::string* all_journal_path_;  // rtrace = all
   static core::WorkloadSetResult* set_;
+  static core::WorkloadSetResult* all_set_;
 };
 
 std::string* RtraceCampaignTest::journal_path_ = nullptr;
+std::string* RtraceCampaignTest::all_journal_path_ = nullptr;
 core::WorkloadSetResult* RtraceCampaignTest::set_ = nullptr;
+core::WorkloadSetResult* RtraceCampaignTest::all_set_ = nullptr;
 
 TEST_F(RtraceCampaignTest, EveryRunCarriesATraceThatReconcilesWithTopoStats) {
-  ASSERT_EQ(set_->runs.size(), 6u);
-  for (const auto& run : set_->runs) {
+  ASSERT_EQ(all_set_->runs.size(), 6u);
+  for (const auto& run : all_set_->runs) {
     ASSERT_TRUE(run.topo.has_value()) << run.fault.id();
     ASSERT_TRUE(run.rtrace.has_value()) << run.fault.id();
     const RunTrace& rt = *run.rtrace;
@@ -509,7 +532,7 @@ TEST_F(RtraceCampaignTest, EveryRunCarriesATraceThatReconcilesWithTopoStats) {
 }
 
 TEST_F(RtraceCampaignTest, InjectionStampIsExactlyOneOrNone) {
-  for (const auto& run : set_->runs) {
+  for (const auto& run : all_set_->runs) {
     ASSERT_TRUE(run.rtrace.has_value());
     std::size_t stamped = 0;
     for (const auto& s : run.rtrace->spans) stamped += s.injected ? 1 : 0;
@@ -528,7 +551,8 @@ TEST(RtraceInjection, MidRequestFiringStampsTheInnermostContainingSpan) {
   // first invocation happens while a request is in flight on the db replica:
   // the firing must land inside that request's trace, on the db machine's
   // innermost live span.
-  const core::DtsConfig cfg = parse_or_die(kTracedThreeTierConfig);
+  // Under `all`: the firing is masked, and `failures` keeps no masked trace.
+  const core::DtsConfig cfg = parse_or_die(all_mode_config());
   inject::FaultSpec fault;
   fault.target_image = cfg.run.workload.target_image;  // sqlservr.exe
   fault.fn = nt::Fn::FlushFileBuffers;
@@ -566,7 +590,7 @@ TEST_F(RtraceCampaignTest, ContextNeverLeaksAcrossRequests) {
   // Parent linkage must stay inside one trace even across failover retries,
   // partitions and reconnects: a span parented under another request's span
   // would mean the wire context leaked through a reused connection.
-  for (const auto& run : set_->runs) {
+  for (const auto& run : all_set_->runs) {
     ASSERT_TRUE(run.rtrace.has_value());
     std::map<int, std::set<int>> ids_by_trace;
     for (const auto& s : run.rtrace->spans) ids_by_trace[s.trace].insert(s.id);
@@ -603,6 +627,40 @@ TEST_F(RtraceCampaignTest, JournalIsV7AndNonMaskedRecordsCarryTraces) {
       EXPECT_EQ(parsed->spans, run->rtrace->spans) << rec.fault_id;
     }
   }
+}
+
+TEST_F(RtraceCampaignTest, MaskedRunUnderFailuresBuildsNoTraceAndJournalsTheSameBytes) {
+  // `failures` finalizes a trace only for a run the journal keeps; a masked
+  // run carries none, and its record is the `all` record without its trace.
+  std::string error;
+  const auto failures = exec::read_journal_file(*journal_path_, &error);
+  ASSERT_TRUE(failures.has_value()) << error;
+  const auto all = exec::read_journal_file(*all_journal_path_, &error);
+  ASSERT_TRUE(all.has_value()) << error;
+  ASSERT_EQ(failures->records.size(), all->records.size());
+
+  std::size_t masked = 0;
+  for (exec::JournalRecord rec : failures->records) {
+    const core::RunResult* run = run_for(rec.fault_id);
+    ASSERT_NE(run, nullptr) << rec.fault_id;
+    const bool is_masked =
+        run->outcome != core::Outcome::kFailure && run->topo->user_outcome == "masked";
+    masked += is_masked ? 1 : 0;
+    EXPECT_EQ(run->rtrace.has_value(), !is_masked) << rec.fault_id;
+
+    auto twin = std::find_if(all->records.begin(), all->records.end(),
+                             [&](const exec::JournalRecord& r) { return r.index == rec.index; });
+    ASSERT_NE(twin, all->records.end()) << rec.fault_id;
+    exec::JournalRecord expected = *twin;
+    ASSERT_FALSE(expected.rtrace.empty()) << rec.fault_id;
+    if (is_masked) expected.rtrace.clear();
+    rec.wall_us = expected.wall_us = 0;  // host time, the one field that may differ
+    std::string got_bytes, expected_bytes;
+    exec::write_record_fields(&got_bytes, rec, /*wire=*/false);
+    exec::write_record_fields(&expected_bytes, expected, /*wire=*/false);
+    EXPECT_EQ(got_bytes, expected_bytes) << rec.fault_id;
+  }
+  EXPECT_GT(masked, 0u) << "the campaign has no masked run to check";
 }
 
 TEST_F(RtraceCampaignTest, UntracedCampaignStaysV6WithoutRtTrailers) {
