@@ -20,7 +20,6 @@
 #include "dist/protocol.h"
 #include "dist/socket.h"
 #include "dist/wire.h"
-#include "exec/sink.h"
 #include "obs/fleet/events.h"
 #include "obs/fleet/status.h"
 
@@ -221,7 +220,19 @@ struct Coordinator::Impl {
       c.dead = true;
       return;
     }
-    if (c.lease->outstanding.erase(r.index) == 0) return;  // duplicate
+    const std::size_t index = r.index;
+    if (!c.lease->outstanding.contains(index)) return;  // duplicate
+    // The record carries the run's causal name (campaign, lease, entry) as
+    // the worker minted it; it reaches the loop unchanged. One whose run
+    // line does not parse drops the worker, and its lease returns to the
+    // queue.
+    const std::uint64_t lease_id = r.lease_id;
+    const core::RunResult* result = round->done(std::move(r), c.worker_id, lease_id);
+    if (result == nullptr) {
+      c.dead = true;
+      return;
+    }
+    c.lease->outstanding.erase(index);
     --outstanding_total;
     ++c.runs;
     if (campaign->metrics != nullptr) {
@@ -231,20 +242,11 @@ struct Coordinator::Impl {
                     "fresh runs streamed back per distributed worker")
           .inc();
     }
-    core::RunResult result;
-    if (!exec::result_from_record(r, round->base.workload.target_image, &result)) {
-      c.dead = true;
-      return;
-    }
-    if (result.outcome == core::Outcome::kFailure) {
+    if (result->outcome == core::Outcome::kFailure) {
       ++c.failures;
-      c.recent_failures.push_back(r.fault_id);
+      c.recent_failures.push_back(result->fault.id());
       if (c.recent_failures.size() > 8) c.recent_failures.pop_front();
     }
-    // The record carries the run's causal name (campaign, lease, entry) as
-    // the worker minted it; it reaches the loop unchanged.
-    const std::uint64_t lease_id = r.lease_id;
-    round->done(r.index, std::move(result), std::move(r), c.worker_id, lease_id);
   }
 
   /// Handles one decoded message; marks the conn dead on protocol violations.

@@ -141,7 +141,7 @@ std::optional<Lease> decode_lease(const std::string& line) {
 
 std::string encode_result(const WireResult& m) {
   std::string out = type_field("result") + ",\"lease\":" + std::to_string(m.lease_id) + ",";
-  exec::write_record_fields(&out, m, /*wire=*/true);
+  exec::write_record_fields(&out, m);
   out += '}';
   return out;
 }

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "exec/journal.h"
-#include "exec/sink.h"
 #include "obs/trace.h"
 
 namespace dts::dist {
@@ -111,10 +110,8 @@ std::string encode_lease(const Lease& m);
 std::optional<Lease> decode_lease(const std::string& line);
 
 /// One executed run, streamed back as it completes: the worker's run record
-/// (exec::finish_run) unchanged, in the journal's field codec, wire-only
-/// fields included — so the coordinator journals exactly what an in-process
-/// run journals, and results.csv renders the per-request results and detail
-/// the journal elides.
+/// (exec::finish_run) unchanged, in the journal's field codec — so the
+/// coordinator journals exactly what an in-process run journals.
 struct WireResult : exec::JournalRecord {
   std::uint64_t lease_id = 0;
 };

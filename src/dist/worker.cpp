@@ -160,11 +160,10 @@ int run_worker(const WorkerOptions& options, std::string* error) {
       // execution index.
       WireResult res;
       res.lease_id = lease->lease_id;
-      exec::ExecutedRun run = exec::execute_fault(
+      static_cast<exec::JournalRecord&>(res) = exec::execute_fault(
           cfg->run, welcome->seed, *spec,
           {welcome->digest, lease->lease_id, lease->indices[k]}, welcome->trace,
           welcome->forensics_depth);
-      static_cast<exec::JournalRecord&>(res) = std::move(run.record);
       if (!conn.write_msg(encode_result(res))) {
         return fail(error, 1, "cannot stream result");
       }

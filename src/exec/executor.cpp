@@ -18,6 +18,16 @@ namespace {
 /// 0..N-1 of the workers of either pool.
 constexpr int kSynthesisRow = -1;
 
+/// One entry of a campaign: its result, rebuilt from its record once run
+/// here, on a fleet, or reloaded from a resume journal. `executed == false`
+/// marks an entry nobody ran (pending, elided under an uncalled-function
+/// proof, or unsampled).
+struct CompletedRun {
+  core::RunResult result;
+  bool fn_called = false;
+  bool executed = false;
+};
+
 core::RunResult skipped_result(const inject::FaultSpec& fault) {
   core::RunResult r;
   r.fault = fault;
@@ -137,10 +147,10 @@ class ThreadPool final : public RunPool {
           if (item == ShardQueue::npos) return;
           const std::size_t i = round.fresh[item];
           if (round.elide(i)) continue;
-          ExecutedRun run =
-              execute_fault(round.base, round.seed, round.entries[i].fault,
-                            {round.digest, 0, i}, options_.trace, options_.forensics_depth);
-          round.done(i, std::move(run.result), std::move(run.record), worker, 0);
+          round.done(execute_fault(round.base, round.seed, round.entries[i].fault,
+                                   {round.digest, 0, i}, options_.trace,
+                                   options_.forensics_depth),
+                     worker, 0);
           if (runs != nullptr) runs->inc();
         }
       } catch (...) {
@@ -279,38 +289,43 @@ CampaignResult CampaignExecutor::run_rounds(const core::RunConfig& base,
         std::lower_bound(executable.begin(), executable.end(), i) - executable.begin());
   };
   UncalledProofs proofs;
-  const auto prove = [&](std::size_t i, const CompletedRun& s) {
+  // The one place a record becomes a result: every fresh run, whichever pool
+  // or synthesis produced it, and every resumed record. A record whose run
+  // line does not parse fills nothing, so a resumed one is re-executed.
+  const auto fill = [&](const JournalRecord& rec) -> const CompletedRun* {
+    core::RunResult result;
+    if (!result_from_record(rec, base.workload.target_image, &result)) return nullptr;
+    CompletedRun& s = slots[slot_index(rec.index)];
+    s.result = std::move(result);
+    s.fn_called = rec.fn_called;
+    s.executed = true;
     if (skip_uncalled && !s.result.activated && !s.fn_called) {
-      proofs.record(plan.entries[i].fault.fn, i);
+      proofs.record(plan.entries[rec.index].fault.fn, rec.index);
     }
+    return &s;
   };
 
-  auto resumed = load_resumed_runs(
-      options_, base, campaign_seed, campaign_digest, n,
-      [&plan](std::size_t i, const std::string& id) {
-        const plan::PlanEntry& e = plan.entries[i];
-        return e.disposition == plan::Disposition::kExecute && e.fault.id() == id;
-      });
-  out.reused = resumed.size();
-  for (auto& [i, run] : resumed) {
-    CompletedRun& s = slots[slot_index(i)];
-    s = std::move(run);
-    prove(i, s);
+  // The first record of an entry that parses wins.
+  for (const JournalRecord& rec : load_resumed_runs(
+           options_, base, campaign_seed, campaign_digest, n,
+           [&plan](std::size_t i, const std::string& id) {
+             const plan::PlanEntry& e = plan.entries[i];
+             return e.disposition == plan::Disposition::kExecute && e.fault.id() == id;
+           })) {
+    if (!slots[slot_index(rec.index)].executed && fill(rec) != nullptr) ++out.reused;
   }
 
   RunSink sink(base, options_, campaign_seed, n, config_text_);
   // Every fresh run lands here, whichever pool ran it. Planned records carry
   // their sampling stratum.
-  const auto complete = [&](std::size_t i, core::RunResult result, JournalRecord rec,
-                            int worker, std::uint64_t lease_id) {
-    const inject::FaultSpec& fault = plan.entries[i].fault;
+  const auto complete = [&](JournalRecord rec, int worker,
+                            std::uint64_t lease_id) -> const core::RunResult* {
+    const inject::FaultSpec& fault = plan.entries[rec.index].fault;
     if (planned) rec.stratum = plan::to_string(plan::StratumKey{fault.fn, fault.type});
-    CompletedRun& s = slots[slot_index(i)];
-    s.result = std::move(result);
-    s.fn_called = rec.fn_called;
-    s.executed = true;
-    prove(i, s);
-    sink.record(rec, s.result, worker, lease_id);
+    const CompletedRun* s = fill(rec);
+    if (s == nullptr) return nullptr;
+    sink.record(rec, s->result, worker, lease_id);
+    return &s->result;
   };
 
   plan::AdaptiveSampler sampler(plan, sampler_options);
@@ -334,15 +349,15 @@ CampaignResult CampaignExecutor::run_rounds(const core::RunConfig& base,
         tail.push_back({executable[k], fault});
       }
     }
-    std::vector<SynthesizedRun> synthesized =
+    std::vector<JournalRecord> synthesized =
         synthesize_golden_tail(base, campaign_seed, campaign_digest, tail);
     std::uint64_t skipped_sim_us = 0;
     if (options_.metrics != nullptr && !synthesized.empty()) {
       options_.metrics->set_thread_name(kSynthesisRow, "synthesis");
     }
-    for (SynthesizedRun& s : synthesized) {
-      skipped_sim_us += s.record.sim_us;
-      complete(s.index, std::move(s.result), std::move(s.record), kSynthesisRow, 0);
+    for (JournalRecord& rec : synthesized) {
+      skipped_sim_us += rec.sim_us;
+      complete(std::move(rec), kSynthesisRow, 0);
     }
     emit_snap_metrics(options_.metrics, base, synthesized.size(),
                       tail.size() - synthesized.size(), skipped_sim_us);

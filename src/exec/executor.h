@@ -12,7 +12,8 @@
 // order when the output is assembled. So the output at jobs=N, or on a fleet,
 // is byte-identical to jobs=1 (core::serialize_workload_set round-trips match
 // exactly). Every run, threaded, leased or synthesized, is finished into its
-// record and handed to one exec::RunSink (exec/sink.h).
+// record, rebuilt into its result from that record alone, as a resumed run
+// is, and handed to one exec::RunSink (exec/sink.h).
 #pragma once
 
 #include <cstdint>
@@ -125,15 +126,6 @@ int effective_jobs(int jobs, unsigned hardware_threads);
 /// Same, against the real std::thread::hardware_concurrency().
 int effective_jobs(int jobs);
 
-/// One entry of a campaign: its result once run here, on a fleet, or
-/// reloaded from a resume journal. `executed == false` marks an entry nobody
-/// ran (pending, elided under an uncalled-function proof, or unsampled).
-struct CompletedRun {
-  core::RunResult result;
-  bool fn_called = false;
-  bool executed = false;
-};
-
 /// One round of a campaign as the loop hands it to a pool: the campaign,
 /// constant across its rounds, and the round's fresh entries.
 struct Round {
@@ -145,9 +137,11 @@ struct Round {
   /// Asked just before entry i would start: true means the loop elided it
   /// (and counted it), so it must not run.
   std::function<bool(std::size_t)> elide;
-  /// A finished run of entry i, with the worker that ran it and its lease
-  /// (0 = in-process). Thread-safe.
-  std::function<void(std::size_t, core::RunResult, JournalRecord, int, std::uint64_t)> done;
+  /// The record of a finished run of entry rec.index, with the worker that
+  /// ran it and its lease (0 = in-process). Returns the result the loop
+  /// rebuilt from the record, or null when its run line does not parse (the
+  /// run is then not recorded). Thread-safe.
+  std::function<const core::RunResult*(JournalRecord, int, std::uint64_t)> done;
 };
 
 /// Where a campaign's runs execute: this process's threads, or a worker fleet

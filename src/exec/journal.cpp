@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "core/campaign.h"
 #include "obs/jsonl.h"
 
 namespace dts::exec {
@@ -49,7 +50,61 @@ std::string hex16(std::uint64_t value) {
 
 }  // namespace
 
-void write_record_fields(std::string* out, const JournalRecord& rec, bool wire) {
+std::string encode_requests(const std::vector<core::RequestResult>& requests) {
+  std::string out;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (i > 0) out += '|';
+    out += requests[i].ok ? 'o' : 'x';
+    out += std::to_string(requests[i].attempts);
+  }
+  return out;
+}
+
+std::vector<core::RequestResult> decode_requests(const std::string& text) {
+  std::vector<core::RequestResult> out;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find('|', pos);
+    if (end == std::string::npos) end = text.size();
+    if (end > pos) {
+      core::RequestResult r;
+      r.ok = text[pos] == 'o';
+      r.attempts = std::atoi(text.substr(pos + 1, end - pos - 1).c_str());
+      out.push_back(r);
+    }
+    pos = end + 1;
+  }
+  return out;
+}
+
+std::string encode_spans(const std::vector<obs::Span>& spans) {
+  std::string out;
+  for (const obs::Span& s : spans) {
+    if (!out.empty()) out += ' ';
+    out += s.name + ':' + std::to_string(s.begin.count_micros()) + ':' +
+           std::to_string(s.end.count_micros());
+  }
+  return out;
+}
+
+std::vector<obs::Span> decode_spans(const std::string& text) {
+  std::vector<obs::Span> out;
+  std::istringstream in(text);
+  for (std::string token; in >> token;) {
+    const std::size_t e = token.rfind(':');
+    if (e == std::string::npos || e == 0) continue;
+    const std::size_t b = token.rfind(':', e - 1);
+    if (b == std::string::npos) continue;
+    obs::Span s;
+    s.name = token.substr(0, b);
+    s.begin = sim::TimePoint::from_micros(std::atoll(token.c_str() + b + 1));
+    s.end = sim::TimePoint::from_micros(std::atoll(token.c_str() + e + 1));
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+void write_record_fields(std::string* out, const JournalRecord& rec) {
   const auto field = [out](const char* key, const std::string& value) {
     *out += ",\"";
     *out += key;
@@ -76,11 +131,9 @@ void write_record_fields(std::string* out, const JournalRecord& rec, bool wire) 
   optional("fm", rec.model);
   optional("tier", rec.tier);
   optional("rt", rec.rtrace);
-  if (wire) {
-    optional("req", rec.requests);
-    optional("detail", rec.detail);
-    optional("sp", rec.spans);
-  }
+  optional("req", rec.requests);
+  optional("detail", rec.detail);
+  optional("sp", rec.spans);
   // Forensics last: the dump is big and optional, the fixed fields stay
   // greppable at the front of the line.
   optional("fx", rec.forensics);
@@ -96,7 +149,7 @@ bool read_record_fields(std::string_view line, JournalRecord* rec) {
   rec->index = static_cast<std::size_t>(index);
   rec->fn_called = called != 0;
   // Optional fields: v2 timings/forensics/stratum, v3 xi, v4 td/cc, v5 fm,
-  // v6 tier, v7 rt, then the wire-only fields.
+  // v6 tier, v7 rt, then req/detail/sp.
   (void)json_uint_field(line, "wall_us", &rec->wall_us);
   (void)json_uint_field(line, "sim_us", &rec->sim_us);
   (void)json_string_field(line, "fx", &rec->forensics);
@@ -113,6 +166,17 @@ bool read_record_fields(std::string_view line, JournalRecord* rec) {
   (void)json_string_field(line, "req", &rec->requests);
   (void)json_string_field(line, "detail", &rec->detail);
   (void)json_string_field(line, "sp", &rec->spans);
+  return true;
+}
+
+bool result_from_record(const JournalRecord& rec, const std::string& target_image,
+                        core::RunResult* out) {
+  if (!core::parse_run_line(target_image, rec.run_line, out, nullptr)) return false;
+  out->sim_elapsed = sim::Duration::micros(static_cast<std::int64_t>(rec.sim_us));
+  out->requests = decode_requests(rec.requests);
+  out->detail = rec.detail;
+  out->rtrace.reset();
+  if (!rec.rtrace.empty()) out->rtrace = obs::rtrace::RunTrace::parse(rec.rtrace);
   return true;
 }
 
@@ -201,7 +265,7 @@ bool RunJournal::open(const std::string& path, const JournalKey& key, bool appen
 
 void RunJournal::append(const JournalRecord& rec) {
   std::string line = "{";
-  write_record_fields(&line, rec, /*wire=*/false);
+  write_record_fields(&line, rec);
   line += "}\n";
   std::lock_guard<std::mutex> lock(mu_);
   if (!out_.is_open()) return;

@@ -53,12 +53,17 @@
 // zero/empty), and newer records with fields an older reader never knew
 // about parse the same way.
 //
-// The record is also the one run record every execution path produces
-// (exec/sink.h finish_run) and the payload of the dist RESULT frame, which
-// encodes it with the same field codec (write_record_fields). The frame
-// additionally carries the wire-only fields "req" (per-request results),
-// "detail" and "sp" (middleware spans): results.csv and the run sink need
-// them, the journal never writes them.
+// Every version may also carry "req" (per-request results, encode_requests),
+// "detail" (the run's detail text) and "sp" (middleware spans, encode_spans),
+// each elided when empty like every other optional field. The field-based
+// reader has always parsed them, so they need no version of their own.
+//
+// The record is the one run record every execution path produces
+// (exec/sink.h finish_run), the payload of the dist RESULT frame, which
+// encodes it with the same field codec (write_record_fields), and the one
+// source of a campaign's results: result_from_record rebuilds the RunResult
+// of a fresh, synthesized, fleet or resumed run alike, and `ntdts report`
+// reads records the same way.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +74,20 @@
 #include <string_view>
 #include <vector>
 
+#include "core/outcome.h"
+#include "obs/span.h"
+
 namespace dts::exec {
+
+/// "o1|x3" — ok/fail flag + attempt count per workload request, the two
+/// per-request fields results.csv renders.
+std::string encode_requests(const std::vector<core::RequestResult>& requests);
+std::vector<core::RequestResult> decode_requests(const std::string& text);
+
+/// "mscs.detection:1000:2500 mscs.recovery:2500:9000" — name and sim-time
+/// bounds (microseconds) of each middleware span.
+std::string encode_spans(const std::vector<obs::Span>& spans);
+std::vector<obs::Span> decode_spans(const std::string& text);
 
 /// Identity of the campaign a journal belongs to. Resuming is refused when
 /// the on-disk header does not match: replaying another campaign's records
@@ -119,21 +137,28 @@ struct JournalRecord {
   // (obs::rtrace::RunTrace::serialize / ::parse).
   std::string rtrace;
 
-  // Wire-only fields: never journaled (see the format comment above).
-  std::string requests;  // exec::encode_requests of the per-request results
+  // Empty when the run has none, and in journals written before the fields
+  // were journaled.
+  std::string requests;  // encode_requests of the per-request results
   std::string detail;    // core::RunResult::detail
-  std::string spans;     // exec::encode_spans of the middleware spans
+  std::string spans;     // encode_spans of the middleware spans
 };
 
 /// The record field codec the journal and the dist RESULT frame share:
 /// appends `"i":..,"fault":..,...` (no braces) to *out, eliding empty
-/// optional fields. `wire` adds the wire-only fields.
-void write_record_fields(std::string* out, const JournalRecord& rec, bool wire);
+/// optional fields.
+void write_record_fields(std::string* out, const JournalRecord& rec);
 
 /// Parses what write_record_fields wrote (any mix of optional fields, so
 /// older records and frames parse too). False when a required field is
 /// missing.
 bool read_record_fields(std::string_view line, JournalRecord* rec);
+
+/// Rebuilds the RunResult a record describes: the run line plus sim time,
+/// per-request results, detail and request trace. False when the run line
+/// does not parse for `target_image`.
+bool result_from_record(const JournalRecord& rec, const std::string& target_image,
+                        core::RunResult* out);
 
 /// Reads the records of an existing journal. A missing file yields an empty
 /// vector (fresh start); a present file whose header does not match `key`

@@ -2,11 +2,9 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/campaign.h"
@@ -95,60 +93,6 @@ bool foreign_record(const JournalRecord& rec, std::uint64_t campaign_digest) {
 
 }  // namespace
 
-std::string encode_requests(const std::vector<core::RequestResult>& requests) {
-  std::string out;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (i > 0) out += '|';
-    out += requests[i].ok ? 'o' : 'x';
-    out += std::to_string(requests[i].attempts);
-  }
-  return out;
-}
-
-std::vector<core::RequestResult> decode_requests(const std::string& text) {
-  std::vector<core::RequestResult> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('|', pos);
-    if (end == std::string::npos) end = text.size();
-    if (end > pos) {
-      core::RequestResult r;
-      r.ok = text[pos] == 'o';
-      r.attempts = std::atoi(text.substr(pos + 1, end - pos - 1).c_str());
-      out.push_back(r);
-    }
-    pos = end + 1;
-  }
-  return out;
-}
-
-std::string encode_spans(const std::vector<obs::Span>& spans) {
-  std::string out;
-  for (const obs::Span& s : spans) {
-    if (!out.empty()) out += ' ';
-    out += s.name + ':' + std::to_string(s.begin.count_micros()) + ':' +
-           std::to_string(s.end.count_micros());
-  }
-  return out;
-}
-
-std::vector<obs::Span> decode_spans(const std::string& text) {
-  std::vector<obs::Span> out;
-  std::istringstream in(text);
-  for (std::string token; in >> token;) {
-    const std::size_t e = token.rfind(':');
-    if (e == std::string::npos || e == 0) continue;
-    const std::size_t b = token.rfind(':', e - 1);
-    if (b == std::string::npos) continue;
-    obs::Span s;
-    s.name = token.substr(0, b);
-    s.begin = sim::TimePoint::from_micros(std::atoll(token.c_str() + b + 1));
-    s.end = sim::TimePoint::from_micros(std::atoll(token.c_str() + e + 1));
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 JournalRecord finish_run(const core::FaultInjectionRun& run, const core::RunResult& result,
                          const obs::fleet::ExecutionIndex& xi, std::uint64_t wall_us,
                          obs::TraceMode trace) {
@@ -180,10 +124,10 @@ JournalRecord finish_run(const core::FaultInjectionRun& run, const core::RunResu
   return rec;
 }
 
-ExecutedRun execute_fault(const core::RunConfig& base, std::uint64_t campaign_seed,
-                          const inject::FaultSpec& fault,
-                          const obs::fleet::ExecutionIndex& xi, obs::TraceMode trace,
-                          std::size_t forensics_depth) {
+JournalRecord execute_fault(const core::RunConfig& base, std::uint64_t campaign_seed,
+                            const inject::FaultSpec& fault,
+                            const obs::fleet::ExecutionIndex& xi, obs::TraceMode trace,
+                            std::size_t forensics_depth) {
   core::RunConfig cfg = base;
   cfg.seed = sim::Rng::mix(campaign_seed, sim::Rng::hash(fault.id()));
   if (trace != obs::TraceMode::kOff && cfg.trace_limit < forensics_depth) {
@@ -191,49 +135,31 @@ ExecutedRun execute_fault(const core::RunConfig& base, std::uint64_t campaign_se
   }
   const auto start = std::chrono::steady_clock::now();
   core::FaultInjectionRun run(cfg);
-  ExecutedRun out;
-  out.result = run.execute(fault);
+  const core::RunResult result = run.execute(fault);
   const auto wall_us = static_cast<std::uint64_t>(std::llround(
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
           .count()));
-  out.record = finish_run(run, out.result, xi, wall_us, trace);
-  return out;
+  return finish_run(run, result, xi, wall_us, trace);
 }
 
-bool result_from_record(const JournalRecord& rec, const std::string& target_image,
-                        core::RunResult* out) {
-  if (!core::parse_run_line(target_image, rec.run_line, out, nullptr)) return false;
-  out->sim_elapsed = sim::Duration::micros(static_cast<std::int64_t>(rec.sim_us));
-  out->requests = decode_requests(rec.requests);
-  out->detail = rec.detail;
-  out->rtrace.reset();
-  if (!rec.rtrace.empty()) out->rtrace = obs::rtrace::RunTrace::parse(rec.rtrace);
-  return true;
-}
-
-std::map<std::size_t, CompletedRun> load_resumed_runs(
+std::vector<JournalRecord> load_resumed_runs(
     const ExecOptions& options, const core::RunConfig& base, std::uint64_t campaign_seed,
     std::uint64_t campaign_digest, std::size_t entries,
     const std::function<bool(std::size_t, const std::string&)>& matches) {
-  std::map<std::size_t, CompletedRun> runs;
-  if (!options.resume || options.journal_path.empty()) return runs;
+  std::vector<JournalRecord> resumed;
+  if (!options.resume || options.journal_path.empty()) return resumed;
   std::string error;
-  const auto records = read_journal(options.journal_path,
-                                    journal_key(base, campaign_seed, entries), &error);
+  auto records = read_journal(options.journal_path,
+                              journal_key(base, campaign_seed, entries), &error);
   if (!records) throw std::runtime_error(error);
   std::size_t foreign = 0;
-  for (const JournalRecord& rec : *records) {
+  for (JournalRecord& rec : *records) {
     if (rec.index >= entries || !matches(rec.index, rec.fault_id)) continue;
     if (foreign_record(rec, campaign_digest)) {
       ++foreign;
       continue;
     }
-    if (runs.contains(rec.index)) continue;  // duplicate record: the first one wins
-    CompletedRun run;
-    if (!result_from_record(rec, base.workload.target_image, &run.result)) continue;
-    run.fn_called = rec.fn_called;
-    run.executed = true;
-    runs.emplace(rec.index, std::move(run));
+    resumed.push_back(std::move(rec));
   }
   if (foreign > 0) {
     std::cerr << "warning: " << options.journal_path << ": skipped " << foreign
@@ -247,7 +173,7 @@ std::map<std::size_t, CompletedRun> load_resumed_runs(
           .inc(foreign);
     }
   }
-  return runs;
+  return resumed;
 }
 
 RunSink::RunSink(const core::RunConfig& base, const ExecOptions& options,
@@ -326,22 +252,12 @@ void RunSink::record(const JournalRecord& rec, const core::RunResult& result, in
     entry.lease_id = lease_id;
     entry.exec_index = rec.exec_index;
     status->record_run(std::move(entry));
-    // The request trace counts only where the record carries it, so the live
-    // board clusters and lists exactly what `ntdts report` finds in the journal.
-    const bool traced = result.rtrace && !rec.rtrace.empty();
-    forensics::SignatureKey key = forensics::signature_of(result, rec.call_context);
-    if (!traced) key.path.clear();
-    obs::fleet::SignatureEntry sig;
-    sig.id = forensics::signature_id(key);
-    sig.fault_class = key.fault_class;
-    sig.call_context = key.call_context;
-    sig.outcome = key.outcome;
-    sig.span = key.span;
-    sig.example_fault = rec.fault_id;
-    sig.example_xi = rec.exec_index;
-    status->record_signature(sig);
+    // `result` is rebuilt from `rec`, so the board clusters and lists exactly
+    // what `ntdts report` finds in the journal.
+    status->record_signature(forensics::signature_of(result, rec.call_context), rec.fault_id,
+                             rec.exec_index);
     if (result.topo) status->record_topology(result.topo->tier, result.topo->user_outcome);
-    if (traced) {
+    if (result.rtrace) {
       obs::fleet::TraceEntry tr;
       tr.fault_id = rec.fault_id;
       tr.tier = result.topo ? result.topo->tier : "";

@@ -24,19 +24,19 @@ std::string unsupported_reason(const core::RunConfig& base, bool tracing) {
   return "";
 }
 
-std::vector<SynthesizedRun> synthesize_golden_tail(const core::RunConfig& base,
-                                                   std::uint64_t campaign_seed,
-                                                   std::uint64_t campaign_digest,
-                                                   const std::vector<TailItem>& items) {
+std::vector<JournalRecord> synthesize_golden_tail(const core::RunConfig& base,
+                                                  std::uint64_t campaign_seed,
+                                                  std::uint64_t campaign_digest,
+                                                  const std::vector<TailItem>& items) {
   if (items.empty()) return {};
   // Seeded exactly like the planner's profiler (and the campaign's profiling
   // pass), so the host run makes the calls the profile counted.
   core::RunConfig cfg = base;
   cfg.seed = sim::Rng::mix(campaign_seed, sim::Rng::hash("profile"));
   core::FaultInjectionRun run(cfg);
-  core::RunResult end_result;
+  core::RunResult result;
   try {
-    end_result = run.execute(std::nullopt);
+    result = run.execute(std::nullopt);
   } catch (...) {
     return {};
   }
@@ -51,20 +51,17 @@ std::vector<SynthesizedRun> synthesize_golden_tail(const core::RunConfig& base,
     }
   }
 
-  std::vector<SynthesizedRun> out;
+  std::vector<JournalRecord> out;
   out.reserve(items.size());
   for (const TailItem& item : items) {
-    SynthesizedRun s;
-    s.index = item.index;
-    s.result = end_result;
-    s.result.fault = item.fault;
+    result.fault = item.fault;
     // The host trajectory is the run's, so its digest and spans are the
     // run's too. The fault never fires, so there is no injection context;
     // the host ran unarmed, so whether the fault's function was called is
     // read from its invocation count.
-    s.record = finish_run(run, s.result, {campaign_digest, 0, item.index}, /*wall_us=*/0);
-    s.record.fn_called = icpt.invocations(item.fault.target_image, item.fault.fn) > 0;
-    out.push_back(std::move(s));
+    JournalRecord rec = finish_run(run, result, {campaign_digest, 0, item.index}, /*wall_us=*/0);
+    rec.fn_called = icpt.invocations(item.fault.target_image, item.fault.fn) > 0;
+    out.push_back(std::move(rec));
   }
   return out;
 }

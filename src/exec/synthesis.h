@@ -35,22 +35,15 @@ struct TailItem {
   inject::FaultSpec fault;
 };
 
-/// A synthesized run: the result and record a full run of the fault would
-/// have produced, apart from wall_us (0: the run did no work of its own).
-struct SynthesizedRun {
-  std::size_t index = 0;
-  core::RunResult result;
-  JournalRecord record;
-};
-
 /// Executes one host golden run of `base` and synthesizes a record for every
-/// item, in item order, stamping execution indices with `campaign_digest`.
-/// Returns nothing when the host run fails a gate (it threw, drew a semantic
-/// RNG value, or reached an item's invocation after all): then every item
-/// needs a full run.
-std::vector<SynthesizedRun> synthesize_golden_tail(const core::RunConfig& base,
-                                                   std::uint64_t campaign_seed,
-                                                   std::uint64_t campaign_digest,
-                                                   const std::vector<TailItem>& items);
+/// item, in item order, stamping execution indices with `campaign_digest`:
+/// the record a full run of the fault would have produced, apart from
+/// wall_us (0: the run did no work of its own). Returns nothing when the
+/// host run fails a gate (it threw, drew a semantic RNG value, or reached an
+/// item's invocation after all): then every item needs a full run.
+std::vector<JournalRecord> synthesize_golden_tail(const core::RunConfig& base,
+                                                  std::uint64_t campaign_seed,
+                                                  std::uint64_t campaign_digest,
+                                                  const std::vector<TailItem>& items);
 
 }  // namespace dts::exec

@@ -76,9 +76,6 @@ SignatureKey signature_of(const core::RunResult& run,
   key.outcome = std::string(core::outcome_code(run.outcome));
   key.span = detection_span(run);
   key.tier = run.fault.tier;
-  // Live runs carry their trace in the result; journal-sourced callers set
-  // the axis themselves from the record's "rt" payload (the run line never
-  // carries the trace).
   if (run.rtrace && run.rtrace->digest != 0) {
     key.path = obs::rtrace::digest_hex(run.rtrace->digest);
   }

@@ -58,7 +58,9 @@ std::string detection_span(const core::RunResult& run);
 /// Builds the signature key of one completed run. `call_context` is the
 /// interceptor's corrupted-call context when known (journal "cc" / a live
 /// interceptor); when empty but the fault activated, a coarser context is
-/// synthesized from the fault spec so pre-v4 journals still cluster.
+/// synthesized from the fault spec so pre-v4 journals still cluster. The
+/// path axis is the digest of `run.rtrace`, which exec::result_from_record
+/// rebuilds from the record's "rt" payload.
 SignatureKey signature_of(const core::RunResult& run,
                           const std::string& call_context);
 

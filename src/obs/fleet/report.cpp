@@ -8,7 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/campaign.h"
 #include "core/workload.h"
 #include "fault/model.h"
 #include "obs/fleet/span.h"
@@ -246,52 +245,42 @@ FleetReport build_report(const std::vector<exec::JournalFile>& files,
       ++report.records;
       if (!rec.fn_called) ++g.uncalled;
 
+      // The result the campaign loop rebuilds from the same record, so these
+      // clusters are the live board's.
       core::RunResult run;
-      std::string error;
-      if (!known_workload ||
-          !core::parse_run_line(target_image, rec.run_line, &run, &error)) {
+      if (!known_workload || !exec::result_from_record(rec, target_image, &run)) {
         ++g.unparsed;
         // Reserved signature keeps Σ cluster counts == merged records.
         signatures.add(forensics::unparsed_signature(), rec.fault_id,
                        rec.exec_index, campaign);
         continue;
       }
-      forensics::SignatureKey sig_key =
-          forensics::signature_of(run, rec.call_context);
-      // The propagation-path axis: parsed run lines never carry the trace, so
-      // the journal record's "rt" payload supplies it here (exactly what the
-      // live path of signature_of reads from RunResult::rtrace).
-      if (!rec.rtrace.empty()) {
-        const std::uint64_t path = obs::rtrace::digest_of_serialized(rec.rtrace);
-        if (path != 0) sig_key.path = obs::rtrace::digest_hex(path);
-      }
-      signatures.add(sig_key, rec.fault_id, rec.exec_index, campaign);
-      if (!rec.rtrace.empty()) {
-        if (const auto rt = obs::rtrace::RunTrace::parse(rec.rtrace)) {
-          ++g.traced_runs;
-          for (const obs::rtrace::TierAttribution& t : rt->totals) {
-            bool found = false;
-            for (obs::rtrace::TierAttribution& agg : g.rtrace_totals) {
-              if (agg.tier == t.tier) {
-                agg.service_us += t.service_us;
-                agg.retry_us += t.retry_us;
-                agg.queue_us += t.queue_us;
-                found = true;
-                break;
-              }
+      signatures.add(forensics::signature_of(run, rec.call_context), rec.fault_id,
+                     rec.exec_index, campaign);
+      if (run.rtrace) {
+        ++g.traced_runs;
+        for (const obs::rtrace::TierAttribution& t : run.rtrace->totals) {
+          bool found = false;
+          for (obs::rtrace::TierAttribution& agg : g.rtrace_totals) {
+            if (agg.tier == t.tier) {
+              agg.service_us += t.service_us;
+              agg.retry_us += t.retry_us;
+              agg.queue_us += t.queue_us;
+              found = true;
+              break;
             }
-            if (!found) g.rtrace_totals.push_back(t);
           }
-          const int rank = run.topo ? static_cast<int>(topo_outcome_slot(
-                                          run.topo->user_outcome))
-                                    : 0;
-          if (rank > g.rtrace_example_rank) {
-            g.rtrace_example_rank = rank;
-            g.rtrace_example = rec.rtrace;
-            g.rtrace_example_fault = rec.fault_id;
-            g.rtrace_example_outcome =
-                run.topo ? run.topo->user_outcome : std::string("-");
-          }
+          if (!found) g.rtrace_totals.push_back(t);
+        }
+        const int rank = run.topo ? static_cast<int>(topo_outcome_slot(
+                                        run.topo->user_outcome))
+                                  : 0;
+        if (rank > g.rtrace_example_rank) {
+          g.rtrace_example_rank = rank;
+          g.rtrace_example = rec.rtrace;
+          g.rtrace_example_fault = rec.fault_id;
+          g.rtrace_example_outcome =
+              run.topo ? run.topo->user_outcome : std::string("-");
         }
       }
       ++g.outcomes[outcome_slot(run.outcome)];

@@ -1,6 +1,5 @@
 #include "obs/fleet/status.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -118,12 +117,11 @@ std::map<std::string, std::uint64_t> StatusBoard::outcome_counts() const {
   return outcomes_;
 }
 
-void StatusBoard::record_signature(const SignatureEntry& e) {
+void StatusBoard::record_signature(const forensics::SignatureKey& key,
+                                   const std::string& fault_id,
+                                   const std::string& exec_index) {
   std::lock_guard<std::mutex> lock(mu_);
-  SignatureRow& row = signatures_[e.id];
-  if (row.count == 0) row.entry = e;
-  ++row.count;
-  ++signature_total_;
+  signatures_.add(key, fault_id, exec_index, /*campaign=*/"");
 }
 
 void StatusBoard::record_topology(const std::string& tier, const std::string& outcome) {
@@ -181,35 +179,24 @@ std::string StatusBoard::traces_json(std::size_t limit) const {
 
 std::string StatusBoard::signatures_json(std::size_t limit) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const SignatureRow*> ranked;
-  ranked.reserve(signatures_.size());
-  for (const auto& [id, row] : signatures_) ranked.push_back(&row);
-  std::sort(ranked.begin(), ranked.end(),
-            [](const SignatureRow* a, const SignatureRow* b) {
-              const bool af = a->entry.outcome == "failure";
-              const bool bf = b->entry.outcome == "failure";
-              if (af != bf) return af;
-              if (a->count != b->count) return a->count > b->count;
-              return a->entry.id < b->entry.id;
-            });
+  std::vector<forensics::SignatureCluster> ranked = signatures_.ranked();
   if (ranked.size() > limit) ranked.resize(limit);
   std::ostringstream out;
   out << "{\"signatures\":[";
   bool first = true;
-  for (const SignatureRow* row : ranked) {
+  for (const forensics::SignatureCluster& c : ranked) {
     if (!first) out << ",";
     first = false;
-    out << "{\"id\":\"" << obs::json_escape(row->entry.id) << "\",\"class\":\""
-        << obs::json_escape(row->entry.fault_class) << "\",\"context\":\""
-        << obs::json_escape(row->entry.call_context) << "\",\"outcome\":\""
-        << obs::json_escape(row->entry.outcome) << "\",\"span\":\""
-        << obs::json_escape(row->entry.span) << "\",\"count\":" << row->count
-        << ",\"example_fault\":\"" << obs::json_escape(row->entry.example_fault)
-        << "\",\"example_xi\":\"" << obs::json_escape(row->entry.example_xi)
-        << "\"}";
+    out << "{\"id\":\"" << obs::json_escape(c.id) << "\",\"class\":\""
+        << obs::json_escape(c.key.fault_class) << "\",\"context\":\""
+        << obs::json_escape(c.key.call_context) << "\",\"outcome\":\""
+        << obs::json_escape(c.key.outcome) << "\",\"span\":\""
+        << obs::json_escape(c.key.span) << "\",\"count\":" << c.count
+        << ",\"example_fault\":\"" << obs::json_escape(c.example_fault)
+        << "\",\"example_xi\":\"" << obs::json_escape(c.example_xi) << "\"}";
   }
-  out << "],\"distinct\":" << signatures_.size()
-      << ",\"total\":" << signature_total_ << "}";
+  out << "],\"distinct\":" << signatures_.distinct()
+      << ",\"total\":" << signatures_.total() << "}";
   return out.str();
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "forensics/signature.h"
 #include "obs/fleet/events.h"
 
 namespace dts::obs::fleet {
@@ -47,21 +48,8 @@ struct RunEntry {
   std::string exec_index;
 };
 
-/// One failure signature observed on a completed run (see
-/// forensics/signature.h — the board stores rendered strings only, so the
-/// HTTP layer stays free of forensics types).
-struct SignatureEntry {
-  std::string id;  // 16-hex signature digest
-  std::string fault_class;
-  std::string call_context;
-  std::string outcome;
-  std::string span;
-  std::string example_fault;
-  std::string example_xi;
-};
-
-/// One traced multi-tier run (see obs/rtrace/) — again rendered strings and
-/// counts only, so the HTTP layer stays free of rtrace types.
+/// One traced multi-tier run (see obs/rtrace/) — rendered strings and counts
+/// only, so the HTTP layer stays free of rtrace types.
 struct TraceEntry {
   std::string fault_id;
   std::string tier;          // tier the fault targeted
@@ -81,8 +69,10 @@ class StatusBoard {
   void update_workers(std::vector<WorkerRow> rows);
   void record_run(RunEntry e);
 
-  /// Accumulates one run's failure signature into the live cluster table.
-  void record_signature(const SignatureEntry& e);
+  /// Accumulates one run's failure signature into the live cluster table:
+  /// the forensics::SignatureIndex `ntdts report` clusters a journal with.
+  void record_signature(const forensics::SignatureKey& key, const std::string& fault_id,
+                        const std::string& exec_index);
 
   /// Accumulates one multi-tier run's user-visible propagation outcome
   /// ("masked".."outage") against the tier its fault targeted. Classic runs
@@ -105,9 +95,9 @@ class StatusBoard {
   /// Aggregate outcome counts over every record_run() so far.
   std::map<std::string, std::uint64_t> outcome_counts() const;
 
-  /// /signatures payload: ranked clusters (failures first, then by count)
-  /// with per-cluster counts and a "total" that reconciles against the
-  /// number of record_signature() calls.
+  /// /signatures payload: the index's ranked clusters (failures first, then
+  /// by count) with per-cluster counts and a "total" that reconciles against
+  /// the number of record_signature() calls.
   std::string signatures_json(std::size_t limit = 64) const;
 
   /// Retains one traced run for /traces (same bounded tail policy as /runs).
@@ -118,19 +108,13 @@ class StatusBoard {
   std::string traces_json(std::size_t limit = 64) const;
 
  private:
-  struct SignatureRow {
-    SignatureEntry entry;
-    std::uint64_t count = 0;
-  };
-
   const std::size_t run_capacity_;
   mutable std::mutex mu_;
   CampaignStatus campaign_;
   std::vector<WorkerRow> workers_;
   std::deque<RunEntry> runs_;
   std::map<std::string, std::uint64_t> outcomes_;
-  std::map<std::string, SignatureRow> signatures_;  // id -> row
-  std::uint64_t signature_total_ = 0;
+  forensics::SignatureIndex signatures_;
   std::map<std::string, std::map<std::string, std::uint64_t>> tier_outcomes_;
   std::uint64_t topo_total_ = 0;
   std::deque<TraceEntry> traces_;

@@ -2,9 +2,10 @@
 # Drives the ntdts command line on small capped campaigns: every flag
 # combination ntdts rejects exits 2, the combinations a campaign's one
 # options struct makes possible run to completion (exit 0), neither a planned
-# nor a traced campaign's file changes with --snapshots=on, and a worker fleet
+# nor a traced campaign's file changes with --snapshots=on, a worker fleet
 # writes the files the in-process run writes for a planned campaign and for
-# one that synthesizes runs.
+# one that synthesizes runs, and a campaign cut mid-journal resumes to the
+# files the uninterrupted run wrote.
 #
 #   usage: cli_test.sh <path-to-ntdts> <scratch-dir>
 set -u
@@ -73,6 +74,14 @@ expect 2 single Apache1 'ReadFile.hFile#1:zero' watchd 9
 expect 2 single Apache1 'ReadFile.hFile#1:zero' watchd x
 
 # Combinations that run.
+expect 0 run "$dir/capped.ini" "$dir/capped"
+# Resume from the first half of the journal: reloaded and fresh runs write
+# the same campaign file and results.csv rows as the uninterrupted run.
+mkdir -p "$dir/resumed"
+records=$(($(wc -l <"$dir/capped/journal.jsonl") - 1))
+head -n $((1 + records / 2)) "$dir/capped/journal.jsonl" >"$dir/resumed/journal.jsonl"
+expect 0 run "$dir/capped.ini" "$dir/resumed" --resume
+same "run --resume" "$dir/capped" "$dir/resumed" campaign.dts results.csv
 expect 0 run "$dir/capped.ini" "$dir/workers-traced" --workers=2 --trace=failures
 expect 0 run "$dir/list.ini" "$dir/list-snapshots" --snapshots=on --jobs=2
 expect 0 single Apache1 'ReadFile.hFile#1:zero' watchd 3

@@ -166,7 +166,7 @@ TEST(DistProtocol, MessagesRoundTrip) {
   EXPECT_EQ(back[1].attempts, 3);
 
   // RESULT carries the whole run record: every field survives the frame, and
-  // the journal fields survive a journal write/read as well.
+  // a journal write/read as well.
   dist::WireResult r;
   r.lease_id = 12;
   r.index = 5;
@@ -230,10 +230,10 @@ TEST(DistProtocol, MessagesRoundTrip) {
   ASSERT_TRUE(file.has_value()) << error;
   ASSERT_EQ(file->records.size(), 1u);
   same_journal_fields(file->records[0], r);
-  // The journal elides the wire-only fields.
-  EXPECT_TRUE(file->records[0].requests.empty());
-  EXPECT_TRUE(file->records[0].detail.empty());
-  EXPECT_TRUE(file->records[0].spans.empty());
+  // The journal keeps what results.csv and the run sink read.
+  EXPECT_EQ(file->records[0].requests, r.requests);
+  EXPECT_EQ(file->records[0].detail, r.detail);
+  EXPECT_EQ(file->records[0].spans, r.spans);
 }
 
 // --- socket edge paths (loopback) ----------------------------------------
@@ -491,7 +491,7 @@ std::vector<std::string> normalized_records(const exec::JournalFile& file) {
       rec.exec_index = in_process;
     }
     std::string line;
-    exec::write_record_fields(&line, rec, /*wire=*/true);
+    exec::write_record_fields(&line, rec);
     out.push_back(std::move(line));
   }
   return out;
@@ -534,8 +534,8 @@ PathOutput run_path(const core::RunConfig& cfg, core::CampaignOptions opt,
 // from the golden run, on a two-worker fleet, and on a fleet whose
 // coordinator synthesizes the never-firing runs journals identical records
 // apart from wall time and the lease in the execution index — and the
-// wire-only fields reach results.csv (requests, detail) and the span metrics
-// identically too. Every path derives its per-run metrics from those records
+// per-request results, detail and middleware spans reach results.csv and the
+// span metrics identically too. Every path derives its per-run metrics from those records
 // in the one sink: each record is counted once in dts_runs_total and
 // dts_run_wall_seconds and traced as one Chrome run event, and the
 // activation series carry the same labels and values on every path.
@@ -679,6 +679,7 @@ TEST(DistCampaign, PlannedJournalResumesAcrossPools) {
     EXPECT_EQ(resumed.plan_digest->reused, keep - 1);
     EXPECT_EQ(resumed.executed_runs, full.set.executed_runs - (keep - 1));
     EXPECT_EQ(core::serialize_workload_set(resumed), core::serialize_workload_set(full.set));
+    EXPECT_EQ(core::runs_csv(resumed), core::runs_csv(full.set));
     std::string error;
     const auto file = exec::read_journal_file(journal, &error);
     ASSERT_TRUE(file.has_value()) << error;

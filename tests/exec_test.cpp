@@ -149,6 +149,15 @@ TEST(Exec, JournalResumeAfterCancelMatchesUninterrupted) {
   EXPECT_EQ(resumed.reused, 4u);
   EXPECT_EQ(resumed.executed, uninterrupted.executed - 4);
   EXPECT_EQ(run_lines(resumed.runs), run_lines(uninterrupted.runs));
+  // Reloaded runs keep what results.csv renders beyond the run line.
+  ASSERT_EQ(resumed.runs.size(), uninterrupted.runs.size());
+  for (std::size_t i = 0; i < resumed.runs.size(); ++i) {
+    const std::string id = uninterrupted.runs[i].fault.id();
+    EXPECT_EQ(exec::encode_requests(resumed.runs[i].requests),
+              exec::encode_requests(uninterrupted.runs[i].requests))
+        << id;
+    EXPECT_EQ(resumed.runs[i].detail, uninterrupted.runs[i].detail) << id;
+  }
 }
 
 // A journal written for one campaign must not be resumable by another.

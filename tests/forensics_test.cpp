@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.h"
@@ -335,21 +336,51 @@ TEST(ForensicsSignature, ClustersReconcileAgainstJournalTotals) {
 }
 
 TEST(ForensicsSignature, StatusBoardJsonReconciles) {
-  obs::fleet::StatusBoard board;
-  obs::MetricsRegistry metrics;
-  core::CampaignOptions opt;
-  opt.seed = 7;
-  opt.max_faults = 12;
-  opt.metrics = &metrics;
-  opt.status = &board;
-  const core::WorkloadSetResult set = core::run_workload_set(apache_config(), opt);
+  // A classic campaign, and a traced three-tier one whose journaled request
+  // traces add the propagation-path axis.
+  const std::string campaigns[] = {
+      "[test]\nworkload = Apache1\nmiddleware = none\nseed = 7\nmax_faults = 12\n",
+      "[test]\nmiddleware = none\nseed = 7\nmax_faults = 6\n\n[topology]\n"
+      "topology = lb:2*apache -> app:2*iis -> db:1*sql_server\ntier = db\n"
+      "rtrace = failures\n"};
+  for (const std::string& text : campaigns) {
+    std::string error;
+    const auto cfg = core::parse_config(text, &error);
+    ASSERT_TRUE(cfg.has_value()) << error;
+    obs::fleet::StatusBoard board;
+    obs::MetricsRegistry metrics;
+    const std::string path = temp_path("forensics_board.jsonl");
+    std::filesystem::remove(path);
+    core::CampaignOptions opt = cfg->campaign;
+    opt.jobs = 2;
+    opt.metrics = &metrics;
+    opt.status = &board;
+    opt.journal_path = path;
+    const core::WorkloadSetResult set = core::run_workload_set(cfg->run, opt);
 
-  const std::string json = board.signatures_json();
-  // Total signature stampings == freshly executed runs (skipped/elided runs
-  // never reach the board; they carry no interceptor state to fingerprint).
-  const std::string needle = "\"total\":" + std::to_string(set.executed_runs);
-  EXPECT_NE(json.find(needle), std::string::npos) << json;
-  EXPECT_NE(json.find("\"signatures\":["), std::string::npos);
+    const std::string json = board.signatures_json();
+    // Total signature stampings == freshly executed runs (skipped/elided runs
+    // never reach the board; they carry no interceptor state to fingerprint).
+    const std::string needle = "\"total\":" + std::to_string(set.executed_runs);
+    EXPECT_NE(json.find(needle), std::string::npos) << json;
+
+    // The live board ranks the clusters `ntdts report` finds in the journal.
+    const auto file = exec::read_journal_file(path, &error);
+    ASSERT_TRUE(file.has_value()) << error;
+    std::vector<std::pair<std::string, std::uint64_t>> reported;
+    for (const auto& c : obs::fleet::build_report({*file}).signatures) {
+      reported.emplace_back(c.id, c.count);
+    }
+    std::vector<std::pair<std::string, std::uint64_t>> live;
+    for (std::size_t at = 0; (at = json.find("{\"id\":\"", at)) != std::string::npos;) {
+      at += 7;
+      const std::string id = json.substr(at, json.find('"', at) - at);
+      const std::size_t count = json.find("\"count\":", at) + 8;
+      live.emplace_back(id, std::stoull(json.substr(count, json.find(',', count) - count)));
+    }
+    EXPECT_GT(live.size(), 1u) << json;
+    EXPECT_EQ(live, reported) << json;
+  }
 }
 
 // --- foreign-record quarantine (satellite 2) ---------------------------------

@@ -148,7 +148,9 @@ TEST_P(RunConsistency, DeterministicAndConsistent) {
       break;  // any retry/restart combination can precede a failure
   }
   // A fault that never activated cannot have hurt the run.
-  if (!a.activated) EXPECT_EQ(a.outcome, core::Outcome::kNormalSuccess);
+  if (!a.activated) {
+    EXPECT_EQ(a.outcome, core::Outcome::kNormalSuccess);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -174,7 +174,9 @@ TEST(RtraceFinalize, SelfTimeAttributionConservesRootDuration) {
   // The successful app.check is service time; everything else — connection
   // setup, relay overhead — lands in the queue bucket; nothing failed.
   for (const auto& tier : req.tiers) {
-    if (tier.tier == "app") EXPECT_EQ(tier.service_us, 400);
+    if (tier.tier == "app") {
+      EXPECT_EQ(tier.service_us, 400);
+    }
     EXPECT_EQ(tier.retry_us, 0);
   }
 }
@@ -656,8 +658,8 @@ TEST_F(RtraceCampaignTest, MaskedRunUnderFailuresBuildsNoTraceAndJournalsTheSame
     if (is_masked) expected.rtrace.clear();
     rec.wall_us = expected.wall_us = 0;  // host time, the one field that may differ
     std::string got_bytes, expected_bytes;
-    exec::write_record_fields(&got_bytes, rec, /*wire=*/false);
-    exec::write_record_fields(&expected_bytes, expected, /*wire=*/false);
+    exec::write_record_fields(&got_bytes, rec);
+    exec::write_record_fields(&expected_bytes, expected);
     EXPECT_EQ(got_bytes, expected_bytes) << rec.fault_id;
   }
   EXPECT_GT(masked, 0u) << "the campaign has no masked run to check";

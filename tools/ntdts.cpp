@@ -39,8 +39,9 @@
 // Fleet observability (src/obs/fleet/): `run --http=host:port` serves live
 // /metrics (Prometheus text), /status (leases, per-worker rates, ETA) and
 // /runs?worker=&outcome= (journal tail) while the campaign runs. Workers in
-// a distributed campaign ship their metric snapshots to the coordinator, so
-// the endpoint sees the whole fleet.
+// a distributed campaign keep no metrics: the coordinator counts every run
+// from the record its worker streams back, so the endpoint sees the whole
+// fleet.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
