@@ -112,7 +112,8 @@ inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& o
   // Fault ids in topology campaigns carry the tier prefix ("db/ReadFile...")
   // so journals, plans and dist leases name the faulted tier explicitly.
   if (!base.topo.empty()) {
-    for (auto& f : list.faults) f.tier = base.topo.fault_tier;
+    const inject::Name tier = inject::Name::intern(base.topo.fault_tier);
+    for (auto& f : list.faults) f.tier = tier;
   }
   return list;
 }
@@ -295,7 +296,7 @@ bool parse_run_line(const std::string& target_image, const std::string& line,
     if (!known_outcome) return fail("bad topo outcome: " + t.user_outcome);
     std::string rest;
     if (ls >> rest) return fail("bad run line trailer: " + rest);
-    out->topo = std::move(t);
+    out->topo = std::make_shared<const TopoRunStats>(std::move(t));
   }
   return true;
 }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,14 +105,19 @@ struct RunResult {
   /// request") — one entry per workload request, in order.
   std::vector<RequestResult> requests;
 
-  /// Multi-tier workload statistics; engaged only for topology campaigns.
-  std::optional<TopoRunStats> topo;
+  // The two topology-only members are immutable once set (at
+  // classification, at finalize_trace, or when a record is parsed) and
+  // shared by the copies the campaign makes (duplicates attribute their
+  // representative's run), so a classic result pays two pointers for them.
 
-  /// Causal request trace (obs/rtrace/); engaged only for topology runs
-  /// whose trace the journal keeps (every run under rtrace = all, the failed
-  /// or unmasked ones under failures). Never part of run-line serialization —
+  /// Multi-tier workload statistics; set only for topology campaigns.
+  std::shared_ptr<const TopoRunStats> topo;
+
+  /// Causal request trace (obs/rtrace/); set only for topology runs whose
+  /// trace the journal keeps (every run under rtrace = all, the failed or
+  /// unmasked ones under failures). Never part of run-line serialization —
   /// the journal carries it as the optional v7 "rt" trailer instead.
-  std::optional<obs::rtrace::RunTrace> rtrace;
+  std::shared_ptr<const obs::rtrace::RunTrace> rtrace;
 
   /// One-line log form.
   std::string summary() const;

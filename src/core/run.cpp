@@ -366,7 +366,7 @@ RunResult FaultInjectionRun::execute_topology(const std::optional<inject::FaultS
   } else {
     ts.user_outcome = "masked";
   }
-  result.topo = ts;
+  result.topo = std::make_shared<const TopoRunStats>(ts);
 
   // The classic five-way axis collapses to success/failure here: the
   // open-loop generator has no retry protocol and topology runs carry no
@@ -398,7 +398,8 @@ RunResult FaultInjectionRun::execute_topology(const std::optional<inject::FaultS
           (interceptor_.injection_time() - sim::TimePoint{}).count_micros();
       fp.injection_machine = interceptor_.injection_machine();
     }
-    result.rtrace = obs::rtrace::finalize_trace(w.rtrace.take_spans(), fp);
+    result.rtrace = std::make_shared<const obs::rtrace::RunTrace>(
+        obs::rtrace::finalize_trace(w.rtrace.take_spans(), fp));
   }
 
   // Diagnostics: the target image's abnormal exits anywhere in the faulted

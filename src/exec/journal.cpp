@@ -176,7 +176,11 @@ bool result_from_record(const JournalRecord& rec, const std::string& target_imag
   out->requests = decode_requests(rec.requests);
   out->detail = rec.detail;
   out->rtrace.reset();
-  if (!rec.rtrace.empty()) out->rtrace = obs::rtrace::RunTrace::parse(rec.rtrace);
+  if (!rec.rtrace.empty()) {
+    if (auto trace = obs::rtrace::RunTrace::parse(rec.rtrace)) {
+      out->rtrace = std::make_shared<const obs::rtrace::RunTrace>(std::move(*trace));
+    }
+  }
   return true;
 }
 

@@ -12,7 +12,7 @@ using inject::FaultSpec;
 using inject::FaultType;
 using inject::Temporal;
 
-FaultSpec base_spec(const std::string& target_image, const nt::FunctionInfo& info) {
+FaultSpec base_spec(inject::Name target_image, const nt::FunctionInfo& info) {
   FaultSpec f;
   f.target_image = target_image;
   f.fn = static_cast<nt::Fn>(info.id);
@@ -96,7 +96,7 @@ std::optional<ModelSet> ModelSet::parse(std::string_view csv, std::string* error
   return set;
 }
 
-void append_model_faults(std::vector<FaultSpec>& out, Model m, const std::string& target_image,
+void append_model_faults(std::vector<FaultSpec>& out, Model m, inject::Name target_image,
                          const nt::FunctionInfo& info, int iterations) {
   switch (m) {
     case Model::kPaper:
@@ -177,18 +177,19 @@ void append_model_faults(std::vector<FaultSpec>& out, Model m, const std::string
 inject::FaultList build_sweep(const std::string& target_image, const ModelSet& models,
                               const std::set<nt::Fn>* functions, int iterations) {
   inject::FaultList list;
+  const inject::Name image = inject::Name::intern(target_image);
   const auto& reg = nt::Kernel32Registry::instance();
   for (Model m : models.models) {
     if (functions == nullptr) {
       for (const auto& info : reg.all()) {
         if (info.param_count() == 0) continue;  // not an injection candidate
-        append_model_faults(list.faults, m, target_image, info, iterations);
+        append_model_faults(list.faults, m, image, info, iterations);
       }
     } else {
       for (nt::Fn fn : *functions) {
         const auto& info = reg.info(fn);
         if (info.param_count() == 0) continue;
-        append_model_faults(list.faults, m, target_image, info, iterations);
+        append_model_faults(list.faults, m, image, info, iterations);
       }
     }
   }

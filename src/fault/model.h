@@ -67,7 +67,7 @@ struct ModelSet {
 /// function. Order is deterministic; for Model::kPaper it is byte-identical
 /// to the classic paper sweep (param × invocation × zero/ones/flip).
 void append_model_faults(std::vector<inject::FaultSpec>& out, Model m,
-                         const std::string& target_image, const nt::FunctionInfo& info,
+                         inject::Name target_image, const nt::FunctionInfo& info,
                          int iterations);
 
 /// Builds the campaign fault list for a model set: models in set order, each

@@ -69,22 +69,47 @@ std::string_view to_string(Temporal t) {
 }
 
 std::string FaultSpec::id() const {
+  std::string out;
+  write_id(&out);
+  return out;
+}
+
+void FaultSpec::write_id(std::string* out) const {
   const auto& info = nt::Kernel32Registry::instance().info(fn);
-  std::string param = param_index < 0
-                          ? "ret"
-                          : param_index < info.param_count()
-                                ? std::string(info.params[static_cast<std::size_t>(param_index)])
-                                : "param" + std::to_string(param_index);
-  std::string out = (tier.empty() ? std::string() : tier + "/") + std::string(info.name) + "." +
-                    param + "#" + std::to_string(invocation) + ":" + std::string(to_string(type));
+  const bool named_param = param_index >= 0 && param_index < info.param_count();
+  const std::string_view param = param_index < 0 ? "ret"
+                                 : named_param
+                                     ? info.params[static_cast<std::size_t>(param_index)]
+                                     : "param";
+  const std::string_view type_name = to_string(type);
+  out->clear();
+  // 48 covers the separators, three integers of up to 11 characters and the
+  // temporal suffix.
+  out->reserve(tier.view().size() + info.name.size() + param.size() + type_name.size() + 48);
+  const auto append_int = [out](int v) {
+    char buf[16];
+    out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
+  if (!tier.empty()) {
+    out->append(tier.view());
+    out->push_back('/');
+  }
+  out->append(info.name);
+  out->push_back('.');
+  out->append(param);
+  if (param_index >= 0 && !named_param) append_int(param_index);
+  out->push_back('#');
+  append_int(invocation);
+  out->push_back(':');
+  out->append(type_name);
   // Temporal suffix only when non-default: paper-model ids stay byte-for-byte
   // what they were before the temporal axis existed.
   if (temporal == Temporal::kIntermittent) {
-    out += "@every" + std::to_string(period);
+    out->append("@every");
+    append_int(period);
   } else if (temporal == Temporal::kPersistent) {
-    out += "@sticky";
+    out->append("@sticky");
   }
-  return out;
 }
 
 namespace {
@@ -94,13 +119,13 @@ std::optional<FaultSpec> parse_impl(std::string_view target_image, std::string_v
   // Optional topology-tier prefix: "db/ReadFile.hFile#1:zero". The tier name
   // never contains '/', '.', '#', or ':', so a '/' before the first '.'
   // unambiguously separates it from the function name.
-  std::string tier;
+  std::string_view tier;
   if (const auto slash = id.find('/'); slash != std::string_view::npos) {
     const auto first_dot = id.find('.');
     if (slash == 0 || first_dot == std::string_view::npos || slash > first_dot) {
       return std::nullopt;
     }
-    tier = std::string(id.substr(0, slash));
+    tier = id.substr(0, slash);
     id = id.substr(slash + 1);
   }
   const auto dot = id.find('.');
@@ -161,14 +186,14 @@ std::optional<FaultSpec> parse_impl(std::string_view target_image, std::string_v
   if (targets_param(*type) != (param_index >= 0)) return std::nullopt;
 
   FaultSpec spec;
-  spec.target_image = std::string(target_image);
+  spec.target_image = Name::intern(target_image);
   spec.fn = static_cast<nt::Fn>(info->id);
   spec.param_index = param_index;
   spec.invocation = invocation;
   spec.type = *type;
   spec.temporal = temporal;
   spec.period = period;
-  spec.tier = tier;
+  spec.tier = Name::intern(tier);
   return spec;
 }
 

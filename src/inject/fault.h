@@ -21,7 +21,9 @@
 
 #include <optional>
 #include <string>
+#include <type_traits>
 
+#include "inject/name.h"
 #include "ntsim/kernel32_registry.h"
 #include "ntsim/types.h"
 
@@ -96,9 +98,10 @@ std::string_view to_string(Temporal t);
 
 /// One fault to inject: which process image, which function, which parameter
 /// (or the result, index -1), which invocation (1-based; the paper injects
-/// only the first), which operator, on which temporal schedule.
+/// only the first), which operator, on which temporal schedule. Names are
+/// interned (inject/name.h), so a spec is 56 trivially copyable bytes.
 struct FaultSpec {
-  std::string target_image;
+  Name target_image;
   nt::Fn fn{};
   int param_index = 0;  // 0-based; -1 = the call's result ("ret")
   int invocation = 1;   // 1-based
@@ -108,15 +111,21 @@ struct FaultSpec {
   // Topology tier the fault targets ("db" in "db/ReadFile.hFile#1:zero").
   // Empty for classic single-machine campaigns, whose ids stay byte-for-byte
   // unchanged — the prefix exists only when a multi-tier topology is active.
-  std::string tier;
+  Name tier;
 
   /// Human-readable id, e.g. "ReadFileEx.nNumberOfBytesToRead#1:zero",
   /// "CreateFileA.ret#1:errnomem", "ReadFile.hFile#2:flip@sticky",
   /// "db/ReadFile.hFile#1:zero" (tier-prefixed, multi-tier campaigns only).
   std::string id() const;
 
+  /// Writes id() into *out, replacing its contents: a caller that reuses one
+  /// buffer across specs allocates only when an id outgrows it.
+  void write_id(std::string* out) const;
+
   friend bool operator==(const FaultSpec&, const FaultSpec&) = default;
 };
+
+static_assert(std::is_trivially_copyable_v<FaultSpec>);
 
 /// True when every behaviour of the fault is decided by the golden value of
 /// one parameter word at one invocation — the precondition for the planner's

@@ -117,6 +117,7 @@ std::optional<FaultClass> classify(nt::Fn fn, int param_index) {
 FaultList faults_for_class(const std::string& target_image, FaultClass c,
                            const std::set<nt::Fn>& within, int iterations) {
   FaultList out;
+  const Name image = Name::intern(target_image);
   for (std::uint16_t id = 0; id < nt::kImplementedFunctionCount; ++id) {
     const nt::Fn fn = static_cast<nt::Fn>(id);
     if (!within.empty() && !within.contains(fn)) continue;
@@ -126,7 +127,7 @@ FaultList faults_for_class(const std::string& target_image, FaultClass c,
       for (int inv = 1; inv <= iterations; ++inv) {
         for (FaultType type : kAllFaultTypes) {
           FaultSpec f;
-          f.target_image = target_image;
+          f.target_image = image;
           f.fn = fn;
           f.param_index = p;
           f.invocation = inv;

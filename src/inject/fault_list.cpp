@@ -6,8 +6,8 @@ namespace dts::inject {
 
 namespace {
 
-void append_for_function(FaultList& list, const std::string& target_image,
-                         const nt::FunctionInfo& info, int iterations) {
+void append_for_function(FaultList& list, Name target_image, const nt::FunctionInfo& info,
+                         int iterations) {
   for (int param = 0; param < info.param_count(); ++param) {
     for (int inv = 1; inv <= iterations; ++inv) {
       for (FaultType type : kAllFaultTypes) {
@@ -27,9 +27,10 @@ void append_for_function(FaultList& list, const std::string& target_image,
 
 FaultList FaultList::full_sweep(const std::string& target_image, int iterations) {
   FaultList list;
+  const Name image = Name::intern(target_image);
   for (const auto& info : nt::Kernel32Registry::instance().all()) {
     if (info.param_count() == 0) continue;  // not an injection candidate
-    append_for_function(list, target_image, info, iterations);
+    append_for_function(list, image, info, iterations);
   }
   return list;
 }
@@ -37,11 +38,12 @@ FaultList FaultList::full_sweep(const std::string& target_image, int iterations)
 FaultList FaultList::for_functions(const std::string& target_image,
                                    const std::set<nt::Fn>& functions, int iterations) {
   FaultList list;
+  const Name image = Name::intern(target_image);
   const auto& reg = nt::Kernel32Registry::instance();
   for (nt::Fn fn : functions) {
     const auto& info = reg.info(fn);
     if (info.param_count() == 0) continue;
-    append_for_function(list, target_image, info, iterations);
+    append_for_function(list, image, info, iterations);
   }
   return list;
 }

@@ -77,7 +77,7 @@ std::string Interceptor::CallContext::to_string() const {
   return buf;
 }
 
-const Interceptor::ImageCounts* Interceptor::find_image(const std::string& image) const {
+const Interceptor::ImageCounts* Interceptor::find_image(std::string_view image) const {
   for (const ImageCounts& ic : images_) {
     if (ic.image == image) return &ic;
   }
@@ -91,7 +91,7 @@ Interceptor::ImageCounts& Interceptor::image_counts(const std::string& image) {
   return images_.emplace_back(ImageCounts{image, {}});
 }
 
-int Interceptor::invocations(const std::string& image, nt::Fn fn) const {
+int Interceptor::invocations(std::string_view image, nt::Fn fn) const {
   // A fault id may name a catalogue export ntsim does not implement: never
   // called, so never counted.
   const auto id = static_cast<std::size_t>(fn);
@@ -99,7 +99,7 @@ int Interceptor::invocations(const std::string& image, nt::Fn fn) const {
   return ic == nullptr || id >= ic->counts.size() ? 0 : ic->counts[id];
 }
 
-std::set<nt::Fn> Interceptor::called(const std::string& image) const {
+std::set<nt::Fn> Interceptor::called(std::string_view image) const {
   std::set<nt::Fn> out;
   const ImageCounts* ic = find_image(image);
   if (ic == nullptr) return out;

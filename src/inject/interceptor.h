@@ -28,6 +28,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "inject/fault.h"
@@ -73,12 +74,12 @@ class Interceptor final : public nt::SyscallHook {
   /// Invocation counting is per image across process instances within one
   /// run: a respawned Apache worker continues the count, but the fault is
   /// one-shot so a clean respawn never re-injects.
-  int invocations(const std::string& image, nt::Fn fn) const;
+  int invocations(std::string_view image, nt::Fn fn) const;
 
   /// Injectable functions (param count >= 1) called at least once by
   /// processes of `image` — the paper's "activated functions". Derived from
   /// the invocation counts.
-  std::set<nt::Fn> called(const std::string& image) const;
+  std::set<nt::Fn> called(std::string_view image) const;
 
   /// Whether the armed fault's function was called at all by the target
   /// image (used for the skip-uncalled-functions rule).
@@ -173,7 +174,7 @@ class Interceptor final : public nt::SyscallHook {
     std::string image;
     std::array<int, nt::kImplementedFunctionCount> counts{};
   };
-  const ImageCounts* find_image(const std::string& image) const;
+  const ImageCounts* find_image(std::string_view image) const;
   ImageCounts& image_counts(const std::string& image);  // finds or adds
   std::vector<ImageCounts> images_;
 

@@ -233,16 +233,24 @@ void fnv_mix(std::uint64_t* h, std::string_view bytes) {
 
 }  // namespace
 
+// Both digests write every id through one buffer, which stops growing after
+// the longest id.
 std::uint64_t sweep_digest(const inject::FaultList& list) {
   std::uint64_t h = kFnvOffset;
-  for (const inject::FaultSpec& f : list.faults) fnv_mix(&h, f.id());
+  std::string id;
+  for (const inject::FaultSpec& f : list.faults) {
+    f.write_id(&id);
+    fnv_mix(&h, id);
+  }
   return h;
 }
 
 std::uint64_t sweep_digest(const Plan& plan) {
   std::uint64_t h = kFnvOffset;
+  std::string id;
   for (const PlanEntry& e : plan.entries) {
-    fnv_mix(&h, e.fault.id());
+    e.fault.write_id(&id);
+    fnv_mix(&h, id);
     const char d = static_cast<char>('0' + static_cast<int>(e.disposition));
     fnv_mix(&h, std::string_view(&d, 1));
   }

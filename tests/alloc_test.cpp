@@ -12,6 +12,11 @@
 // Simulated memory takes host bytes only where the simulation writes it: an
 // untouched VirtualAlloc reservation (SQL Server's buffer pool) costs none.
 //
+// A campaign copies fault specs and run results by the hundred thousand (a
+// planned sweep keeps one result per fault), so copying either takes no heap
+// block: a FaultSpec's names are interned, and a result shares its topology
+// detail.
+//
 // The test replaces the global operator new with a counting one, which is
 // why it is an executable of its own.
 #include <gtest/gtest.h>
@@ -19,11 +24,16 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
+#include "core/outcome.h"
+#include "core/workload.h"
 #include "inject/interceptor.h"
 #include "ntsim/kernel.h"
 #include "ntsim/kernel32.h"
+#include "plan/plan.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -133,6 +143,53 @@ TEST(AllocBudget, VirtualAllocTakesNoHostBytesUntilWritten) {
   EXPECT_EQ(alloc_bytes, 0u) << "a 1 MB reservation took host bytes before any write";
   // The first write takes the whole block, zeroed but for what it wrote.
   EXPECT_EQ(write_bytes, kMegabyte);
+}
+
+/// Heap blocks taken while `copies` receives kOps copies of `value` and
+/// destroys them again (its capacity is reserved up front).
+template <typename T>
+std::uint64_t blocks_to_copy(const T& value) {
+  std::vector<T> copies;
+  copies.reserve(kOps);
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint64_t i = 0; i < kOps; ++i) copies.push_back(value);
+  copies.clear();
+  return g_allocations.load() - before;
+}
+
+// A planned sweep keeps a plan entry and a result per fault, however few
+// faults it runs: Apache2 at 48 invocations holds 166,608 of each.
+TEST(AllocBudget, SweepEntriesStayCompact) {
+  EXPECT_LE(sizeof(inject::FaultSpec), 56u);
+  EXPECT_LE(sizeof(plan::PlanEntry), 96u);
+  EXPECT_LE(sizeof(core::RunResult), 192u);
+}
+
+TEST(AllocBudget, CopyingAFaultSpecAllocatesNothing) {
+  // "apache_child.exe" is one character longer than libstdc++ keeps inside a
+  // std::string, so a string member would take a block on every copy.
+  const std::string image = core::apache2_workload().target_image;
+  ASSERT_GT(image.size(), std::string().capacity());
+  const auto spec = inject::parse_fault_id(image, "app/ReadFile.hFile#1:zero");
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(blocks_to_copy(*spec), 0u);
+}
+
+TEST(AllocBudget, CopyingATopologyResultAllocatesNothingForItsDetail) {
+  core::RunResult r;
+  r.fault = *inject::parse_fault_id("sqlservr.exe", "db/ReadFile.hFile#1:zero");
+  core::TopoRunStats topo;
+  topo.tier = "db";
+  topo.user_outcome = "partial";
+  r.topo = std::make_shared<const core::TopoRunStats>(topo);
+  obs::rtrace::RunTrace trace;
+  trace.fault_id = r.fault.id();
+  trace.spans.resize(8);
+  trace.requests.resize(2);
+  trace.totals.resize(3);
+  r.rtrace = std::make_shared<const obs::rtrace::RunTrace>(std::move(trace));
+  EXPECT_EQ(blocks_to_copy(r), 0u);
+  EXPECT_EQ(r.topo.use_count(), 1) << "every copy released its share";
 }
 
 }  // namespace

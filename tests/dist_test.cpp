@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -71,6 +72,22 @@ pid_t fork_worker(std::uint16_t port, int crash_after_runs = -1) {
   w.port = port;
   w.crash_after_runs = crash_after_runs;
   return dist::spawn_worker_process(w, /*close_fd=*/-1);
+}
+
+/// Forks a worker that joins the coordinator at `port` only once a byte
+/// arrives on `gate` (a pipe), or the pipe closes.
+pid_t fork_gated_worker(std::uint16_t port, const int gate[2]) {
+  const pid_t pid = ::fork();
+  if (pid != 0) return pid;
+  ::close(gate[1]);
+  char byte = 0;
+  while (::read(gate[0], &byte, 1) < 0 && errno == EINTR) {
+  }
+  ::close(gate[0]);
+  dist::WorkerOptions w;
+  w.port = port;
+  std::string error;
+  _exit(dist::run_worker(w, &error));
 }
 
 // --- wire framing --------------------------------------------------------
@@ -805,13 +822,42 @@ TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
 
   // Worker A streams one result and then _exit()s mid-lease; worker B is
   // healthy and finishes the campaign, including A's reassigned remainder.
+  // B waits on a pipe until the board shows that A took a lease, so B cannot
+  // drain the campaign before A joins, however the host schedules the two.
+  // Both are forked before any other thread of this process starts.
   const pid_t crasher = fork_worker(coordinator.port(), /*crash_after_runs=*/1);
-  const pid_t healthy = fork_worker(coordinator.port());
+  int gate[2];
+  ASSERT_EQ(::pipe(gate), 0);
+  const pid_t healthy = fork_gated_worker(coordinator.port(), gate);
+  ::close(gate[0]);
   ASSERT_GT(crasher, 0);
   ASSERT_GT(healthy, 0);
 
+  std::thread opener([&board, &gate] {
+    // A may already have streamed its result and died when the board is
+    // read, so a run counts as much as a lease. After a minute the gate opens
+    // anyway, so that an A which never joins fails the checks below instead
+    // of hanging the test.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const std::string json = board.status_json();
+      const std::string rows = json.substr(json.find("\"workers\":["));
+      const std::vector<std::uint64_t> leases = json_numbers(rows, "lease");
+      const std::vector<std::uint64_t> runs = json_numbers(rows, "runs");
+      const auto nonzero = [](std::uint64_t v) { return v != 0; };
+      if (std::any_of(leases.begin(), leases.end(), nonzero) ||
+          std::any_of(runs.begin(), runs.end(), nonzero)) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const char open = 1;
+    (void)!::write(gate[1], &open, 1);
+    ::close(gate[1]);
+  });
   const exec::CampaignResult distributed =
       exec::CampaignExecutor(campaign, {}, nullptr, &coordinator).run(cfg, list, 7);
+  opener.join();
   EXPECT_EQ(run_lines(distributed.runs), run_lines(serial.runs));
   EXPECT_EQ(metrics.counter("dts_dist_leases_reassigned_total").value(), 1u);
   EXPECT_EQ(metrics.counter("dts_dist_leases_expired_total").value(), 0u);

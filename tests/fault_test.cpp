@@ -45,7 +45,7 @@ const std::string& apache_image() {
 FaultSpec make_spec(nt::Fn fn, int param, int inv, FaultType type,
                     Temporal temporal = Temporal::kTransient, int period = 0) {
   FaultSpec f;
-  f.target_image = apache_image();
+  f.target_image = inject::Name::intern(apache_image());
   f.fn = fn;
   f.param_index = param;
   f.invocation = inv;

@@ -25,7 +25,7 @@ TEST(Fault, CorruptionOperators) {
 
 TEST(Fault, IdRoundTrip) {
   FaultSpec f;
-  f.target_image = "inetinfo.exe";
+  f.target_image = Name::intern("inetinfo.exe");
   f.fn = Fn::ReadFileEx;
   f.param_index = 2;  // nNumberOfBytesToRead
   f.invocation = 1;
@@ -35,6 +35,33 @@ TEST(Fault, IdRoundTrip) {
   auto parsed = parse_fault_id("inetinfo.exe", f.id());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, f);
+}
+
+TEST(Name, OutlivesTheStringItWasMadeFrom) {
+  Name name;
+  {
+    std::string text = "interned_image_name.exe";  // past the in-place limit
+    name = Name::intern(text);
+    text.assign(text.size(), 'x');
+  }
+  EXPECT_EQ(name.view(), "interned_image_name.exe");
+  EXPECT_EQ(name, Name::intern("interned_image_name.exe"));
+}
+
+TEST(Name, EqualTextsShareStorage) {
+  const std::string a = "apache_child.exe";
+  const std::string b(a.begin(), a.end());
+  ASSERT_NE(a.data(), b.data());
+  EXPECT_EQ(Name::intern(a).view().data(), Name::intern(b).view().data());
+  EXPECT_NE(Name::intern(a), Name::intern("apache.exe"));
+  // The empty text is the default name.
+  EXPECT_EQ(Name::intern(""), Name());
+  EXPECT_TRUE(Name().empty());
+  // Parsed specs carry the same interned names.
+  const auto spec = parse_fault_id(b, "db/ReadFile.hFile#1:zero");
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(spec->target_image.view().data(), Name::intern(a).view().data());
+  EXPECT_EQ(spec->tier.view().data(), Name::intern("db").view().data());
 }
 
 TEST(Fault, ParseRejectsMalformed) {
@@ -158,7 +185,7 @@ TEST(Interceptor, CountsInvocationsPerImage) {
 TEST(Interceptor, InjectsExactlyOneInvocation) {
   InjectWorld w;
   FaultSpec f;
-  f.target_image = "a.exe";
+  f.target_image = Name::intern("a.exe");
   f.fn = Fn::Sleep;
   f.param_index = 0;
   f.invocation = 2;
@@ -185,7 +212,7 @@ TEST(Interceptor, InjectsExactlyOneInvocation) {
 TEST(Interceptor, WrongImageNotInjected) {
   InjectWorld w;
   FaultSpec f;
-  f.target_image = "other.exe";
+  f.target_image = Name::intern("other.exe");
   f.fn = Fn::Sleep;
   f.param_index = 0;
   f.invocation = 1;
@@ -208,7 +235,7 @@ TEST(Interceptor, OneShotAcrossProcessInstances) {
   // execution of the server program").
   InjectWorld w;
   FaultSpec f;
-  f.target_image = "a.exe";
+  f.target_image = Name::intern("a.exe");
   f.fn = Fn::SetEvent;
   f.param_index = 0;
   f.invocation = 1;
@@ -271,7 +298,7 @@ TEST(FaultList, SampledEvenSpacingAndBoundaries) {
 TEST(Interceptor, PointerCorruptionCrashesTarget) {
   InjectWorld w;
   FaultSpec f;
-  f.target_image = "a.exe";
+  f.target_image = Name::intern("a.exe");
   f.fn = Fn::GetStartupInfoA;
   f.param_index = 0;
   f.invocation = 1;

@@ -119,6 +119,46 @@ TEST(Plan, EveryFaultOfTheSweepAppearsExactlyOnceWithAReason) {
   }
 }
 
+// sweep_digest as journal headers and resume keys carry it: FNV-1a over
+// each field, each followed by a 0xff byte. A fault list's fields are its
+// fault ids; a plan adds each entry's disposition digit after its id.
+std::uint64_t fnv_over_fields(const std::vector<std::string>& fields) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::string& field : fields) {
+    for (unsigned char c : field) h = (h ^ c) * 1099511628211ull;
+    h = (h ^ 0xff) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Plan, SweepDigestIsFnvOverEveryFaultId) {
+  // Every id shape: all four models (result-side "ret" ids and temporal
+  // suffixes), a second invocation, and below, a tier prefix.
+  core::CampaignOptions opt;
+  opt.seed = 4099;
+  opt.iterations = 2;
+  opt.models = "paper,mutation,oserror,temporal";
+  opt.plan.mode = plan::PlanOptions::Mode::kAuto;
+  const plan::Plan p = core::build_campaign_plan(apache_config(), opt);
+  ASSERT_GT(p.duplicate_count() + p.pruned_count(), 0u);
+
+  std::vector<std::string> plan_fields;
+  inject::FaultList tiered;
+  std::vector<std::string> tiered_ids;
+  const inject::Name tier = inject::Name::intern("db");
+  for (const plan::PlanEntry& e : p.entries) {
+    plan_fields.push_back(e.fault.id());
+    plan_fields.push_back(std::string(1, static_cast<char>('0' + static_cast<int>(e.disposition))));
+    inject::FaultSpec f = e.fault;
+    f.tier = tier;
+    tiered.faults.push_back(f);
+    tiered_ids.push_back(f.id());
+    ASSERT_EQ(tiered_ids.back(), "db/" + e.fault.id());
+  }
+  EXPECT_EQ(plan::sweep_digest(p), fnv_over_fields(plan_fields));
+  EXPECT_EQ(plan::sweep_digest(tiered), fnv_over_fields(tiered_ids));
+}
+
 TEST(Plan, PlanCacheRoundTrip) {
   const plan::Plan p = build_apache_plan();
   const std::string text = p.serialize();
@@ -449,7 +489,7 @@ TEST(Plan, SamplerStopsAStratumOnceTheIntervalIsNarrow) {
   p.target_image = "x.exe";
   for (int i = 0; i < 40; ++i) {
     plan::PlanEntry e;
-    e.fault.target_image = "x.exe";
+    e.fault.target_image = inject::Name::intern("x.exe");
     e.fault.fn = nt::Fn::ReadFile;
     e.fault.param_index = i;
     e.fault.type = inject::FaultType::kZero;

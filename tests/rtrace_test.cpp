@@ -502,8 +502,8 @@ core::WorkloadSetResult* RtraceCampaignTest::all_set_ = nullptr;
 TEST_F(RtraceCampaignTest, EveryRunCarriesATraceThatReconcilesWithTopoStats) {
   ASSERT_EQ(all_set_->runs.size(), 6u);
   for (const auto& run : all_set_->runs) {
-    ASSERT_TRUE(run.topo.has_value()) << run.fault.id();
-    ASSERT_TRUE(run.rtrace.has_value()) << run.fault.id();
+    ASSERT_NE(run.topo, nullptr) << run.fault.id();
+    ASSERT_NE(run.rtrace, nullptr) << run.fault.id();
     const RunTrace& rt = *run.rtrace;
 
     // One traced request per offered request, fates matching.
@@ -535,7 +535,7 @@ TEST_F(RtraceCampaignTest, EveryRunCarriesATraceThatReconcilesWithTopoStats) {
 
 TEST_F(RtraceCampaignTest, InjectionStampIsExactlyOneOrNone) {
   for (const auto& run : all_set_->runs) {
-    ASSERT_TRUE(run.rtrace.has_value());
+    ASSERT_NE(run.rtrace, nullptr);
     std::size_t stamped = 0;
     for (const auto& s : run.rtrace->spans) stamped += s.injected ? 1 : 0;
     // The exactly-one invariant: a trace either links its failure to one
@@ -556,15 +556,15 @@ TEST(RtraceInjection, MidRequestFiringStampsTheInnermostContainingSpan) {
   // Under `all`: the firing is masked, and `failures` keeps no masked trace.
   const core::DtsConfig cfg = parse_or_die(all_mode_config());
   inject::FaultSpec fault;
-  fault.target_image = cfg.run.workload.target_image;  // sqlservr.exe
+  fault.target_image = inject::Name::intern(cfg.run.workload.target_image);  // sqlservr.exe
   fault.fn = nt::Fn::FlushFileBuffers;
   fault.param_index = 0;
   fault.invocation = 1;
   fault.type = inject::FaultType::kZero;
-  fault.tier = "db";
+  fault.tier = inject::Name::intern("db");
 
   const core::RunResult run = core::execute_run(cfg.run, fault);
-  ASSERT_TRUE(run.rtrace.has_value());
+  ASSERT_NE(run.rtrace, nullptr);
   ASSERT_NE(run.rtrace->injected_span, 0) << "firing landed outside every span";
   const TraceSpan* stamped = nullptr;
   std::size_t count = 0;
@@ -593,7 +593,7 @@ TEST_F(RtraceCampaignTest, ContextNeverLeaksAcrossRequests) {
   // partitions and reconnects: a span parented under another request's span
   // would mean the wire context leaked through a reused connection.
   for (const auto& run : all_set_->runs) {
-    ASSERT_TRUE(run.rtrace.has_value());
+    ASSERT_NE(run.rtrace, nullptr);
     std::map<int, std::set<int>> ids_by_trace;
     for (const auto& s : run.rtrace->spans) ids_by_trace[s.trace].insert(s.id);
     for (const auto& s : run.rtrace->spans) {
@@ -648,7 +648,7 @@ TEST_F(RtraceCampaignTest, MaskedRunUnderFailuresBuildsNoTraceAndJournalsTheSame
     const bool is_masked =
         run->outcome != core::Outcome::kFailure && run->topo->user_outcome == "masked";
     masked += is_masked ? 1 : 0;
-    EXPECT_EQ(run->rtrace.has_value(), !is_masked) << rec.fault_id;
+    EXPECT_EQ(run->rtrace != nullptr, !is_masked) << rec.fault_id;
 
     auto twin = std::find_if(all->records.begin(), all->records.end(),
                              [&](const exec::JournalRecord& r) { return r.index == rec.index; });
@@ -675,7 +675,7 @@ TEST_F(RtraceCampaignTest, UntracedCampaignStaysV6WithoutRtTrailers) {
   std::filesystem::remove(path);
   opt.journal_path = path;
   const core::WorkloadSetResult set = core::run_workload_set(cfg.run, opt);
-  for (const auto& run : set.runs) EXPECT_FALSE(run.rtrace.has_value());
+  for (const auto& run : set.runs) EXPECT_EQ(run.rtrace, nullptr);
 
   std::string error;
   const auto file = exec::read_journal_file(path, &error);

@@ -227,13 +227,13 @@ TEST(TopoRunLine, TrailerRoundTrips) {
   t.p95_us = 5146019;
   t.p99_us = 5146019;
   t.offered_rps_milli = 1000;
-  r.topo = t;
+  r.topo = std::make_shared<const core::TopoRunStats>(t);
 
   const std::string line = core::serialize_run_line(r);
   core::RunResult parsed;
   std::string error;
   ASSERT_TRUE(core::parse_run_line("sqlservr.exe", line, &parsed, &error)) << error;
-  ASSERT_TRUE(parsed.topo.has_value());
+  ASSERT_NE(parsed.topo, nullptr);
   EXPECT_EQ(*parsed.topo, t);
   EXPECT_EQ(core::serialize_run_line(parsed), line);
 
@@ -241,7 +241,7 @@ TEST(TopoRunLine, TrailerRoundTrips) {
   r.topo.reset();
   ASSERT_TRUE(
       core::parse_run_line("sqlservr.exe", core::serialize_run_line(r), &parsed, &error));
-  EXPECT_FALSE(parsed.topo.has_value());
+  EXPECT_EQ(parsed.topo, nullptr);
   // …and corrupted trailers are rejected, not ignored.
   EXPECT_FALSE(core::parse_run_line("sqlservr.exe", line + " junk", &parsed, &error));
   std::string bad = line;
@@ -257,7 +257,7 @@ TEST(TopoRunLine, TrailerRoundTrips) {
 TEST(TopoRun, GoldenThreeTierRunIsMasked) {
   const core::DtsConfig cfg = parse_or_die(kThreeTierConfig);
   const core::RunResult golden = core::execute_run(cfg.run, std::nullopt);
-  ASSERT_TRUE(golden.topo.has_value());
+  ASSERT_NE(golden.topo, nullptr);
   EXPECT_EQ(golden.topo->tier, "db");
   EXPECT_EQ(golden.topo->user_outcome, "masked");
   EXPECT_EQ(golden.topo->requests_total, cfg.run.topo.requests);
@@ -276,7 +276,7 @@ TEST(TopoRun, SingleReplicaDbFaultPropagatesToOutage) {
 
   std::size_t outages = 0;
   for (const auto& run : set.runs) {
-    ASSERT_TRUE(run.topo.has_value()) << run.fault.id();
+    ASSERT_NE(run.topo, nullptr) << run.fault.id();
     EXPECT_EQ(run.topo->tier, "db");
     EXPECT_EQ(run.fault.tier, "db");
     if (run.topo->user_outcome == "outage") {
@@ -306,7 +306,7 @@ TEST(TopoRun, RedundantTierMasksInstanceFaults) {
   const core::WorkloadSetResult set = core::run_workload_set(cfg.run, cfg.campaign);
   ASSERT_EQ(set.runs.size(), 6u);
   for (const auto& run : set.runs) {
-    ASSERT_TRUE(run.topo.has_value());
+    ASSERT_NE(run.topo, nullptr);
     EXPECT_EQ(run.topo->tier, "app");
     // Two replicas behind the tier's balancer: a single-instance fault must
     // never take out every request.
@@ -370,7 +370,9 @@ TEST(TopoPlan, DuplicatesCopyTheirRepresentative) {
     if (dup.detail.rfind(dedup, 0) != 0) continue;
     ++duplicates;
     const core::RunResult& rep = *by_id.at(dup.detail.substr(dedup.size()));
-    EXPECT_EQ(dup.topo, rep.topo) << dup.fault.id();
+    ASSERT_NE(dup.topo, nullptr) << dup.fault.id();
+    ASSERT_NE(rep.topo, nullptr) << rep.fault.id();
+    EXPECT_EQ(*dup.topo, *rep.topo) << dup.fault.id();
     EXPECT_EQ(exec::encode_requests(dup.requests), exec::encode_requests(rep.requests))
         << dup.fault.id();
   }
@@ -470,7 +472,7 @@ TEST_F(TopoJournalTest, ReplayOfMultiTierFailureMatches) {
     const auto result = forensics::replay_record(*file, rec, {}, &error);
     ASSERT_TRUE(result.has_value()) << rec.fault_id << ": " << error;
     EXPECT_TRUE(result->matches()) << rec.fault_id;
-    ASSERT_TRUE(result->run.topo.has_value()) << rec.fault_id;
+    ASSERT_NE(result->run.topo, nullptr) << rec.fault_id;
     EXPECT_EQ(result->run.topo->tier, "db");
   }
 }
