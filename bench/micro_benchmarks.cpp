@@ -151,6 +151,35 @@ void BM_SyscallDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SyscallDispatch)->Arg(0)->Arg(1);
 
+/// The hooked dispatch above driven by run_until instead of step(): with
+/// nothing else queued, each call's base-cost sleep finishes in place (no
+/// wake token, timer or resume; DESIGN decision 24). BM_SyscallDispatch/1
+/// is the same loop with every sleep queued.
+void BM_HookedCallsInPlace(benchmark::State& state) {
+  sim::Simulation simu;
+  nt::Machine m{simu, nt::MachineConfig{}};
+  inject::Interceptor icept;
+  m.k32().set_hook(&icept);
+
+  std::uint64_t calls = 0;
+  m.register_program("bench.exe", [&](nt::Ctx c) -> sim::Task {
+    for (;;) {
+      (void)co_await c.m().k32().call(c, nt::Fn::GetCurrentProcessId);
+      ++calls;
+    }
+  });
+  m.start_process("bench.exe", "bench.exe");
+  const std::uint64_t first = calls;
+  for (auto _ : state) {
+    // About 1,000 calls of 40 us each; the one whose wake crosses the
+    // horizon queues.
+    simu.run_until(simu.now() + sim::Duration::millis(40));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(calls - first));
+  state.SetLabel("interception on, in place");
+}
+BENCHMARK(BM_HookedCallsInPlace);
+
 void BM_HttpParse(benchmark::State& state) {
   const std::string raw =
       "GET /cgi-bin/test.cgi?id=42 HTTP/1.0\r\nHost: target\r\n"

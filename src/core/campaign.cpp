@@ -1,5 +1,6 @@
 #include "core/campaign.h"
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -237,23 +238,51 @@ std::optional<mw::MiddlewareKind> mw_from_code(std::string_view s) {
   return std::nullopt;
 }
 
-}  // namespace
+template <typename Int>
+void append_int(std::string* out, Int v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
-std::string serialize_run_line(const RunResult& r) {
-  std::ostringstream out;
-  out << r.fault.id() << ' ' << (r.activated ? 1 : 0) << ' ' << outcome_code(r.outcome)
-      << ' ' << (r.response_received ? 1 : 0) << ' ' << r.response_time.count_micros()
-      << ' ' << r.restarts << ' ' << r.retries << ' ' << (r.client_finished ? 1 : 0);
+/// Appends the fields a run line carries after its fault id.
+void append_run_fields(std::string* out, const RunResult& r) {
+  const auto field = [out](auto v) {
+    out->push_back(' ');
+    append_int(out, v);
+  };
+  field(r.activated ? 1 : 0);
+  out->push_back(' ');
+  out->append(outcome_code(r.outcome));
+  field(r.response_received ? 1 : 0);
+  field(r.response_time.count_micros());
+  field(r.restarts);
+  field(r.retries);
+  field(r.client_finished ? 1 : 0);
   // Topology extras ride after the classic eight fields; pre-topology parsers
   // read exactly eight via >> and ignore trailing tokens, so old readers stay
   // compatible and classic lines stay byte-identical.
   if (r.topo) {
-    out << " topo " << r.topo->tier << ' ' << r.topo->user_outcome << ' '
-        << r.topo->requests_total << ' ' << r.topo->requests_ok << ' ' << r.topo->p50_us
-        << ' ' << r.topo->p95_us << ' ' << r.topo->p99_us << ' '
-        << r.topo->offered_rps_milli;
+    const TopoRunStats& t = *r.topo;
+    out->append(" topo ");
+    out->append(t.tier);
+    out->push_back(' ');
+    out->append(t.user_outcome);
+    field(t.requests_total);
+    field(t.requests_ok);
+    field(t.p50_us);
+    field(t.p95_us);
+    field(t.p99_us);
+    field(t.offered_rps_milli);
   }
-  return out.str();
+}
+
+}  // namespace
+
+std::string serialize_run_line(const RunResult& r) {
+  std::string line;
+  r.fault.write_id(&line);
+  append_run_fields(&line, r);
+  return line;
 }
 
 bool parse_run_line(const std::string& target_image, const std::string& line,
@@ -302,29 +331,60 @@ bool parse_run_line(const std::string& target_image, const std::string& line,
 }
 
 std::string serialize_workload_set(const WorkloadSetResult& set) {
-  std::ostringstream out;
-  out << "DTSCAMPAIGN v1\n";
-  out << "workload " << set.base_config.workload.name << "\n";
-  out << "middleware " << mw_code(set.base_config.middleware) << "\n";
-  out << "watchd_version " << static_cast<int>(set.base_config.watchd_version) << "\n";
-  out << "seed " << set.base_config.seed << "\n";
+  std::string out = "DTSCAMPAIGN v1\n";
+  const auto line = [&out](std::string_view tag, std::string_view value) {
+    out.append(tag);
+    out.push_back(' ');
+    out.append(value);
+    out.push_back('\n');
+  };
+  const auto int_line = [&out](std::string_view tag, auto value) {
+    out.append(tag);
+    out.push_back(' ');
+    append_int(&out, value);
+    out.push_back('\n');
+  };
+  line("workload", set.base_config.workload.name);
+  line("middleware", mw_code(set.base_config.middleware));
+  int_line("watchd_version", static_cast<int>(set.base_config.watchd_version));
+  int_line("seed", set.base_config.seed);
   // Topology identity (absent for classic campaigns, keeping their files
   // byte-identical). The canonical topology string never contains newlines.
   if (!set.base_config.topo.empty()) {
     const auto& t = set.base_config.topo;
-    out << "topology " << t.to_string() << "\n";
-    out << "topology_tier " << t.fault_tier << "\n";
-    out << "topology_rps_milli " << t.offered_rps_milli << "\n";
-    out << "topology_requests " << t.requests << "\n";
-    if (t.degraded_p95_ms > 0) out << "topology_degraded_p95_ms " << t.degraded_p95_ms << "\n";
+    line("topology", t.to_string());
+    line("topology_tier", t.fault_tier);
+    int_line("topology_rps_milli", t.offered_rps_milli);
+    int_line("topology_requests", t.requests);
+    if (t.degraded_p95_ms > 0) int_line("topology_degraded_p95_ms", t.degraded_p95_ms);
   }
-  out << "functions";
-  for (nt::Fn fn : set.activated_functions) out << ' ' << nt::to_string(fn);
-  out << "\n";
+  out.append("functions");
+  for (nt::Fn fn : set.activated_functions) {
+    out.push_back(' ');
+    out.append(nt::to_string(fn));
+  }
+  out.push_back('\n');
+
+  // Measure the run lines first, so the text is built in one allocation of
+  // exactly its size: a planned sweep's text runs to megabytes.
+  std::string id;
+  std::string fields;
+  std::size_t size = out.size();
   for (const auto& r : set.runs) {
-    out << "run " << serialize_run_line(r) << "\n";
+    r.fault.write_id(&id);
+    fields.clear();
+    append_run_fields(&fields, r);
+    size += 5 + id.size() + fields.size();  // "run " ... "\n"
   }
-  return out.str();
+  out.reserve(size);
+  for (const auto& r : set.runs) {
+    r.fault.write_id(&id);
+    out.append("run ");
+    out.append(id);
+    append_run_fields(&out, r);
+    out.push_back('\n');
+  }
+  return out;
 }
 
 std::optional<WorkloadSetResult> deserialize_workload_set(const std::string& text,

@@ -70,6 +70,7 @@ sim::CoTask<RequestResult> attempt_request(
 void finish(Ctx c, const ClientParams& p) {
   p.report->finished = true;
   p.report->finished_at = c.m().sim().now();
+  c.m().sim().hold();  // the run loop checks `finished` at this instant
 }
 
 }  // namespace

@@ -175,7 +175,7 @@ RunResult FaultInjectionRun::execute(const std::optional<inject::FaultSpec>& fau
   const sim::TimePoint cap = w.simulation.now() + cfg_.run_timeout;
   while (!w.report->finished && w.simulation.now() < cap &&
          w.simulation.pending_events() > 0) {
-    w.simulation.step();
+    w.simulation.step_before(cap);
   }
   // Grace period: polling monitors (MSCS) may be one tick away from logging
   // a restart the client already benefited from; let the world settle before
@@ -321,7 +321,7 @@ RunResult FaultInjectionRun::execute_topology(const std::optional<inject::FaultS
   const sim::TimePoint cap = w.simulation.now() + cfg_.run_timeout;
   while (!w.report->finished && w.simulation.now() < cap &&
          w.simulation.pending_events() > 0) {
-    w.simulation.step();
+    w.simulation.step_before(cap);
   }
   if (w.report->finished) {
     sim::TimePoint settle = w.simulation.now() + sim::Duration::seconds(12);

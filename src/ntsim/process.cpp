@@ -118,11 +118,20 @@ sim::WakePtr make_wait(const Ctx& c) {
 }
 
 bool TokenWait::await_ready() {
-  if (timeout_) sim::wake_later(c_.m().sim(), tok_, *timeout_, sim::WakeReason::kTimeout);
+  sim::Simulation& s = c_.m().sim();
+  if (!tok_) {  // a sleep: finish in place when nothing could run first
+    if (s.advance_in_place(s.now() + *timeout_)) {
+      c_.thread().current_wait.reset();
+      return true;
+    }
+    tok_ = make_wait(c_);
+  }
+  if (timeout_) sim::wake_later(s, tok_, *timeout_, sim::WakeReason::kTimeout);
   return tok_->fired;
 }
 
 sim::WakeReason TokenWait::await_resume() const {
+  if (!tok_) return sim::WakeReason::kTimeout;  // a sleep finished in place
   // The thread may already be mid-teardown; clear only if still registered.
   Thread* t = c_.process->find_thread(c_.tid);
   if (t != nullptr && t->current_wait == tok_) t->current_wait.reset();
@@ -134,7 +143,7 @@ TokenWait await_token(Ctx c, sim::WakePtr tok, std::optional<sim::Duration> time
 }
 
 TokenWait sleep_in_sim(Ctx c, sim::Duration d) {
-  return TokenWait{c, make_wait(c), d.is_negative() ? sim::Duration{} : d};
+  return TokenWait{c, nullptr, d.is_negative() ? sim::Duration{} : d};
 }
 
 sim::CoTask<Dword> wait_on_object(Ctx c, std::shared_ptr<KernelObject> obj,

@@ -187,6 +187,10 @@ sim::WakePtr make_wait(const Ctx& c);
 /// before the fired check — even when the token has already fired — then
 /// suspends until the token is woken. On resume it clears the thread's
 /// current_wait if that is still this token, and yields the wake reason.
+/// A sleep (a null token) first tries sim::Simulation::advance_in_place:
+/// when that succeeds it takes no token, clears current_wait as a resumed
+/// sleep would, and yields kTimeout without suspending; otherwise it
+/// registers a token from make_wait and waits as above.
 class [[nodiscard]] TokenWait {
  public:
   TokenWait(Ctx c, sim::WakePtr tok, std::optional<sim::Duration> timeout)
@@ -205,8 +209,8 @@ class [[nodiscard]] TokenWait {
 /// Suspends until the token fires or `timeout` elapses (if given).
 TokenWait await_token(Ctx c, sim::WakePtr tok, std::optional<sim::Duration> timeout);
 
-/// Suspends the calling thread for `d` of simulated time. The token is
-/// registered here, so co_await the result at once.
+/// Suspends the calling thread for `d` of simulated time, or finishes in
+/// place when nothing else could run first. co_await the result at once.
 TokenWait sleep_in_sim(Ctx c, sim::Duration d);
 
 /// Waits on a kernel waitable object with NT semantics (acquisition side

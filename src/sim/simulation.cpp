@@ -28,13 +28,30 @@ void Simulation::schedule_resume(WakePtr tok) {
   queue_.push(now_, Event{Event::Kind::kResume, {}, std::move(tok), {}});
 }
 
-bool Simulation::step() {
+bool Simulation::step() { return run_event(kNoAdvance); }
+
+bool Simulation::step_before(TimePoint cap) {
+  return run_event(cap + Duration::micros(-1));
+}
+
+bool Simulation::advance_in_place(TimePoint t) {
+  if (t > advance_until_ || stopped_ || events_processed_ + 2 > event_budget_ ||
+      (!queue_.empty() && queue_.next_time() <= t)) {
+    return false;
+  }
+  now_ = t;
+  events_processed_ += 2;  // the timer and the resume it would have queued
+  return true;
+}
+
+bool Simulation::run_event(TimePoint advance_until) {
   if (queue_.empty()) return false;
   TimePoint at;
   Event ev = queue_.pop(&at);
   now_ = at;
   ++events_processed_;
   if (events_processed_ > event_budget_) throw SimBudgetExhausted{};
+  advance_until_ = advance_until;
   switch (ev.kind) {
     case Event::Kind::kCallback:
       ev.fn();
@@ -46,6 +63,7 @@ bool Simulation::step() {
       if (!ev.tok->dead && ev.tok->handle) ev.tok->handle.resume();
       break;
   }
+  advance_until_ = kNoAdvance;
   return true;
 }
 
@@ -58,7 +76,7 @@ void Simulation::run() {
 void Simulation::run_until(TimePoint t) {
   stopped_ = false;
   while (!stopped_ && !queue_.empty() && queue_.next_time() <= t) {
-    step();
+    run_event(t);
   }
   if (!stopped_ && now_ < t) now_ = t;
 }

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -51,18 +52,41 @@ class Simulation {
   /// tok's coroutine unless the token has died in the meantime.
   void schedule_resume(std::shared_ptr<WakeToken> tok);
 
-  /// Runs a single event. Returns false if the queue was empty.
+  /// Runs a single event. Returns false if the queue was empty. A sleep in
+  /// it never finishes in place (see advance_in_place).
   bool step();
 
+  /// Runs a single event, like step(), in which a sleep may finish in place
+  /// at any instant before `cap`: for a loop that steps while now() < cap,
+  /// which would stop after the timer of a wake at or past `cap`, before
+  /// its resume.
+  bool step_before(TimePoint cap);
+
   /// Runs until the queue drains, `stop()` is called, or the event budget
-  /// (a runaway-loop backstop) is exhausted.
+  /// (a runaway-loop backstop) is exhausted. Sleeps never finish in place.
   void run();
 
   /// Runs events with time <= t, then advances the clock to exactly t —
   /// unless stop() ended the loop, which leaves the clock at the stopping
-  /// event so that later steps never move it backwards.
+  /// event so that later steps never move it backwards. A sleep may finish
+  /// in place at any instant up to t.
   void run_until(TimePoint t);
   void run_for(Duration d) { run_until(now_ + d); }
+
+  /// Finishes a sleep that wakes at `t` without queueing it, if the event
+  /// loop would run the sleep's timer and resume events next and back to
+  /// back: `t` is strictly earlier than every queued event, within the
+  /// horizon of the loop running events (step_before, run_until) and not
+  /// held, the simulation is not stopped, and both events fit the event
+  /// budget. Then the clock moves to `t`, the two events count as
+  /// processed, and it returns true; otherwise it changes nothing and
+  /// returns false.
+  bool advance_in_place(TimePoint t);
+
+  /// Ends in-place advance until the next event: for code that changes
+  /// what an event loop checks between events (a client's finished flag),
+  /// so the loop sees it at the instant the event ran.
+  void hold() { advance_until_ = kNoAdvance; }
 
   /// Makes run()/run_until() return after the current event completes.
   void stop() { stopped_ = true; }
@@ -76,7 +100,18 @@ class Simulation {
   void set_event_budget(std::uint64_t budget) { event_budget_ = budget; }
 
  private:
+  static constexpr TimePoint kNoAdvance =
+      TimePoint::from_micros(std::numeric_limits<std::int64_t>::min());
+
+  /// Pops and runs one event; a sleep in it may finish in place at instants
+  /// up to `advance_until`.
+  bool run_event(TimePoint advance_until);
+
   TimePoint now_;
+  /// Latest instant a sleep may finish in place at: set by step_before and
+  /// run_until for the event they run; kNoAdvance outside events and after
+  /// hold().
+  TimePoint advance_until_ = kNoAdvance;
   EventQueue queue_;
   Rng rng_;
   bool stopped_ = false;

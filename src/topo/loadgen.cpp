@@ -78,6 +78,7 @@ sim::Task loadgen_program(Ctx c, nt::net::Network* net, LoadgenParams params) {
   }
   params.report->finished = true;
   params.report->finished_at = c.m().sim().now();
+  c.m().sim().hold();  // the run loop checks `finished` at this instant
 }
 
 }  // namespace dts::topo

@@ -324,6 +324,101 @@ TEST(Simulation, EventBudgetThrows) {
   EXPECT_THROW(sim.run(), SimBudgetExhausted);
 }
 
+// In-place advance (what a sleep with nothing queued before its wake does):
+// only inside an event that step_before or run_until runs, only to instants
+// strictly before every queued event and within the loop's horizon, only
+// while two more events fit the budget, and not after hold() or stop().
+
+TEST(Simulation, AdvanceInPlaceOnlyStrictlyBeforeEveryQueuedEvent) {
+  Simulation sim;
+  const TimePoint t = TimePoint{} + Duration::millis(5);
+  std::vector<bool> verdicts;
+  std::vector<TimePoint> clocks;
+  sim.schedule(Duration::millis(1), [&] {
+    sim.schedule_at(t, [] {});
+    verdicts.push_back(sim.advance_in_place(t));  // the event at t runs first
+    verdicts.push_back(sim.advance_in_place(t + Duration::micros(-1)));
+    clocks.push_back(sim.now());
+    // A zero-length sleep with an event queued at the current instant.
+    sim.schedule(Duration{}, [] {});
+    verdicts.push_back(sim.advance_in_place(sim.now()));
+  });
+  sim.run_until(TimePoint{} + Duration::seconds(1));
+  EXPECT_EQ(verdicts, (std::vector<bool>{false, true, false}));
+  EXPECT_EQ(clocks, (std::vector<TimePoint>{t + Duration::micros(-1)}));
+  // Three callbacks ran, and the advance counted its timer and resume.
+  EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+TEST(Simulation, AdvanceInPlaceFollowsEachLoopsHorizon) {
+  Simulation sim;
+  const TimePoint cap = TimePoint{} + Duration::millis(10);
+  std::vector<bool> verdicts;
+  const auto probe = [&](TimePoint at) {
+    sim.schedule(Duration{}, [&sim, &verdicts, at] {
+      verdicts.push_back(sim.advance_in_place(at));
+    });
+  };
+  // Outside any event.
+  verdicts.push_back(sim.advance_in_place(sim.now()));
+  // step() and run() never advance in place.
+  probe(sim.now());
+  ASSERT_TRUE(sim.step());
+  probe(sim.now());
+  sim.run();
+  // step_before(cap): instants before cap only.
+  probe(cap);
+  ASSERT_TRUE(sim.step_before(cap));
+  probe(cap + Duration::micros(-1));
+  ASSERT_TRUE(sim.step_before(cap));
+  // run_until(t): instants up to t.
+  TimePoint t = sim.now() + Duration::micros(500);
+  probe(t + Duration::micros(1));
+  sim.run_until(t);
+  t = sim.now() + Duration::micros(500);
+  probe(t);
+  sim.run_until(t);
+  EXPECT_EQ(verdicts, (std::vector<bool>{false, false, false, false, true, false, true}));
+  EXPECT_EQ(sim.now(), t);
+  EXPECT_EQ(sim.events_processed(), 10u);  // six probes, two advances
+}
+
+TEST(Simulation, AdvanceInPlaceNeedsBothEventsWithinTheBudget) {
+  Simulation sim;
+  std::vector<bool> verdicts;
+  sim.schedule(Duration{}, [&] {
+    // One event processed so far.
+    sim.set_event_budget(2);
+    verdicts.push_back(sim.advance_in_place(sim.now() + Duration::micros(1)));
+    sim.set_event_budget(3);
+    verdicts.push_back(sim.advance_in_place(sim.now() + Duration::micros(1)));
+  });
+  sim.run_until(TimePoint{} + Duration::seconds(1));
+  EXPECT_EQ(verdicts, (std::vector<bool>{false, true}));
+  EXPECT_EQ(sim.events_processed(), 3u);
+}
+
+TEST(Simulation, HoldAndStopEndAdvanceInPlaceForTheRestOfTheEvent) {
+  Simulation sim;
+  std::vector<bool> verdicts;
+  const auto advance = [&] {
+    verdicts.push_back(sim.advance_in_place(sim.now() + Duration::micros(1)));
+  };
+  sim.schedule(Duration::millis(1), [&] {
+    advance();
+    sim.hold();
+    advance();
+  });
+  sim.schedule(Duration::millis(2), [&] {
+    advance();  // the hold ended with its event
+    sim.stop();
+    advance();
+  });
+  sim.run_until(TimePoint{} + Duration::seconds(1));
+  EXPECT_EQ(verdicts, (std::vector<bool>{true, false, true, false}));
+  EXPECT_EQ(sim.now(), TimePoint{} + Duration::millis(2) + Duration::micros(1));
+}
+
 // ---------------------------------------------------------------- tasks
 
 Task counting_task(Simulation& sim, int& counter) {

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "core/campaign.h"
@@ -522,6 +523,68 @@ TEST(TopoSignature, TierFoldsIntoDigestOnlyWhenPresent) {
   // old journals keep their ids.
   key.tier.clear();
   EXPECT_EQ(forensics::signature_digest(key), classic);
+}
+
+
+// --- run-level accounting ---------------------------------------------------
+
+// What one run costs the simulator (events processed, KERNEL32 calls the
+// interceptor saw, simulated time) and its outcome, pinned at the values of
+// a simulator that queues every sleep's timer and resume: a change to how
+// the clock advances must leave every one of them as it was. Each run uses
+// seed 4099; the last one hits its 10 s cap, on a timer past the cap.
+struct PinnedRun {
+  const char* config;
+  const char* fault;  // "" = fault-free
+  std::uint64_t events;
+  std::uint64_t calls;
+  std::int64_t sim_us;
+  core::Outcome outcome;
+  bool finished = true;  // the client completed
+};
+
+constexpr char kApache1[] = "[test]\nworkload = Apache1\nmiddleware = none\n";
+constexpr char kIisMscs[] = "[test]\nworkload = IIS\nmiddleware = mscs\n";
+constexpr char kSql[] = "[test]\nworkload = SQL\nmiddleware = none\n";
+constexpr char kTracedAppTier[] =
+    "[test]\nmiddleware = none\n\n[topology]\n"
+    "topology = lb:2*apache -> app:2*iis -> db:1*sql_server\n"
+    "tier = app\nrtrace = failures\n";
+constexpr char kApache1Capped[] =
+    "[test]\nworkload = Apache1\nmiddleware = none\n\n[machine]\nrun_timeout_s = 10\n";
+
+TEST(RunAccounting, EventsCallsClockAndOutcomeStayPinned) {
+  using core::Outcome;
+  const PinnedRun runs[] = {
+      {kApache1, "", 1186, 393, 26'244'662, Outcome::kNormalSuccess},
+      {kApache1, "CreateFileA.lpFileName#1:zero", 403, 7, 162'024'000, Outcome::kFailure},
+      {kIisMscs, "", 1548, 534, 30'947'618, Outcome::kNormalSuccess},
+      {kIisMscs, "HeapAlloc.hHeap#1:ones", 1661, 566, 40'947'618, Outcome::kRestartSuccess},
+      {kSql, "", 244, 91, 22'108'155, Outcome::kNormalSuccess},
+      {kSql, "ReadFileEx.nNumberOfBytesToRead#1:zero", 333, 113, 59'324'468,
+       Outcome::kFailure},
+      {kTracedAppTier, "", 3715, 408, 30'600'000, Outcome::kNormalSuccess},
+      {kTracedAppTier, "app/WaitForSingleObject.hHandle#1:zero", 4725, 426, 40'100'000,
+       Outcome::kFailure},
+      {kApache1Capped, "", 631, 208, 10'034'999, Outcome::kFailure, false},
+  };
+  for (const PinnedRun& p : runs) {
+    SCOPED_TRACE(std::string(p.config) + (*p.fault != '\0' ? p.fault : "fault-free"));
+    core::RunConfig rc = parse_or_die(p.config).run;
+    rc.seed = 4099;
+    std::optional<inject::FaultSpec> fault;
+    if (*p.fault != '\0') {
+      fault = inject::parse_fault_id(rc.workload.target_image, p.fault);
+      ASSERT_TRUE(fault.has_value());
+    }
+    core::FaultInjectionRun run(rc);
+    const core::RunResult r = run.execute(fault);
+    EXPECT_EQ(run.simulation().events_processed(), p.events);
+    EXPECT_EQ(run.interceptor().calls_observed(), p.calls);
+    EXPECT_EQ(r.sim_elapsed.count_micros(), p.sim_us);
+    EXPECT_EQ(r.outcome, p.outcome);
+    EXPECT_EQ(r.client_finished, p.finished);
+  }
 }
 
 }  // namespace
