@@ -1,37 +1,20 @@
-// Shared harness for the paper-reproduction benchmarks: builds the standard
-// campaign sets (workload × middleware configurations of the paper's
-// evaluation) with a disk cache, so each table/figure binary can be run
-// independently without repeating multi-minute campaigns.
-//
-// Environment knobs:
-//   DTS_BENCH_CACHE      cache directory (default ".dts_bench_cache";
-//                        set to "" to disable caching)
+// Environment knobs shared by the guard binaries (micro_*):
 //   DTS_BENCH_FAULT_CAP  cap faults per workload set (0 = full sweep)
 //   DTS_BENCH_SEED       campaign seed (default 7)
-//   DTS_BENCH_JOBS       parallel campaign workers (default 0 = one per
-//                        hardware thread; results are identical at any
-//                        job count, so the cache stays valid)
 //   DTS_BENCH_METRICS_OUT  export the shared campaign-metrics registry as
 //                        Prometheus text at this path (plus a Chrome trace
 //                        at PATH.trace.json) when the harness exits; the
 //                        same registry/export code path the ntdts CLI uses
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "core/campaign.h"
-#include "core/report.h"
 #include "obs/metrics.h"
 
 namespace dts::bench {
-
-inline std::string cache_dir() {
-  const char* v = std::getenv("DTS_BENCH_CACHE");
-  return v != nullptr ? std::string(v) : std::string(".dts_bench_cache");
-}
 
 inline std::size_t fault_cap() {
   const char* v = std::getenv("DTS_BENCH_FAULT_CAP");
@@ -41,11 +24,6 @@ inline std::size_t fault_cap() {
 inline std::uint64_t bench_seed() {
   const char* v = std::getenv("DTS_BENCH_SEED");
   return v != nullptr ? std::strtoull(v, nullptr, 10) : 7;
-}
-
-inline int bench_jobs() {
-  const char* v = std::getenv("DTS_BENCH_JOBS");
-  return v != nullptr ? static_cast<int>(std::strtol(v, nullptr, 10)) : 0;
 }
 
 /// One registry shared by every campaign a harness binary runs, so the
@@ -69,48 +47,6 @@ inline obs::MetricsRegistry& bench_registry() {
   }();
   (void)export_at_exit;
   return registry;
-}
-
-inline core::WorkloadSetResult run_set(const std::string& workload, mw::MiddlewareKind m,
-                                       mw::WatchdVersion v = mw::WatchdVersion::kV3) {
-  core::RunConfig cfg;
-  cfg.workload = core::workload_by_name(workload);
-  cfg.middleware = m;
-  cfg.watchd_version = v;
-  core::CampaignOptions opt;
-  opt.seed = bench_seed();
-  opt.max_faults = fault_cap();
-  opt.jobs = bench_jobs();
-  opt.metrics = &bench_registry();
-  std::string label = workload + "/";
-  label += m == mw::MiddlewareKind::kWatchd ? std::string(to_string(v))
-                                            : std::string(to_string(m));
-  std::fprintf(stderr, "[campaign] %s ...\n", label.c_str());
-  return core::load_or_run_workload_set(cfg, opt, cache_dir());
-}
-
-/// The paper's main grid (Figs. 2-4, Tables 1-2): every workload as a
-/// stand-alone service, with MSCS, and with (the improved) watchd.
-inline std::vector<core::WorkloadSetResult> standard_grid() {
-  std::vector<core::WorkloadSetResult> sets;
-  for (const char* w : {"Apache1", "Apache2", "IIS", "SQL"}) {
-    sets.push_back(run_set(w, mw::MiddlewareKind::kNone));
-    sets.push_back(run_set(w, mw::MiddlewareKind::kMscs));
-    sets.push_back(run_set(w, mw::MiddlewareKind::kWatchd, mw::WatchdVersion::kV3));
-  }
-  return sets;
-}
-
-/// The Fig. 5 grid: the three watchd iterations over the three workloads the
-/// paper shows (Apache2 omitted — watchd has no effect on it, §4.3).
-inline std::vector<core::WorkloadSetResult> watchd_grid() {
-  std::vector<core::WorkloadSetResult> sets;
-  for (const char* w : {"Apache1", "IIS", "SQL"}) {
-    sets.push_back(run_set(w, mw::MiddlewareKind::kWatchd, mw::WatchdVersion::kV1));
-    sets.push_back(run_set(w, mw::MiddlewareKind::kWatchd, mw::WatchdVersion::kV2));
-    sets.push_back(run_set(w, mw::MiddlewareKind::kWatchd, mw::WatchdVersion::kV3));
-  }
-  return sets;
 }
 
 }  // namespace dts::bench

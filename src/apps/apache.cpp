@@ -74,8 +74,8 @@ sim::Task apache_master(Ctx c, ApacheConfig cfg) {
 
   // --- monitor-and-respawn loop: Apache's built-in fault tolerance. The
   // paper's configuration uses ONE child so faults activate reproducibly;
-  // max_children > 1 restores Apache's default pool (see the
-  // ablation_multiprocess bench for why the paper pinned it to one).
+  // max_children > 1 restores Apache's default pool (the worker-pool
+  // ablation of bench/paper_tables shows why the paper pinned it to one).
   const Word h_heap = co_await api(Fn::GetProcessHeap);
   std::vector<Word> child_handles;  // live worker process handles
 

@@ -44,8 +44,9 @@ struct ApacheConfig {
   /// Worker-pool size. The paper pins this to ONE child: "Configuring Apache
   /// for only one child process guarantees that the same child process will
   /// pick up the request each time, thus ensuring reproducible results."
-  /// Values > 1 restore Apache's default pool; the ablation_multiprocess
-  /// bench shows the activation nondeterminism that motivated the pin.
+  /// Values > 1 restore Apache's default pool; the worker-pool ablation of
+  /// bench/paper_tables shows the activation nondeterminism that motivated
+  /// the pin.
   int max_children = 1;
 };
 

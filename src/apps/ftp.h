@@ -2,7 +2,8 @@
 // measured ("Although IIS can serve as an HTTP server, an FTP server, and a
 // gopher server, only the HTTP functionality was tested"). This module
 // provides the protocol engine and the FtpClient workload so the extension
-// experiment (bench/ext_ftp_workload) can measure it under the same harness.
+// experiment (the IIS-FTP table of bench/paper_tables) can measure it under
+// the same harness.
 //
 // Protocol subset: USER/PASS (anonymous), SYST, TYPE, PWD, CWD, PASV, RETR,
 // LIST, QUIT — enough for the paper-style "fetch one file and verify it"

@@ -1,7 +1,6 @@
 #include "core/campaign.h"
 
 #include <charconv>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -462,72 +461,6 @@ std::optional<WorkloadSetResult> deserialize_workload_set(const std::string& tex
     }
   }
   return set;
-}
-
-WorkloadSetResult load_or_run_workload_set(const RunConfig& base,
-                                           const CampaignOptions& options,
-                                           const std::string& cache_dir) {
-  std::string path;
-  if (!cache_dir.empty()) {
-    // Planned campaigns hash to distinct cache slots: with adaptive sampling
-    // on, the run set (hence the cached result) depends on the plan knobs.
-    const std::uint64_t plan_key =
-        sim::Rng::mix(static_cast<std::uint64_t>(options.plan.mode),
-                      static_cast<std::uint64_t>(options.plan.ci_half_width * 1e9));
-    const std::uint64_t key = sim::Rng::mix(
-        sim::Rng::hash(base.workload.name),
-        sim::Rng::mix(static_cast<std::uint64_t>(base.middleware) * 131 +
-                          static_cast<std::uint64_t>(base.watchd_version),
-                      sim::Rng::mix(options.seed,
-                                    sim::Rng::mix(plan_key,
-                                                  static_cast<std::uint64_t>(
-                                                      options.iterations) * 1000003 +
-                                                      options.max_faults))));
-    // Non-default model sets are different campaigns; the default leaves the
-    // key untouched so pre-existing caches stay valid.
-    std::uint64_t model_aware_key = key;
-    const fault::ModelSet models = model_set_from(options);
-    if (!models.is_paper_default()) {
-      model_aware_key = sim::Rng::mix(key, sim::Rng::hash(models.to_string()));
-    }
-    // Topology campaigns likewise get their own slots; classic campaigns keep
-    // the exact pre-topology key (and their existing caches).
-    if (!base.topo.empty()) {
-      const auto& t = base.topo;
-      model_aware_key = sim::Rng::mix(
-          model_aware_key,
-          sim::Rng::hash(t.to_string() + "|" + t.fault_tier + "|" +
-                         std::to_string(t.offered_rps_milli) + "|" +
-                         std::to_string(t.requests) + "|" +
-                         std::to_string(t.degraded_p95_ms)));
-      // Request tracing changes the wire bytes (the rt= token), so traced and
-      // untraced campaigns must never share a cache slot. Off-mode keeps the
-      // pre-rtrace key exactly.
-      if (base.rtrace != obs::rtrace::RtraceMode::kOff) {
-        model_aware_key = sim::Rng::mix(
-            model_aware_key,
-            sim::Rng::hash("rtrace=" +
-                           std::string(obs::rtrace::to_string(base.rtrace))));
-      }
-    }
-    char name[64];
-    std::snprintf(name, sizeof name, "dts_%016llx.campaign",
-                  static_cast<unsigned long long>(model_aware_key));
-    std::filesystem::create_directories(cache_dir);
-    path = cache_dir + "/" + name;
-    std::ifstream in(path);
-    if (in) {
-      std::stringstream buf;
-      buf << in.rdbuf();
-      if (auto cached = deserialize_workload_set(buf.str())) return *cached;
-    }
-  }
-  WorkloadSetResult result = run_workload_set(base, options);
-  if (!path.empty()) {
-    std::ofstream out(path);
-    out << serialize_workload_set(result);
-  }
-  return result;
 }
 
 }  // namespace dts::core

@@ -47,8 +47,9 @@ struct WorkloadSetResult {
 
   std::string label() const;  // e.g. "Apache1/MSCS"
 
-  /// Fresh simulations this campaign ran (not serialized; 0 after a cache
-  /// load). The planner's whole point is making this smaller than runs.size().
+  /// Fresh simulations this campaign ran (not serialized; 0 for a set read
+  /// back from its text). The planner's whole point is making this smaller
+  /// than runs.size().
   std::size_t executed_runs = 0;
 
   /// Present when the campaign ran under a plan (not serialized).
@@ -79,8 +80,7 @@ struct CampaignOptions : exec::ExecOptions {
   /// registry's sweep enumerators ("paper,oserror"). Empty = the paper
   /// default, whose sweep is byte-identical to the pre-registry code. Parsed
   /// with fault::ModelSet::parse; run_workload_set throws std::runtime_error
-  /// on unknown names. Part of the result cache key — different model sets
-  /// are different campaigns.
+  /// on unknown names. Different model sets are different campaigns.
   std::string models;
 };
 
@@ -118,8 +118,8 @@ plan::Plan build_campaign_plan(const RunConfig& base, const CampaignOptions& opt
 
 /// Text serialization of a workload-set result (configuration identity,
 /// activated functions, one line per run). Round-trips through
-/// deserialize_workload_set; used by the benchmark harness cache so each
-/// table/figure binary can reuse campaign data instead of re-running it.
+/// deserialize_workload_set: the campaign.dts file `ntdts run` writes and
+/// `ntdts report` reads, and the text the determinism tests compare.
 std::string serialize_workload_set(const WorkloadSetResult& set);
 std::optional<WorkloadSetResult> deserialize_workload_set(const std::string& text,
                                                           std::string* error = nullptr);
@@ -131,13 +131,5 @@ std::optional<WorkloadSetResult> deserialize_workload_set(const std::string& tex
 std::string serialize_run_line(const RunResult& r);
 bool parse_run_line(const std::string& target_image, const std::string& line,
                     RunResult* out, std::string* error);
-
-/// Runs the workload set, or loads it from `cache_dir` if an identical
-/// configuration was run before (empty cache_dir = always run). The cache
-/// key covers workload, middleware, watchd version, seed, iterations and
-/// fault cap.
-WorkloadSetResult load_or_run_workload_set(const RunConfig& base,
-                                           const CampaignOptions& options,
-                                           const std::string& cache_dir);
 
 }  // namespace dts::core

@@ -96,8 +96,8 @@ struct ExecOptions {
   /// output stays byte-identical to the plain path at any jobs count:
   /// configurations synthesis cannot serve (jitter, tracing, topology — see
   /// unsupported_reason) and host runs that fail a gate silently fall
-  /// back to full runs, so the result cache key deliberately ignores this
-  /// flag. Planned campaigns never execute a never-firing fault (the pruner
+  /// back to full runs, so the flag changes how a campaign runs, never what
+  /// it records. Planned campaigns never execute a never-firing fault (the pruner
   /// drops them), so the flag does not change how they run.
   bool snapshots = false;
 };

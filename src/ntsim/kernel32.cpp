@@ -271,6 +271,9 @@ sim::CoTask<Word> Kernel32::do_read_file(Ctx c, const CallRecord& r, bool ex) {
   if (auto* f = dynamic_cast<FileObject*>(obj.get())) {
     const Win32Error e = machine_->fs().read(f->path(), f->offset(), to_read, &file_bytes);
     if (e != Win32Error::kSuccess) co_return s.fail(e);
+    // An asynchronous read issued at or past end of file fails with
+    // ERROR_HANDLE_EOF; a synchronous one succeeds with zero bytes read.
+    if (ex && to_read != 0 && file_bytes.bytes.empty()) co_return s.fail(Win32Error::kHandleEof);
     data = file_bytes.bytes;
     f->set_offset(f->offset() + static_cast<Word>(data.size()));
   } else if (auto* pr = dynamic_cast<PipeReadObject*>(obj.get())) {

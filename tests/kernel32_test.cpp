@@ -58,6 +58,36 @@ TEST_F(SyscallFixture, SetFilePointerSemantics) {
   EXPECT_TRUE(checked);
 }
 
+TEST_F(SyscallFixture, AsyncReadAtEndOfFileFailsWithHandleEof) {
+  m.fs().put_file("C:\\f.txt", "0123456789");
+  bool checked = false;
+  run_body([&](Ctx c, Kernel32& k) -> sim::CoTask<void> {
+    auto& mem = c.process->mem();
+    const Word h = co_await k.call(c, Fn::CreateFileA, mem.alloc_cstr("C:\\f.txt").addr,
+                                   kGenericRead, 1, 0, kOpenExisting, 0, 0);
+    const Ptr buf = mem.alloc(16);
+    const Ptr n = mem.alloc(4);
+    // ReadFileEx issued at EOF: FALSE with ERROR_HANDLE_EOF, and past EOF too.
+    (void)co_await k.call(c, Fn::SetFilePointer, h, 10, 0, kFileBegin);
+    EXPECT_EQ(co_await k.call(c, Fn::ReadFileEx, h, buf.addr, 4, 0, 0), 0u);
+    EXPECT_EQ(co_await k.call(c, Fn::GetLastError), to_dword(Win32Error::kHandleEof));
+    (void)co_await k.call(c, Fn::SetFilePointer, h, 4000, 0, kFileBegin);
+    EXPECT_EQ(co_await k.call(c, Fn::ReadFileEx, h, buf.addr, 4, 0, 0), 0u);
+    EXPECT_EQ(co_await k.call(c, Fn::GetLastError), to_dword(Win32Error::kHandleEof));
+    // A ReadFileEx that starts before EOF and runs past it returns what is there.
+    (void)co_await k.call(c, Fn::SetFilePointer, h, 7, 0, kFileBegin);
+    EXPECT_NE(co_await k.call(c, Fn::ReadFileEx, h, buf.addr, 16, 0, 0), 0u);
+    EXPECT_EQ(mem.read_bytes(buf, 3), "789");
+    EXPECT_EQ(co_await k.call(c, Fn::SetFilePointer, h, 0, 0, kFileCurrent), 10u);
+    // Synchronous ReadFile at EOF succeeds with zero bytes read.
+    mem.write_u32(n, 0xFFFFFFFF);
+    EXPECT_EQ(co_await k.call(c, Fn::ReadFile, h, buf.addr, 4, n.addr, 0), 1u);
+    EXPECT_EQ(mem.read_u32(n), 0u);
+    checked = true;
+  });
+  EXPECT_TRUE(checked);
+}
+
 TEST_F(SyscallFixture, FindFirstNextClose) {
   m.fs().put_file("C:\\web\\a.html", "A");
   m.fs().put_file("C:\\web\\b.html", "BB");

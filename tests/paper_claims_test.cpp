@@ -3,8 +3,8 @@
 // regression guards for the reproduction itself: if a substrate change
 // breaks one of the published orderings, a test here goes red.
 //
-// Capped sweeps keep the runtime test-suite-friendly; the bench/ harnesses
-// run the full sweeps.
+// Capped sweeps keep the runtime test-suite-friendly; bench/paper_tables runs
+// the full sweeps (the `paper` test diffs them against a golden text).
 #include <gtest/gtest.h>
 
 #include "core/campaign.h"

@@ -532,7 +532,10 @@ TEST(TopoSignature, TierFoldsIntoDigestOnlyWhenPresent) {
 // interceptor saw, simulated time) and its outcome, pinned at the values of
 // a simulator that queues every sleep's timer and resume: a change to how
 // the clock advances must leave every one of them as it was. Each run uses
-// seed 4099; the last one hits its 10 s cap, on a timer past the cap.
+// seed 4099; the last one hits its 10 s cap, on a timer past the cap. The
+// GetFileSize runs make SQL recovery trust a size of 0xFFFFFFFF: its
+// ReadFileEx loop must end at end of file (ERROR_HANDLE_EOF), not read a
+// million empty chunks into a 4 GB host string.
 struct PinnedRun {
   const char* config;
   const char* fault;  // "" = fault-free
@@ -563,6 +566,9 @@ TEST(RunAccounting, EventsCallsClockAndOutcomeStayPinned) {
       {kSql, "", 244, 91, 22'108'155, Outcome::kNormalSuccess},
       {kSql, "ReadFileEx.nNumberOfBytesToRead#1:zero", 333, 113, 59'324'468,
        Outcome::kFailure},
+      {kSql, "GetFileSize.hFile#1:zero", 337, 115, 59'324'468, Outcome::kFailure},
+      {kSql, "GetFileSize.hFile#1:ones", 337, 115, 59'324'468, Outcome::kFailure},
+      {kSql, "GetFileSize.hFile#1:flip", 337, 115, 59'324'468, Outcome::kFailure},
       {kTracedAppTier, "", 3715, 408, 30'600'000, Outcome::kNormalSuccess},
       {kTracedAppTier, "app/WaitForSingleObject.hHandle#1:zero", 4725, 426, 40'100'000,
        Outcome::kFailure},

@@ -741,7 +741,7 @@ int cmd_run(int argc, char** argv) {
         return 2;
       }
       // Canonical form; the paper default stores as "" so the config text
-      // (and result cache key) stays identical to an unflagged run.
+      // stays identical to an unflagged run.
       campaign.models = set->is_paper_default() ? "" : set->to_string();
     } else if (a.rfind("--model", 0) == 0) {
       // Misspelling guard (--models=, --model-list, ...): name the valid set
