@@ -12,6 +12,7 @@
 #include "apps/sql_engine.h"
 #include "apps/http.h"
 #include "core/campaign.h"
+#include "core/config.h"
 #include "inject/interceptor.h"
 #include "ntsim/kernel.h"
 #include "ntsim/kernel32.h"
@@ -217,6 +218,31 @@ void BM_FullRunApacheFaultFree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FullRunApacheFaultFree)->Unit(benchmark::kMillisecond);
+
+/// End-to-end: one complete fault-free three-tier run, as in the
+/// `exhaustive` benchmark's three-tier set (2 Apache web instances, 2 IIS app
+/// instances and one SQL Server behind balancers, 12 requests, request
+/// traces under `failures`): the request path through relays and balancers.
+void BM_FullRunThreeTierFaultFree(benchmark::State& state) {
+  std::string error;
+  const auto cfg = core::parse_config(
+      "[test]\nmiddleware = none\nseed = 4099\n"
+      "[topology]\ntopology = lb:2*apache -> app:2*iis -> db:1*sql_server\n"
+      "tier = app\nrtrace = failures\n",
+      &error);
+  if (!cfg) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    core::RunConfig run = cfg->run;
+    run.seed = seed++;
+    benchmark::DoNotOptimize(core::execute_run(run, std::nullopt));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FullRunThreeTierFaultFree)->Unit(benchmark::kMillisecond);
 
 /// End-to-end: one injected run that crashes IIS during init (the expensive
 /// failure path: client retries against a dead server).

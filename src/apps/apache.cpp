@@ -249,7 +249,9 @@ sim::Task apache_worker(Ctx c, ApacheConfig cfg, nt::net::Network* network,
       }
     }
 
-    sock->send(http::format_response(status, content_type, body, "Apache/1.3.3 (WinNT)"));
+    const std::size_t body_size = body.size();  // read before the body moves into the tail
+    sock->send(http::response_head(status, content_type, body_size, "Apache/1.3.3 (WinNT)"),
+               std::make_shared<const std::string>(std::move(body)));
 
     // Access log under the log lock.
     (void)co_await api(Fn::EnterCriticalSection, log_cs.addr);

@@ -203,11 +203,11 @@ sim::CoTask<std::optional<std::string>> ftp_fetch(Ctx c, nt::net::Network* net,
 
   auto data = co_await net->connect(c, server_machine, data_port);
   if (data == nullptr) co_return std::nullopt;
-  std::string payload;
+  nt::net::Payload payload;
   if (!co_await data->recv_to_eof(c, deadline, payload)) co_return std::nullopt;  // timeout
   if (!co_await expect("226")) co_return std::nullopt;
   ctrl->send("QUIT\r\n");
-  co_return payload;
+  co_return std::move(payload.flatten());
 }
 
 }  // namespace dts::apps::ftp

@@ -1,35 +1,61 @@
 #include "apps/http.h"
 
-#include <sstream>
+#include <algorithm>
+#include <cstdio>
 
 namespace dts::apps::http {
 
 namespace {
 
-std::string trim(std::string v) {
-  while (!v.empty() && (v.back() == '\r' || v.back() == ' ' || v.back() == '\t')) v.pop_back();
-  std::size_t i = 0;
-  while (i < v.size() && (v[i] == ' ' || v[i] == '\t')) ++i;
-  return v.substr(i);
+/// Drops '\r', space and tab at the end and space and tab at the start.
+std::string_view trim(std::string_view v) {
+  while (!v.empty() && (v.back() == '\r' || v.back() == ' ' || v.back() == '\t')) {
+    v.remove_suffix(1);
+  }
+  while (!v.empty() && (v.front() == ' ' || v.front() == '\t')) v.remove_prefix(1);
+  return v;
+}
+
+/// Takes the next line of `rest` (without its '\n') into `line`, as
+/// std::getline does; false once nothing is left.
+bool next_line(std::string_view& rest, std::string_view& line) {
+  if (rest.empty()) return false;
+  const auto nl = rest.find('\n');
+  line = rest.substr(0, nl);
+  rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
+  return true;
+}
+
+/// Takes the next word of `rest`, split where operator>> splits; empty once
+/// only blanks are left.
+std::string_view next_word(std::string_view& rest) {
+  constexpr std::string_view kBlanks = " \t\n\v\f\r";
+  const auto begin = std::min(rest.find_first_not_of(kBlanks), rest.size());
+  const auto end = std::min(rest.find_first_of(kBlanks, begin), rest.size());
+  const std::string_view word = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return word;
 }
 
 }  // namespace
 
 std::optional<Request> parse_request(const std::string& raw) {
-  std::istringstream in(raw);
-  std::string line;
-  if (!std::getline(in, line)) return std::nullopt;
+  std::string_view rest = raw;
+  std::string_view line;
+  if (!next_line(rest, line)) return std::nullopt;
   line = trim(line);
-  Request req;
-  std::istringstream rl(line);
-  if (!(rl >> req.method >> req.target >> req.version)) return std::nullopt;
-  if (req.target.empty() || req.target[0] != '/') return std::nullopt;
-  while (std::getline(in, line)) {
+  const std::string_view method = next_word(line);
+  const std::string_view target = next_word(line);
+  const std::string_view version = next_word(line);
+  if (version.empty() || !target.starts_with('/')) return std::nullopt;
+  Request req{std::string(method), std::string(target), std::string(version), {}};
+  while (next_line(rest, line)) {
     line = trim(line);
     if (line.empty()) break;
     const auto colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    req.headers[trim(line.substr(0, colon))] = trim(line.substr(colon + 1));
+    if (colon == std::string_view::npos) continue;
+    req.headers.insert_or_assign(std::string(trim(line.substr(0, colon))),
+                                 std::string(trim(line.substr(colon + 1))));
   }
   return req;
 }
@@ -47,9 +73,8 @@ std::string_view reason_phrase(int status) {
   }
 }
 
-std::string format_response(int status, std::string_view content_type, std::string_view body,
-                            std::string_view server_name) {
-  // Header first (small), then one reservation and one copy of the body.
+std::string response_head(int status, std::string_view content_type, std::size_t body_size,
+                          std::string_view server_name) {
   std::string out = "HTTP/1.0 " + std::to_string(status) + ' ';
   out.append(reason_phrase(status))
       .append("\r\nServer: ")
@@ -57,18 +82,29 @@ std::string format_response(int status, std::string_view content_type, std::stri
       .append("\r\nContent-Type: ")
       .append(content_type)
       .append("\r\nContent-Length: ")
-      .append(std::to_string(body.size()))
+      .append(std::to_string(body_size))
       .append("\r\nConnection: close\r\n\r\n");
-  out.reserve(out.size() + body.size());
-  out.append(body);
   return out;
 }
 
-bool http_ok(std::string_view reply, std::string_view expected_body) {
-  if (!reply.starts_with("HTTP/1.0 200")) return false;
-  const auto sep = reply.find("\r\n\r\n");
-  if (sep == std::string_view::npos) return false;
-  return reply.substr(sep + 4) == expected_body;
+bool http_ok(const nt::net::Payload& reply, std::string_view expected_body) {
+  const std::string_view head = reply.head;
+  const std::string_view tail = reply.tail != nullptr ? *reply.tail : std::string_view{};
+  const auto sep = head.find("\r\n\r\n");
+  if (sep == std::string_view::npos && !tail.empty()) {
+    // A header split across head and tail, which no server sends: check the
+    // bytes as one string.
+    return http_ok(nt::net::Payload{reply.head + *reply.tail, nullptr}, expected_body);
+  }
+  // Any separator lies in the head now, and so does the status line.
+  if (sep == std::string_view::npos || !head.starts_with("HTTP/1.0 200")) return false;
+  const std::string_view rest = head.substr(sep + 4);  // body bytes before the tail
+  if (rest.empty() && tail.data() == expected_body.data() &&
+      tail.size() == expected_body.size()) {
+    return true;  // the expected page object itself
+  }
+  return rest.size() + tail.size() == expected_body.size() &&
+         expected_body.starts_with(rest) && expected_body.substr(rest.size()) == tail;
 }
 
 sim::CoTask<std::optional<Request>> read_request(Ctx c, nt::net::Socket& sock,

@@ -32,14 +32,21 @@ struct Request {
 /// Parses a raw request (request line + headers). Nullopt if malformed.
 std::optional<Request> parse_request(const std::string& raw);
 
-/// Formats a full HTTP/1.0 response.
-std::string format_response(int status, std::string_view content_type, std::string_view body,
-                            std::string_view server_name);
+/// The header block of an HTTP/1.0 response with a `body_size`-byte body,
+/// through the blank line. A server sends it as the head of the reply and
+/// the body as its tail (nt::net::Socket::send), so the body is never
+/// joined to it on the host.
+std::string response_head(int status, std::string_view content_type, std::size_t body_size,
+                          std::string_view server_name);
 
 /// True if `reply` is an HTTP/1.0 200 response whose body (everything after
 /// the first blank line) is exactly `expected_body` — the reply check of the
-/// DTS HttpClient and of the topology relays.
-bool http_ok(std::string_view reply, std::string_view expected_body);
+/// DTS HttpClient and of the topology relays. A reply whose head ends at the
+/// blank line and whose tail is the very string `expected_body` views passes
+/// without a byte comparison: callers pass a memoized page, which is
+/// immutable for the life of the process, so the same object means the same
+/// bytes.
+bool http_ok(const nt::net::Payload& reply, std::string_view expected_body);
 
 std::string_view reason_phrase(int status);
 

@@ -15,6 +15,9 @@ namespace dts::apps {
 
 namespace {
 
+/// A reply body, shared with the socket that sends it instead of copied.
+using Body = std::shared_ptr<const std::string>;
+
 /// Shared state between the IIS accept thread and its worker thread. Lives in
 /// the program closure (owned by the Thread object, so it outlives frames).
 struct IisState {
@@ -35,7 +38,11 @@ struct IisState {
   /// corrupted during the first fill is served to every later request — a
   /// persistent wrong-response loop that no restart-based middleware
   /// observes, one of the Apache-vs-IIS reliability gaps the paper measured.
-  std::map<std::string, std::string> content_cache;
+  std::map<std::string, Body> content_cache;
+  /// The page install_iis put in the document root (the memoized
+  /// apache_index_content). A fill whose bytes equal it caches this very
+  /// object, so every reply shares it and a reply check can recognize it.
+  Body page;
 };
 
 /// Init phase A: process environment and system discovery.
@@ -217,16 +224,16 @@ sim::CoTask<void> iis_log_request(const Api& api, const IisConfig& cfg, IisState
   (void)co_await api(Fn::FlushFileBuffers, state->h_log);
 }
 
+Body error_page(std::string_view html) { return std::make_shared<const std::string>(html); }
+
 /// Serves a static file with IIS's request-path machinery: header parsing
 /// through the lstr/locale functions, a file-mapping content cache warmed on
-/// first use, then CreateFileA + GetFileSize + ReadFile. The body is a view
-/// of a string literal or of its content-cache entry (entries are never
-/// evicted, so the view lives as long as `state`).
-sim::CoTask<std::pair<int, std::string_view>> iis_serve_static(const Api& api,
-                                                               const IisConfig& cfg,
-                                                               IisState* state,
-                                                               const http::Request& req) {
-  using Reply = std::pair<int, std::string_view>;
+/// first use, then CreateFileA + GetFileSize + ReadFile. The body is an
+/// error page or the content-cache entry, shared rather than copied.
+sim::CoTask<std::pair<int, Body>> iis_serve_static(const Api& api, const IisConfig& cfg,
+                                                   IisState* state,
+                                                   const http::Request& req) {
+  using Reply = std::pair<int, Body>;
   // Header / URL processing (user-mode string machinery, request-path
   // first invocations).
   const Ptr urlbuf = api.buf(520);
@@ -267,14 +274,14 @@ sim::CoTask<std::pair<int, std::string_view>> iis_serve_static(const Api& api,
 
   const Word attrs = co_await api(Fn::GetFileAttributesA, api.str(full).addr);
   if (attrs == nt::kInvalidFileAttributes) {
-    co_return Reply{404, "<html><body><h1>404 Object Not Found</h1></body></html>"};
+    co_return Reply{404, error_page("<html><body><h1>404 Object Not Found</h1></body></html>")};
   }
   co_await api.cpu(cfg.static_request_cost);
 
   const Word h = co_await api(Fn::CreateFileA, api.str(full).addr, nt::kGenericRead, 1, 0,
                               nt::kOpenExisting, 0, 0);
   if (h == nt::kInvalidHandleValue) {
-    co_return Reply{500, "<html><body><h1>500 Server Error</h1></body></html>"};
+    co_return Reply{500, error_page("<html><body><h1>500 Server Error</h1></body></html>")};
   }
   const Ptr size_high = api.buf(4);
   const Word size = co_await api(Fn::GetFileSize, h, size_high.addr);
@@ -302,9 +309,12 @@ sim::CoTask<std::pair<int, std::string_view>> iis_serve_static(const Api& api,
   }
   (void)co_await api(Fn::CloseHandle, h);
   // Whatever we computed is cached. Only the worker thread fills the cache,
-  // and it found no entry above, so this always inserts.
-  const auto cached = state->content_cache.try_emplace(full, std::move(body)).first;
-  co_return Reply{200, cached->second};
+  // and it found no entry above, so this always inserts. A clean read of the
+  // installed page caches the page object itself (one comparison per fill).
+  Body cached = body == *state->page ? state->page
+                                     : std::make_shared<const std::string>(std::move(body));
+  state->content_cache.emplace(full, cached);
+  co_return Reply{200, std::move(cached)};
 }
 
 /// The worker thread: drains the queue and serves requests.
@@ -333,22 +343,21 @@ sim::Task iis_worker_thread(Ctx c, IisConfig cfg, std::shared_ptr<IisState> stat
     auto req = co_await http::read_request(c, *sock, sim::Duration::seconds(30));
     if (!req) continue;
 
-    std::string cgi_body;   // owns a CGI result; `body` views it or a static body
-    std::string_view body;
+    Body body;
     int status = 200;
     if (req->path().rfind("/cgi-bin/", 0) == 0 || req->path().rfind("/scripts/", 0) == 0) {
       auto out = co_await http::run_cgi(api, "cgi.exe", *req, cfg.cgi_timeout);
       if (out) {
-        cgi_body = std::move(*out);
-        body = cgi_body;
+        body = std::make_shared<const std::string>(std::move(*out));
       } else {
         status = 500;
-        body = "<html><body><h1>500 Server Error</h1></body></html>";
+        body = error_page("<html><body><h1>500 Server Error</h1></body></html>");
       }
     } else {
       std::tie(status, body) = co_await iis_serve_static(api, cfg, state.get(), *req);
     }
-    sock->send(http::format_response(status, "text/html", body, "Microsoft-IIS/3.0"));
+    std::string head = http::response_head(status, "text/html", body->size(), "Microsoft-IIS/3.0");
+    sock->send(std::move(head), std::move(body));
     co_await iis_log_request(api, cfg, state.get(),
                              req->method + " " + req->target + " " + std::to_string(status));
   }
@@ -396,10 +405,11 @@ sim::Task gopher_service(Ctx c, IisConfig cfg, nt::net::Network* network) {
   }
 }
 
-sim::Task iis_main(Ctx c, IisConfig cfg, nt::net::Network* network) {
+sim::Task iis_main(Ctx c, IisConfig cfg, nt::net::Network* network, Body page) {
   Api api(c);
   auto state = std::make_shared<IisState>();
   state->doc_root = cfg.doc_root;
+  state->page = std::move(page);
 
   const std::string cmdline =
       api.mem().read_cstr(Ptr{co_await api(Fn::GetCommandLineA)});
@@ -481,7 +491,8 @@ const std::string& install_iis(nt::Machine& machine, nt::net::Network& network,
 
   http::register_cgi_program(machine, cfg.cgi_startup_cost);
   nt::net::Network* net = &network;
-  machine.register_program(cfg.image, [cfg, net](Ctx c) { return iis_main(c, cfg, net); });
+  machine.register_program(cfg.image,
+                           [cfg, net, index](Ctx c) { return iis_main(c, cfg, net, index); });
 
   machine.scm().register_service(nt::ServiceConfig{
       .name = cfg.service_name,

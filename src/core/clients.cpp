@@ -28,7 +28,7 @@ sim::CoTask<bool> wait_for_server(Ctx c, nt::net::Network* net, const ClientPara
 /// `check` validates the raw reply, 15 s between attempts.
 sim::CoTask<RequestResult> attempt_request(
     Ctx c, nt::net::Network* net, const ClientParams& p, const std::string& wire_request,
-    const std::function<bool(const std::string&)>& check) {
+    const std::function<bool(const nt::net::Payload&)>& check) {
   RequestResult result;
   const sim::TimePoint t0 = c.m().sim().now();
   for (int attempt = 1; attempt <= p.config.max_attempts; ++attempt) {
@@ -44,7 +44,7 @@ sim::CoTask<RequestResult> attempt_request(
 
     // Collect the reply until EOF, bounded by the response timeout.
     const sim::TimePoint deadline = c.m().sim().now() + p.config.response_timeout;
-    std::string reply;
+    nt::net::Payload reply;
     const bool timed_out = !co_await sock->recv_to_eof(c, deadline, reply);
 
     if (!reply.empty()) result.any_response = true;
@@ -84,19 +84,19 @@ sim::Task http_client_program(Ctx c, nt::net::Network* net, ClientParams params,
 
   auto r1 = co_await attempt_request(
       c, net, params, "GET /index.html HTTP/1.0\r\nHost: target\r\n\r\n",
-      [&](const std::string& reply) { return apps::http::http_ok(reply, expected_index); });
+      [&](const nt::net::Payload& reply) { return apps::http::http_ok(reply, expected_index); });
   params.report->requests.push_back(std::move(r1));
 
   auto r2 = co_await attempt_request(
       c, net, params, "GET /cgi-bin/test.cgi?id=42 HTTP/1.0\r\nHost: target\r\n\r\n",
-      [&](const std::string& reply) { return apps::http::http_ok(reply, expected_cgi); });
+      [&](const nt::net::Payload& reply) { return apps::http::http_ok(reply, expected_cgi); });
   params.report->requests.push_back(std::move(r2));
 
   finish(c, params);
 }
 
 sim::Task ftp_client_program(Ctx c, nt::net::Network* net, ClientParams params,
-                             std::string path, std::string expected_payload) {
+                             std::string path, std::string_view expected_payload) {
   params.report->started_at = c.m().sim().now();
   co_await wait_for_server(c, net, params);
 
@@ -132,7 +132,7 @@ sim::Task sql_client_program(Ctx c, nt::net::Network* net, ClientParams params,
 
   auto r = co_await attempt_request(
       c, net, params, query + "\n",
-      [&](const std::string& reply) { return reply == expected_reply; });
+      [&](const nt::net::Payload& reply) { return reply.equals(expected_reply); });
   params.report->requests.push_back(std::move(r));
 
   finish(c, params);

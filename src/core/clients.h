@@ -44,8 +44,9 @@ sim::Task sql_client_program(nt::Ctx c, nt::net::Network* net, ClientParams para
                              std::string query, std::string expected_reply);
 
 /// FtpClient (extension workload): downloads `path` via anonymous FTP and
-/// verifies the payload, with the same retry protocol.
+/// verifies the payload, with the same retry protocol. `expected_payload` is
+/// a view like `expected_index` (of the memoized ftp_download_content).
 sim::Task ftp_client_program(nt::Ctx c, nt::net::Network* net, ClientParams params,
-                             std::string path, std::string expected_payload);
+                             std::string path, std::string_view expected_payload);
 
 }  // namespace dts::core

@@ -149,7 +149,7 @@ RunResult FaultInjectionRun::execute(const std::optional<inject::FaultSpec>& fau
 
   nt::net::Network* net = &w.network;
   if (cfg_.workload.client == ClientKind::kFtp) {
-    const std::string expected = apps::ftp_download_content();
+    const std::string_view expected = apps::ftp_download_content();
     w.control.register_program("ftpclient.exe", [params, net, expected](nt::Ctx c) {
       return ftp_client_program(c, net, params, "download.bin", expected);
     });

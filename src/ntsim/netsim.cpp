@@ -19,9 +19,32 @@ void append_or_adopt(std::string& to, std::string&& bytes) {
 
 }  // namespace
 
+// ---------------------------------------------------------------- Payload
+
+void Payload::append(Payload&& more) {
+  if (more.empty()) return;
+  flatten();
+  append_or_adopt(head, std::move(more.head));
+  tail = std::move(more.tail);
+}
+
+std::string& Payload::flatten() {
+  if (tail != nullptr) {
+    head += *tail;
+    tail.reset();
+  }
+  return head;
+}
+
+bool Payload::equals(std::string_view bytes) const {
+  return bytes.size() == size() && bytes.starts_with(head) &&
+         (tail == nullptr || bytes.substr(head.size()) == *tail);
+}
+
 // ---------------------------------------------------------------- Socket
 
-void Socket::send(std::string data) {
+void Socket::send(std::string head, std::shared_ptr<const std::string> tail) {
+  Payload data{std::move(head), std::move(tail)};
   if (closed_ || data.empty()) return;
   sim::Simulation& sim = net_->sim();
   const NetworkConfig& cfg = cfg_;  // the link this connection was made over
@@ -36,29 +59,18 @@ void Socket::send(std::string data) {
   std::shared_ptr<Stream> tx = tx_;
   sim.schedule_at(deliver_at, [&sim, tx, payload = std::move(data)]() mutable {
     if (tx->eof) return;  // connection already reset
-    append_or_adopt(tx->buffer, std::move(payload));
+    tx->buffer.append(std::move(payload));
     tx->wake_readers(sim);
   });
 }
 
-sim::CoTask<std::optional<std::string>> Socket::recv(Ctx c, std::size_t max,
+sim::CoTask<std::optional<Payload>> Socket::recv_all(Ctx c,
                                                      std::optional<sim::Duration> timeout) {
   sim::Simulation& sim = net_->sim();
   const sim::TimePoint deadline = sim.now() + timeout.value_or(sim::Duration{});
   for (;;) {
-    if (!rx_->buffer.empty()) {
-      std::string& buffer = rx_->buffer;
-      std::string out;
-      if (max >= buffer.size()) {
-        out = std::move(buffer);
-        buffer.clear();
-      } else {
-        out = buffer.substr(0, max);
-        buffer.erase(0, max);
-      }
-      co_return out;
-    }
-    if (rx_->eof) co_return std::string{};  // orderly EOF / reset
+    if (!rx_->buffer.empty()) co_return std::exchange(rx_->buffer, Payload{});
+    if (rx_->eof) co_return Payload{};  // orderly EOF / reset
     if (timeout && sim.now() >= deadline) co_return std::nullopt;
 
     auto tok = make_wait(c);
@@ -70,18 +82,32 @@ sim::CoTask<std::optional<std::string>> Socket::recv(Ctx c, std::size_t max,
   }
 }
 
+sim::CoTask<std::optional<std::string>> Socket::recv(Ctx c, std::size_t max,
+                                                     std::optional<sim::Duration> timeout) {
+  auto got = co_await recv_all(c, timeout);
+  if (!got) co_return std::nullopt;
+  std::string& bytes = got->flatten();
+  if (bytes.size() > max) {
+    // Nothing can arrive between taking the buffer and putting the rest back.
+    rx_->buffer.head = bytes.substr(max);
+    bytes.resize(max);
+  }
+  co_return std::move(bytes);
+}
+
 sim::CoTask<std::optional<std::string>> Socket::recv_until(
     Ctx c, std::string delim, std::size_t max, std::optional<sim::Duration> timeout) {
   sim::Simulation& sim = net_->sim();
   const sim::TimePoint deadline = sim.now() + timeout.value_or(sim::Duration{});
   for (;;) {
-    const auto pos = rx_->buffer.find(delim);
+    std::string& buffer = rx_->buffer.flatten();
+    const auto pos = buffer.find(delim);
     if (pos != std::string::npos) {
-      std::string out = rx_->buffer.substr(0, pos + delim.size());
-      rx_->buffer.erase(0, pos + delim.size());
+      std::string out = buffer.substr(0, pos + delim.size());
+      buffer.erase(0, pos + delim.size());
       co_return out;
     }
-    if (rx_->buffer.size() > max) co_return std::nullopt;  // oversized
+    if (buffer.size() > max) co_return std::nullopt;  // oversized
     if (rx_->eof) co_return std::nullopt;
     if (timeout && sim.now() >= deadline) co_return std::nullopt;
 
@@ -112,7 +138,7 @@ sim::CoTask<std::optional<std::string>> Socket::recv_exactly(
   co_return out;
 }
 
-sim::CoTask<bool> Socket::recv_to_eof(Ctx c, sim::TimePoint deadline, std::string& out) {
+sim::CoTask<bool> Socket::recv_to_eof(Ctx c, sim::TimePoint deadline, Payload& out) {
   sim::Simulation& sim = net_->sim();
   for (;;) {
     const sim::Duration remaining = deadline - sim.now();
@@ -120,10 +146,10 @@ sim::CoTask<bool> Socket::recv_to_eof(Ctx c, sim::TimePoint deadline, std::strin
     // Take everything delivered so far: a read that finds data never
     // suspends, so the read size is invisible to the simulation, and a
     // whole-buffer read moves instead of copying.
-    auto chunk = co_await recv(c, std::string::npos, remaining);
+    auto chunk = co_await recv_all(c, remaining);
     if (!chunk) co_return false;         // timeout
     if (chunk->empty()) co_return true;  // EOF: reply complete (or connection reset)
-    append_or_adopt(out, std::move(*chunk));
+    out.append(std::move(*chunk));
   }
 }
 

@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,9 +36,31 @@ struct NetworkConfig {
 class Network;
 class Listener;
 
+/// Bytes on a connection: `head`, then the shared, immutable `tail` when
+/// there is one. A server that sends the same page to every client hands
+/// each reader the one page object instead of a host copy of it; sizes, and
+/// so transfer times, count both parts.
+struct Payload {
+  std::string head;
+  std::shared_ptr<const std::string> tail;
+
+  std::size_t size() const { return head.size() + (tail != nullptr ? tail->size() : 0); }
+  bool empty() const { return size() == 0; }
+
+  /// Appends `more` after these bytes. A tail that bytes now follow is
+  /// folded into `head` first, so only the last part is ever shared.
+  void append(Payload&& more);
+
+  /// Folds the tail into `head` and returns it: every byte, contiguous.
+  std::string& flatten();
+
+  /// True if these bytes equal `bytes` (compared in place, nothing folded).
+  bool equals(std::string_view bytes) const;
+};
+
 /// One direction of a connection.
 struct Stream {
-  std::string buffer;  // delivered, unread bytes
+  Payload buffer;      // delivered, unread bytes
   bool eof = false;    // sender closed (or crashed)
   std::vector<sim::WakePtr> read_waiters;
   sim::TimePoint earliest_delivery;  // FIFO ordering of in-flight sends
@@ -62,11 +85,13 @@ class Socket {
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
 
-  /// Queues data for delivery to the peer after latency + size/bandwidth.
-  /// Never blocks (unbounded send buffer). Data sent after close is dropped.
-  /// Takes ownership of the payload: a sender that moves its buffer in
-  /// hands the peer the same bytes without a copy.
-  void send(std::string data);
+  /// Queues `head` and then `tail` for delivery to the peer after latency +
+  /// size/bandwidth, the size counting both. Never blocks (unbounded send
+  /// buffer). Data sent after close is dropped. Takes ownership of the head:
+  /// a sender that moves its buffer in hands the peer the same bytes without
+  /// a copy. The tail is shared, never copied, unless a contiguous read
+  /// (recv, recv_until, recv_exactly) or bytes sent after it fold it in.
+  void send(std::string head, std::shared_ptr<const std::string> tail = {});
 
   /// Receives up to `max` bytes. Blocks until data, EOF or timeout. Returns
   /// nullopt on timeout; empty string on EOF. A read that takes everything
@@ -87,8 +112,9 @@ class Socket {
 
   /// Receives until the peer closes (true) or `deadline` passes (false),
   /// appending what arrives to `out` — the whole reply of a request/close
-  /// exchange. `out` keeps what arrived before a timeout.
-  sim::CoTask<bool> recv_to_eof(Ctx c, sim::TimePoint deadline, std::string& out);
+  /// exchange, its shared tail unread. `out` keeps what arrived before a
+  /// timeout.
+  sim::CoTask<bool> recv_to_eof(Ctx c, sim::TimePoint deadline, Payload& out);
 
   /// True once the peer has closed and all delivered data was consumed.
   bool at_eof() const { return rx_->buffer.empty() && rx_->eof; }
@@ -97,6 +123,10 @@ class Socket {
   void close();
 
  private:
+  /// Takes everything delivered, tail included. Blocks until data, EOF or
+  /// timeout; nullopt on timeout, an empty payload on EOF.
+  sim::CoTask<std::optional<Payload>> recv_all(Ctx c, std::optional<sim::Duration> timeout);
+
   Network* net_;
   std::shared_ptr<Stream> rx_;
   std::shared_ptr<Stream> tx_;

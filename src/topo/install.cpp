@@ -59,21 +59,26 @@ struct LbParams {
 };
 
 /// One request/reply exchange over a fresh connection; nullopt on refusal,
-/// reset or timeout.
-sim::CoTask<std::optional<std::string>> exchange(Ctx c, nt::net::Network* net,
-                                                 const std::string& machine,
-                                                 std::uint16_t port, const std::string& request,
-                                                 sim::Duration timeout, bool until_eof) {
+/// reset or timeout. A one-line reply is the payload's head; a reply read to
+/// EOF keeps the tail its server shared.
+sim::CoTask<std::optional<nt::net::Payload>> exchange(Ctx c, nt::net::Network* net,
+                                                      const std::string& machine,
+                                                      std::uint16_t port,
+                                                      const std::string& request,
+                                                      sim::Duration timeout, bool until_eof) {
   const sim::TimePoint deadline = c.m().sim().now() + timeout;
   auto sock = co_await net->connect(c, machine, port);
   if (sock == nullptr) co_return std::nullopt;  // refused
   sock->send(request);
+  nt::net::Payload reply;
   if (!until_eof) {
     const sim::Duration remaining = deadline - c.m().sim().now();
     if (remaining <= sim::Duration{}) co_return std::nullopt;
-    co_return co_await sock->recv_until(c, "\n", 4096, remaining);
+    auto line = co_await sock->recv_until(c, "\n", 4096, remaining);
+    if (!line) co_return std::nullopt;
+    reply.head = std::move(*line);
+    co_return reply;
   }
-  std::string reply;
   if (!co_await sock->recv_to_eof(c, deadline, reply)) co_return std::nullopt;  // timeout
   if (reply.empty()) co_return std::nullopt;  // reset before any data
   co_return reply;
@@ -102,7 +107,7 @@ sim::Task relay_conn(Ctx c, nt::net::Network* net, std::shared_ptr<const RelayPa
                                   : 0;
   auto reply = co_await exchange(c, net, p.self, p.app_port, p.check_request, p.hop_timeout,
                                  /*until_eof=*/true);
-  if (reply) ok = p.http ? apps::http::http_ok(*reply, p.expected) : *reply == p.expected;
+  if (reply) ok = p.http ? apps::http::http_ok(*reply, p.expected) : reply->equals(p.expected);
   if (tl != nullptr) {
     tl->end_span(check, now_us(c), ok ? "ok" : (reply ? "err" : "timeout"));
   }
@@ -115,7 +120,7 @@ sim::Task relay_conn(Ctx c, nt::net::Network* net, std::shared_ptr<const RelayPa
         tl != nullptr ? obs::rtrace::rewrite_wire(id, wire->trace, fwd) : *line;
     auto down = co_await exchange(c, net, p.next_lb, kLbPort, downstream, p.hop_timeout,
                                   /*until_eof=*/false);
-    ok = down && down->rfind("OK ", 0) == 0;
+    ok = down && down->head.starts_with("OK ");
     if (tl != nullptr) {
       tl->end_span(fwd, now_us(c), ok ? "ok" : (down ? "err" : "timeout"));
     }
@@ -174,13 +179,13 @@ sim::Task lb_conn(Ctx c, nt::net::Network* net, std::shared_ptr<const LbParams> 
         tl != nullptr ? obs::rtrace::rewrite_wire(id, wire->trace, att) : *line;
     auto reply = co_await exchange(c, net, backend, kRelayPort, request, p.hop_timeout,
                                    /*until_eof=*/false);
-    const bool ok = reply && reply->rfind("OK ", 0) == 0;
+    const bool ok = reply && reply->head.starts_with("OK ");
     if (tl != nullptr) {
       tl->end_span(att, now_us(c), ok ? "ok" : (reply ? "err" : "timeout"));
     }
     if (ok) {
       if (tl != nullptr) tl->end_span(span, now_us(c), "ok");
-      sock->send(std::move(*reply));
+      sock->send(std::move(reply->head));
       co_return;
     }
   }

@@ -17,6 +17,10 @@
 // block: a FaultSpec's names are interned, and a result shares its topology
 // detail.
 //
+// Every run serves the 115 kB page, so a host copy of it costs a block of
+// 100 kB or more per request: a run takes one only where the page is read
+// through simulated memory, and a reply shares the page it sends.
+//
 // The test replaces the global operator new with a counting one, which is
 // why it is an executable of its own.
 #include <gtest/gtest.h>
@@ -26,9 +30,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "core/outcome.h"
+#include "core/run.h"
 #include "core/workload.h"
 #include "inject/interceptor.h"
 #include "ntsim/kernel.h"
@@ -38,12 +45,14 @@
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 std::atomic<std::uint64_t> g_bytes{0};
+std::atomic<std::uint64_t> g_page_sized{0};  // blocks of 100 kB or more
 
 // Out of line: with the counting inlined into operator new, GCC 12 warns
 // -Wmismatched-new-delete on the free() in operator delete below.
 [[gnu::noinline]] void count_allocation(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (size >= 100 * 1024) g_page_sized.fetch_add(1, std::memory_order_relaxed);
 }
 }  // namespace
 
@@ -190,6 +199,38 @@ TEST(AllocBudget, CopyingATopologyResultAllocatesNothingForItsDetail) {
   r.rtrace = std::make_shared<const obs::rtrace::RunTrace>(std::move(trace));
   EXPECT_EQ(blocks_to_copy(r), 0u);
   EXPECT_EQ(r.topo.use_count(), 1) << "every copy released its share";
+}
+
+/// Blocks of 100 kB or more taken by one fault-free run of `ini`, after a
+/// first run has built the memoized pages and warmed the pools.
+std::uint64_t page_sized_blocks_per_run(const std::string& ini) {
+  std::string error;
+  const auto cfg = core::parse_config(ini, &error);
+  EXPECT_TRUE(cfg.has_value()) << error;
+  if (!cfg) return ~0ull;
+  (void)core::execute_run(cfg->run, std::nullopt);
+  const std::uint64_t before = g_page_sized.load();
+  const core::RunResult run = core::execute_run(cfg->run, std::nullopt);
+  EXPECT_EQ(run.outcome, core::Outcome::kNormalSuccess);
+  return g_page_sized.load() - before;
+}
+
+// A three-tier run fetches the page 24 times (12 requests, each checked on a
+// web and an app instance). Apache reads it into a fresh body per request
+// (12 blocks); IIS reads it once per replica and then caches the installed
+// page itself (2). The replies share their bodies: no header is joined to a
+// page, and no relay copies one.
+TEST(AllocBudget, FaultFreeThreeTierRunCopiesThePageOnlyWhereItReadsIt) {
+  const std::uint64_t blocks = page_sized_blocks_per_run(
+      "[test]\nmiddleware = none\nseed = 4099\n"
+      "[topology]\ntopology = lb:2*apache -> app:2*iis -> db:1*sql_server\n"
+      "tier = app\nrtrace = failures\n");
+  EXPECT_LE(blocks, 14u);
+}
+
+TEST(AllocBudget, FaultFreeIisRunCopiesThePageOnce) {
+  EXPECT_LE(page_sized_blocks_per_run("[test]\nworkload = IIS\nmiddleware = none\nseed = 4099\n"),
+            1u);
 }
 
 }  // namespace

@@ -3,6 +3,12 @@
 // network, driven by ad-hoc clients.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "apps/apache.h"
 #include "apps/http.h"
 #include "apps/iis.h"
@@ -284,12 +290,74 @@ TEST(Http, ParseRequest) {
   EXPECT_FALSE(http::parse_request("GET nopath HTTP/1.0\r\n\r\n").has_value());
 }
 
-TEST(Http, FormatResponse) {
-  const std::string r = http::format_response(404, "text/html", "<x>", "TestServer");
-  EXPECT_NE(r.find("HTTP/1.0 404 Not Found"), std::string::npos);
-  EXPECT_NE(r.find("Content-Length: 3"), std::string::npos);
-  EXPECT_NE(r.find("Server: TestServer"), std::string::npos);
-  EXPECT_EQ(r.substr(r.size() - 3), "<x>");
+// The parser splits lines where std::getline does ('\n'), trims '\r', space
+// and tab at a line's end and space and tab at its start, and splits the
+// request line into words where operator>> does (space, \t, \n, \v, \f, \r).
+// These are the answers of the original iostream parser.
+TEST(Http, ParseRequestEdgeCases) {
+  using Headers = std::map<std::string, std::string>;
+  struct Case {
+    std::string raw;
+    bool ok;
+    std::string method, target, version;
+    Headers headers;
+  };
+  const std::vector<Case> cases = {
+      // No trailing newline, on the request line and on the last header.
+      {"GET / HTTP/1.0", true, "GET", "/", "HTTP/1.0", {}},
+      {"GET /a HTTP/1.0\r\nHost: h", true, "GET", "/a", "HTTP/1.0", {{"Host", "h"}}},
+      // Bare \n lines; a blank line ends the headers.
+      {"GET /a HTTP/1.0\nHost: h\nX: y\n\nLate: no\n",
+       true, "GET", "/a", "HTTP/1.0", {{"Host", "h"}, {"X", "y"}}},
+      {"GET /a HTTP/1.0\r\n\r\nLate: no\r\n", true, "GET", "/a", "HTTP/1.0", {}},
+      // A line of blanks ends the headers too.
+      {"GET /a HTTP/1.0\r\n \t\r\nLate: no\r\n", true, "GET", "/a", "HTTP/1.0", {}},
+      // Tabs, repeated spaces and the other stream blanks in the request line.
+      {"GET\t\t/x   HTTP/1.0 \t\r\n\r\n", true, "GET", "/x", "HTTP/1.0", {}},
+      {"  GET /x HTTP/1.0\r\n", true, "GET", "/x", "HTTP/1.0", {}},
+      {"GET\v/x\fHTTP/1.0\r\n", true, "GET", "/x", "HTTP/1.0", {}},
+      {"GET\r/x\rHTTP/1.0\r\r\n", true, "GET", "/x", "HTTP/1.0", {}},
+      {"GET /x HTTP/1.0 extra words\r\n", true, "GET", "/x", "HTTP/1.0", {}},
+      // Fewer than three words.
+      {"GET /x\r\n\r\n", false, "", "", "", {}},
+      {"GET\r\n", false, "", "", "", {}},
+      {"GET /x \t\r\nHTTP/1.0\r\n", false, "", "", "", {}},
+      {"\r\nGET / HTTP/1.0\r\n", false, "", "", "", {}},
+      {" \t \r\n", false, "", "", "", {}},
+      {"\n", false, "", "", "", {}},
+      // A target without a leading '/'.
+      {"GET x HTTP/1.0\r\n", false, "", "", "", {}},
+      {"GET * HTTP/1.0\r\n", false, "", "", "", {}},
+      {"GET http://h/ HTTP/1.0\r\n", false, "", "", "", {}},
+      // A header line without ':' is skipped; a repeated header keeps the last.
+      {"GET / HTTP/1.0\r\nNoColonHere\r\nHost: h\r\n\r\n",
+       true, "GET", "/", "HTTP/1.0", {{"Host", "h"}}},
+      {"GET / HTTP/1.0\r\nHost: a\r\nHost: b\r\n\r\n",
+       true, "GET", "/", "HTTP/1.0", {{"Host", "b"}}},
+      // Whitespace around keys and values; the value keeps inner blanks and
+      // every colon after the first.
+      {"GET / HTTP/1.0\r\n  Host \t:   h:80 \t \r\nX:\r\nY: a  b\t\r\n\r\n",
+       true, "GET", "/", "HTTP/1.0", {{"Host", "h:80"}, {"X", ""}, {"Y", "a  b"}}},
+      // Only space and tab are trimmed at a line's start: a leading '\r' stays.
+      {"GET / HTTP/1.0\r\n\rHost: h\r\n\r\n",
+       true, "GET", "/", "HTTP/1.0", {{"\rHost", "h"}}},
+      {"GET / HTTP/1.0\r\n:novalue\r\nk:\t\r\n\r\n",
+       true, "GET", "/", "HTTP/1.0", {{"", "novalue"}, {"k", ""}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::PrintToString(c.raw));
+    const auto req = http::parse_request(c.raw);
+    ASSERT_EQ(req.has_value(), c.ok);
+    if (!req) continue;
+    EXPECT_EQ(req->method, c.method);
+    EXPECT_EQ(req->target, c.target);
+    EXPECT_EQ(req->version, c.version);
+    EXPECT_EQ(req->headers, c.headers);
+  }
+}
+
+TEST(Http, ResponseHead) {
+  const std::string r = http::response_head(404, "text/html", 3, "TestServer");
   // The exact bytes: header order, CRLFs and the blank line are pinned.
   EXPECT_EQ(r,
             "HTTP/1.0 404 Not Found\r\n"
@@ -297,23 +365,67 @@ TEST(Http, FormatResponse) {
             "Content-Type: text/html\r\n"
             "Content-Length: 3\r\n"
             "Connection: close\r\n"
-            "\r\n"
-            "<x>");
+            "\r\n");
 
-  const std::string& body = *apache_index_content(4096);
-  const std::string ok = http::format_response(200, "text/html", body, "Apache/1.3.3 (WinNT)");
-  EXPECT_EQ(ok,
+  const auto& page = apache_index_content(4096);
+  const nt::net::Payload ok{http::response_head(200, "text/html", page->size(),
+                                                "Apache/1.3.3 (WinNT)"),
+                            page};
+  EXPECT_EQ(ok.head,
             "HTTP/1.0 200 OK\r\n"
             "Server: Apache/1.3.3 (WinNT)\r\n"
             "Content-Type: text/html\r\n"
             "Content-Length: 4096\r\n"
             "Connection: close\r\n"
-            "\r\n" +
-                body);
-  EXPECT_TRUE(http::http_ok(ok, body));
-  EXPECT_FALSE(http::http_ok(r, "<x>"));  // not a 200
-  EXPECT_FALSE(http::http_ok(ok, body.substr(1)));
+            "\r\n");
+  EXPECT_TRUE(http::http_ok(ok, *page));
+  EXPECT_FALSE(http::http_ok(nt::net::Payload{r + "<x>", nullptr}, "<x>"));  // not a 200
+  EXPECT_FALSE(http::http_ok(ok, page->substr(1)));
 }
 
+// The reply check over a payload answers what the original check over the
+// flattened bytes answers, wherever the payload splits them and whatever its
+// tail is: the page object itself, an equal copy, a truncated copy or a copy
+// with one byte flipped.
+TEST(Http, HttpOkOverAPayloadMatchesTheFlatCheck) {
+  const auto flat_ok = [](std::string_view reply, std::string_view expected) {
+    if (!reply.starts_with("HTTP/1.0 200")) return false;
+    const auto sep = reply.find("\r\n\r\n");
+    return sep != std::string_view::npos && reply.substr(sep + 4) == expected;
+  };
+  const std::shared_ptr<const std::string>& page = apache_index_content(1500);
+  std::string flipped = *page;
+  flipped[flipped.size() / 2] ^= 0x20;
+  const std::vector<std::shared_ptr<const std::string>> bodies = {
+      page,
+      std::make_shared<const std::string>(*page),
+      std::make_shared<const std::string>(page->substr(0, page->size() - 1)),
+      std::make_shared<const std::string>(flipped),
+  };
+  for (const int status : {200, 404}) {
+    for (const auto& body : bodies) {
+      const std::string head = http::response_head(status, "text/html", body->size(), "T");
+      const std::string flat = head + *body;
+      // The split servers make: the header as head, the body shared as tail.
+      EXPECT_EQ(http::http_ok(nt::net::Payload{head, body}, *page), flat_ok(flat, *page));
+      EXPECT_EQ(http::http_ok(nt::net::Payload{head + "x", body}, *page),
+                flat_ok(head + "x" + *body, *page));
+      // Every other split, with a fresh tail, and the reply with no tail.
+      for (std::size_t k = 0; k <= flat.size(); ++k) {
+        const nt::net::Payload split{flat.substr(0, k),
+                                     k == flat.size()
+                                         ? nullptr
+                                         : std::make_shared<const std::string>(flat.substr(k))};
+        ASSERT_EQ(http::http_ok(split, *page), flat_ok(flat, *page))
+            << "status " << status << ", body of " << body->size() << " bytes, split at " << k;
+      }
+    }
+  }
+  // Only the page object itself passes unread; an equal page passes too.
+  const std::string head = http::response_head(200, "text/html", page->size(), "T");
+  EXPECT_TRUE(http::http_ok(nt::net::Payload{head, page}, *page));
+  EXPECT_TRUE(http::http_ok(nt::net::Payload{head, page}, std::string(*page)));
+  EXPECT_FALSE(http::http_ok(nt::net::Payload{head, page}, page->substr(1)));
+}
 }  // namespace
 }  // namespace dts::apps

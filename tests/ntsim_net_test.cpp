@@ -2,6 +2,9 @@
 // refusal when no listener exists, resets on process death.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -212,7 +215,7 @@ TEST(Net, LargeSendThenShortSendArriveInOrderThroughPartialReads) {
 // deadline it reports false and keeps what arrived.
 TEST(Net, RecvToEofCollectsUntilCloseOrDeadline) {
   NetWorld w;
-  std::string closed_reply, open_reply;
+  net::Payload closed_reply, open_reply;
   bool closed_ok = false, open_ok = true;
   w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
     auto listener = w.net.listen("target", 80);
@@ -235,9 +238,9 @@ TEST(Net, RecvToEofCollectsUntilCloseOrDeadline) {
   w.client.start_process("client.exe", "client.exe");
   w.simu.run_until(w.simu.now() + Duration::seconds(20));
   EXPECT_TRUE(closed_ok);
-  EXPECT_EQ(closed_reply, "part one, part two");
+  EXPECT_EQ(closed_reply.head, "part one, part two");
   EXPECT_FALSE(open_ok);
-  EXPECT_EQ(open_reply, "never closed");
+  EXPECT_EQ(open_reply.head, "never closed");
 }
 
 // recv_until must see a delimiter whose bytes arrive in two deliveries.
@@ -442,6 +445,215 @@ TEST(Net, PerLinkLatencyGovernsConnectAndTransfer) {
   // Delivery = 25ms latency + 1000B / 10kB/s = 125ms, far above the 2ms
   // default-link figure.
   EXPECT_GE(transfer, Duration::millis(100));
+}
+
+// --- payloads with a shared tail --------------------------------------------
+
+/// The page a server shares with every reader: 115 kB, with line breaks so
+/// delimiter reads can end inside it.
+std::shared_ptr<const std::string> shared_page() {
+  std::string page;
+  for (int i = 0; page.size() < 115 * 1024; ++i) page += "line " + std::to_string(i) + "\r\n";
+  return std::make_shared<const std::string>(std::move(page));
+}
+
+/// One read of a script: recv(n), recv_until(delim, n) or recv_exactly(n).
+struct Read {
+  enum Kind { kRecv, kUntil, kExactly } kind;
+  std::size_t n;
+  std::string delim;
+};
+
+/// What a reader saw: when its first read returned, what each read returned,
+/// and whether the stream was at EOF afterwards.
+struct Transcript {
+  sim::TimePoint first_at;
+  std::vector<std::optional<std::string>> reads;
+  bool at_eof = false;
+};
+
+/// Connects, lets `send` write on the server side and close, and runs
+/// `script` on the client side once everything has been delivered (or, with
+/// `wait` false, as soon as the connection is up).
+Transcript run_script(const std::function<void(net::Socket&)>& send,
+                      const std::vector<Read>& script, bool wait = true) {
+  NetWorld w;
+  Transcript t;
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto sock = co_await listener->accept(c);
+    send(*sock);
+    sock->close();
+    co_await sleep_in_sim(c, Duration::seconds(5));
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto sock = co_await w.net.connect(c, "target", 80);
+    if (wait) co_await sleep_in_sim(c, Duration::seconds(1));
+    for (const Read& r : script) {
+      const Duration timeout = Duration::seconds(2);
+      switch (r.kind) {
+        case Read::kRecv: t.reads.push_back(co_await sock->recv(c, r.n, timeout)); break;
+        case Read::kUntil:
+          t.reads.push_back(co_await sock->recv_until(c, r.delim, r.n, timeout));
+          break;
+        case Read::kExactly:
+          t.reads.push_back(co_await sock->recv_exactly(c, r.n, timeout));
+          break;
+      }
+      if (t.reads.size() == 1) t.first_at = c.m().sim().now();
+    }
+    t.at_eof = sock->at_eof();
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(10));
+  return t;
+}
+
+TEST(NetPayload, HeadAndTailArriveWhenTheirFlatBytesWould) {
+  const auto page = shared_page();
+  const std::string head = "HTTP/1.0 200 OK\r\n\r\n";
+  const std::vector<Read> everything = {{Read::kRecv, std::string::npos, ""}};
+  const Transcript flat =
+      run_script([&](net::Socket& s) { s.send(head + *page); }, everything, false);
+  const Transcript split =
+      run_script([&](net::Socket& s) { s.send(head, page); }, everything, false);
+  ASSERT_EQ(flat.reads.size(), 1u);
+  EXPECT_EQ(flat.reads[0], head + *page);
+  EXPECT_EQ(split.reads, flat.reads);
+  EXPECT_EQ(split.first_at, flat.first_at);
+  // The transfer time counted the tail: 115 kB at 1.25 MB/s is about 94 ms.
+  EXPECT_GT(flat.first_at - sim::TimePoint{}, Duration::millis(90));
+}
+
+TEST(NetPayload, ContiguousReadsOfAStreamHoldingATailMatchAFlatSend) {
+  const auto page = shared_page();
+  const std::string head = "GET /x\r\nAB";
+  const std::string flat_bytes = head + *page;
+  const std::size_t until_eof = std::string::npos;
+  // Each script starts on a stream that still holds the tail, with a read
+  // that ends in the head, across the boundary, or inside the tail.
+  const std::vector<std::vector<Read>> scripts = {
+      {{Read::kRecv, 3, ""}, {Read::kRecv, until_eof, ""}},
+      {{Read::kRecv, head.size() + 10, ""}, {Read::kUntil, 4096, "\r\n"},
+       {Read::kExactly, 7, ""}, {Read::kRecv, until_eof, ""}},
+      {{Read::kUntil, 4096, "Bline 0"}, {Read::kRecv, until_eof, ""}},
+      {{Read::kUntil, 4096, "\r\n"}, {Read::kUntil, 4096, "Bline 0"},
+       {Read::kRecv, until_eof, ""}},
+      {{Read::kUntil, 4096, "line 3\r\n"}, {Read::kRecv, until_eof, ""}},
+      {{Read::kUntil, 16, "no such line"}},
+      {{Read::kExactly, head.size() + 1, ""}, {Read::kExactly, page->size() - 1, ""}},
+      {{Read::kExactly, 2, ""}, {Read::kRecv, until_eof, ""}},
+  };
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    SCOPED_TRACE("script " + std::to_string(i));
+    const Transcript flat =
+        run_script([&](net::Socket& s) { s.send(flat_bytes); }, scripts[i]);
+    const Transcript split = run_script([&](net::Socket& s) { s.send(head, page); }, scripts[i]);
+    ASSERT_EQ(flat.reads.size(), scripts[i].size());
+    EXPECT_EQ(split.reads, flat.reads);
+    EXPECT_EQ(split.at_eof, flat.at_eof);
+    std::string joined;
+    for (const auto& r : flat.reads) joined += r.value_or("");
+    if (flat.reads.back().has_value()) {
+      EXPECT_EQ(joined, flat_bytes);
+    }
+  }
+}
+
+TEST(NetPayload, RecvToEofKeepsTheLastTailSharedAndBytesAfterATailFollowIt) {
+  const auto page = shared_page();
+  const auto other = std::make_shared<const std::string>("second tail");
+  NetWorld w;
+  net::Payload one, two;
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto a = co_await listener->accept(c);
+    a->send("head ", page);
+    a->close();
+    auto b = co_await listener->accept(c);
+    b->send("head ", page);
+    b->send("after");
+    b->send(" and ", other);
+    b->close();
+    co_await sleep_in_sim(c, Duration::seconds(5));
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto a = co_await w.net.connect(c, "target", 80);
+    EXPECT_TRUE(co_await a->recv_to_eof(c, c.m().sim().now() + Duration::seconds(2), one));
+    auto b = co_await w.net.connect(c, "target", 80);
+    EXPECT_TRUE(co_await b->recv_to_eof(c, c.m().sim().now() + Duration::seconds(2), two));
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(10));
+
+  EXPECT_EQ(one.head, "head ");
+  EXPECT_EQ(one.tail, page);  // the page object itself, never copied
+  EXPECT_TRUE(one.equals("head " + *page));
+  // The first tail was folded in when bytes followed it; the last stays shared.
+  EXPECT_EQ(two.head, "head " + *page + "after and ");
+  EXPECT_EQ(two.tail, other);
+  EXPECT_EQ(two.size(), 5 + page->size() + 10 + other->size());
+  EXPECT_EQ(two.flatten(), "head " + *page + "after and second tail");
+}
+
+TEST(NetPayload, AResetDropsAPendingTail) {
+  const auto page = shared_page();
+  NetWorld w;
+  long in_flight = 0, after = 0;
+  std::optional<std::string> server_got;
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto sock = co_await listener->accept(c);
+    sock->close();  // before the client's page arrives
+    server_got = co_await sock->recv(c, 1024, Duration::seconds(1));
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto sock = co_await w.net.connect(c, "target", 80);
+    sock->send("head", page);
+    in_flight = page.use_count();
+    co_await sleep_in_sim(c, Duration::seconds(1));
+    after = page.use_count();
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(5));
+  EXPECT_EQ(in_flight, 2);  // the queued delivery holds the page
+  EXPECT_EQ(after, 1);      // dropped with the delivery, not kept in a buffer
+  EXPECT_EQ(server_got, "");
+}
+
+TEST(NetPayload, AtEofStaysFalseWhileATailIsUnread) {
+  const auto page = shared_page();
+  NetWorld w;
+  bool eof_before = true, eof_after = false;
+  net::Payload got;
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto sock = co_await listener->accept(c);
+    sock->send("", page);
+    sock->close();
+    co_await sleep_in_sim(c, Duration::seconds(5));
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto sock = co_await w.net.connect(c, "target", 80);
+    co_await sleep_in_sim(c, Duration::seconds(1));  // the tail and the FIN arrived
+    eof_before = sock->at_eof();
+    (void)co_await sock->recv_to_eof(c, c.m().sim().now() + Duration::seconds(1), got);
+    eof_after = sock->at_eof();
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(10));
+  EXPECT_FALSE(eof_before);
+  EXPECT_TRUE(eof_after);
+  EXPECT_EQ(got.head, "");
+  EXPECT_EQ(got.tail, page);
 }
 
 }  // namespace
